@@ -91,9 +91,8 @@ from repro.serving.sla import SLATier, sla_target  # noqa: E402
 #: engine caches pre-warmed by the preceding cases, mirroring its position
 #: in the harness order, so its speedup isolates pool reuse + warm starts
 #: rather than one-time table builds.  ``fig13-fault-hooks``'s baseline is
-#: the *same* replay through the plain no-fault loop on the same checkout —
-#: its speedup therefore reads directly as fault-hook overhead, 1.0x being
-#: free.)
+#: the *same* replay with no fault plan on the same checkout — its speedup
+#: therefore reads directly as fault-hook overhead, 1.0x being free.)
 PRE_PR_BASELINE_S: Dict[str, Dict[str, float]] = {
     "full": {
         "fig9-batch-sweep": 1.03,
@@ -131,7 +130,7 @@ BASELINE_COMMIT: Dict[str, str] = {
     "capacity-sweep-shared": "56f3891 (pre runtime-unification PR)",
     "capacity-sweep-shared-j4": "56f3891 (pre runtime-unification PR)",
     "fig13-production": "5baf554 (pre fleet-unification PR)",
-    "fig13-fault-hooks": "9e6e0fb (plain no-fault loop, same checkout host)",
+    "fig13-fault-hooks": "9e6e0fb (same replay without a plan, same checkout host)",
     "fig7-subsampling": "5baf554 (pre fleet-unification PR)",
     # The same diurnal trace materialised as a list and run through the
     # exact-stats batch path on the same checkout host: the speedup column
@@ -287,13 +286,14 @@ def bench_fig13(quick: bool, jobs: int) -> None:
 
 
 def bench_fig13_fault_hooks(quick: bool, jobs: int) -> None:
-    # A fig13-scale fleet replay through the *fault-instrumented* cluster
-    # loop: the plan's only crash window opens after the last arrival, so
-    # no fault ever fires and the seconds measure the hooks' bookkeeping
-    # (health view, fault tracks, merged transition stream) alone.  The
-    # baseline is the identical replay through the plain no-fault loop on
-    # the same checkout, so the speedup column reads as hook overhead
-    # directly (1.0x = free) and the trend gate bounds it across PRs.
+    # A fig13-scale fleet replay with a fault source in the event loop: the
+    # plan's only crash window opens after the last arrival, so no fault
+    # ever fires and the seconds measure what consulting the source costs
+    # (health view, fault-track lookups, the merged transition stream)
+    # alone.  The baseline is the identical replay with no plan -- the same
+    # loop without a source -- on the same checkout, so the speedup column
+    # reads as hook overhead directly (1.0x = free) and the trend gate
+    # bounds it across PRs.
     from repro.faults import CrashWindow, FaultPlan, NodeFaultSchedule, RetryPolicy
     from repro.serving.cluster import ClusterSimulator
 

@@ -161,8 +161,8 @@ class FaultPlan:
     """Per-node fault schedules for a fleet, keyed by server index.
 
     An empty plan (``FaultPlan()`` or every schedule empty) is the "no
-    faults" sentinel: the simulator takes its original, bit-identical code
-    path when given one.
+    faults" sentinel: the simulator's event loop then runs without a fault
+    source, bit-identically to a run given no plan at all.
     """
 
     nodes: Mapping[int, NodeFaultSchedule] = field(default_factory=dict)

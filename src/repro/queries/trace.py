@@ -308,8 +308,8 @@ def iter_diurnal_trace(
 ) -> Iterator[Query]:
     """Lazily yield a diurnal trace one :class:`Query` at a time.
 
-    Queries arrive in time order with ``query_id`` equal to the arrival
-    index, so the stream satisfies the
+    Queries arrive in time order (``query_id`` is the arrival index), so
+    the stream satisfies the
     :meth:`repro.serving.cluster.ClusterSimulator.run_stream` contract
     directly (pair it with :func:`count_diurnal_queries` for the
     ``num_queries`` argument).  Only one synthesis chunk is alive at a time;

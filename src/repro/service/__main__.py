@@ -293,6 +293,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                     pipeline.finish()
                 elif args.stdin:
                     try:
+                        # Readiness marker, as on the TCP path: SIGTERM is
+                        # already routed to the clean path when it prints.
+                        print("reading events from stdin", file=sys.stderr)
                         pipeline.feed_lines(sys.stdin)
                     except KeyboardInterrupt:
                         interrupted = True

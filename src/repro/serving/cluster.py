@@ -9,10 +9,14 @@ accelerator) — behind a pluggable load balancer, and aggregates fleet-level
 tail latency, per-server utilisation, and QPS-at-SLA capacity.
 
 Balancing decisions are made *online*, at each query's arrival instant,
-against the servers' live outstanding-work counters; because every server
-runs the same event mechanics as :class:`ServingSimulator` from a shared
-event heap, a cluster of one server reproduces the single-server simulator's
-measurements exactly.
+against the servers' live outstanding-work counters.  There is one event
+loop, :func:`~repro.serving.simulator.run_event_loop`: ``run`` sorts the
+queries and streams them through it, ``run_stream`` streams directly, and
+:class:`ServingSimulator` runs it with one server — so a cluster of one
+server reproduces the single-server simulator's measurements exactly.  A
+:class:`~repro.faults.FaultPlan` joins the loop as an optional event source
+(:class:`FaultInjector`: crashes, recoveries, stragglers, retries and
+hedges); without a plan the loop has no source to consult.
 
 Five balancing policies ship by default:
 
@@ -48,6 +52,7 @@ from repro.faults.plan import (
     KIND_RECOVER,
     KIND_SLOW_OFF,
     KIND_SLOW_ON,
+    FaultEvent,
     FaultPlan,
     FaultStats,
     NodeHealth,
@@ -62,24 +67,22 @@ from repro.serving.capacity import (
     offload_size_stats,
 )
 from repro.serving.simulator import (
-    EVT_CPU_DONE,
     CertainAcceptance,
     CertainRejection,
     SLACriteriaMixin,
     ServerKernel,
+    ServerLoadSummary,
     ServingConfig,
     _INFINITY,
     _arrival_key,
     _check_latency_stats,
-    _sketch_recorder,
-    certain_acceptance_threshold,
-    certain_rejection_threshold,
-    late_window_p95,
-    pause_gc,
+    build_kernels,
+    misrouted,
     resolve_num_cores,
+    run_event_loop,
+    summarize_server,
 )
 from repro.utils.rng import SeedLike, derive_rng
-from repro.utils.stats import PercentileTracker
 from repro.utils.validation import check_positive
 
 
@@ -277,7 +280,7 @@ class PowerOfTwoBalancer(LoadBalancer):
         return first
 
 
-class FailureAwareBalancer(LoadBalancer):
+class FailureAwareBalancer(LeastOutstandingBalancer):
     """Least outstanding work among *healthy* nodes, weighted by slowdown.
 
     The failure-aware counterpart of :class:`LeastOutstandingBalancer`: the
@@ -310,14 +313,7 @@ class FailureAwareBalancer(LoadBalancer):
     def choose(self, query: Query, servers: Sequence[ServerKernel]) -> int:
         health = self._health
         if health is None:
-            best_index = 0
-            best_load = servers[0].outstanding_items
-            for index in range(1, len(servers)):
-                load = servers[index].outstanding_items
-                if load < best_load:
-                    best_index = index
-                    best_load = load
-            return best_index
+            return super().choose(query, servers)
         best_index = -1
         best_load = float("inf")
         for index in range(len(servers)):
@@ -331,14 +327,7 @@ class FailureAwareBalancer(LoadBalancer):
         if best_index >= 0:
             return best_index
         # Whole fleet down: any choice is lost; stay deterministic.
-        best_index = 0
-        best_load = servers[0].outstanding_items
-        for index in range(1, len(servers)):
-            load = servers[index].outstanding_items
-            if load < best_load:
-                best_index = index
-                best_load = load
-        return best_index
+        return super().choose(query, servers)
 
 
 _BALANCER_REGISTRY = {
@@ -459,19 +448,6 @@ def heterogeneous_fleet(
     return servers
 
 
-@dataclass(frozen=True)
-class ServerLoadSummary:
-    """Per-server slice of one cluster run."""
-
-    name: str
-    num_queries: int
-    num_items: int
-    cpu_utilization: float
-    gpu_utilization: float
-    gpu_work_fraction: float
-    query_share: float
-
-
 @dataclass
 class ClusterSimulationResult(SLACriteriaMixin):
     """Fleet-level measurements from one cluster run.
@@ -552,7 +528,7 @@ class ClusterSimulationResult(SLACriteriaMixin):
 
 
 # --------------------------------------------------------------------------- #
-# The cluster simulator
+# Fault injection
 # --------------------------------------------------------------------------- #
 
 
@@ -596,74 +572,198 @@ def _healthy_least_loaded(
     return best_index
 
 
-def _discard_latency(latency: float) -> None:
-    """No-op recorder swapped in once a CertainAcceptance certificate fires.
+class FaultInjector:
+    """A :class:`~repro.faults.FaultPlan` as an event source for the event loop.
 
-    The streamed loop cannot jump into a separate drain function (the
-    iterator's consumption checks still need to run), so it keeps the same
-    loop and just stops retaining latencies.
+    Two streams feed the loop's external events: the plan's transitions
+    (pre-sorted) and retry detections (a small heap); at one instant a
+    transition goes before a retry, and the loop runs both after the
+    completions and before the arrival due then, so a fixed plan over a
+    fixed trace replays bit-identically.
+
+    A crash drops the node's queued and in-flight work (its completion
+    events leave the shared heap with it); the lost queries are retried per
+    the :class:`~repro.faults.RetryPolicy` or fail.  One kernel serves a
+    node for the whole run, so busy-time and work accounting stay
+    cumulative.  A down node still *exists* to health-blind balancers
+    (cleared, outstanding 0 — they actively prefer it, which is exactly the
+    naive-policy failure mode the degraded-fleet experiment shows);
+    dispatches to it are black-holed and noticed ``detect_delay_s`` later.
+    Health-aware balancers get the live per-node view through
+    :meth:`LoadBalancer.observe_health`.
     """
 
+    def __init__(
+        self,
+        plan: FaultPlan,
+        retry_policy: RetryPolicy,
+        kernels: Sequence[ServerKernel],
+        balancer: LoadBalancer,
+        policy: str,
+    ) -> None:
+        self._kernels = kernels
+        self._choose = balancer.choose
+        self._observe_health = balancer.observe_health
+        self._policy = policy
+        self._detect_delay = retry_policy.detect_delay_s
+        self._max_retries = retry_policy.max_retries
+        self._hedge = retry_policy.hedge
+        self._transitions = plan.events(len(kernels))
+        self._cursor = 0
+        self._retries: List[tuple] = []  # heap of (due_time, seq, query_id)
+        self._retry_seq = itertools.count()
+        #: Per-query fault state, only for queries a fault has touched.
+        self.tracked: Dict[int, _FaultTrack] = {}
+        self.health = [NodeHealth() for _ in kernels]
+        #: True while every node is up (dispatch is then a plain submit).
+        self.healthy = True
+        self.stats = FaultStats()
+        self.next_time = _INFINITY
+        self._observe_health(self.health)
+        self._refresh()
 
-def _drain_cluster_events(
-    events: List[tuple],
-    ordered: Sequence[Query],
-    cursor: int,
-    next_arrival: float,
-    kernels: Sequence[ServerKernel],
-    choose: Any,
-    policy: str,
-    last_completion: float,
-) -> float:
-    """Run the cluster event loop to exhaustion without recording latencies.
+    @property
+    def idle(self) -> bool:
+        """True when no retry is pending."""
+        return not self._retries
 
-    The fleet counterpart of the single-server drain: once a
-    :class:`~repro.serving.simulator.CertainAcceptance` certificate fires,
-    the remaining completions cannot change the verdict, but the drain time
-    is part of the stability check, so the mechanics — balancer routing
-    included, since it observes live outstanding-work counters — still run
-    with per-query measurement skipped.  Returns the exact last completion.
-    """
-    heappop = heapq.heappop
-    num_kernels = len(kernels)
-    num_arrivals = len(ordered)
-    while True:
-        if events:
-            head = events[0]
-            now = head[0]
-            if now <= next_arrival:
-                _, kind, _, server_index, query_id = heappop(events)
-                if kind == EVT_CPU_DONE:
-                    if kernels[server_index].on_cpu_done(query_id, now) is None:
-                        continue
-                else:  # EVT_GPU_DONE
-                    kernels[server_index].on_gpu_done(query_id, now)
-                if now > last_completion:
-                    last_completion = now
-                continue
-        if cursor >= num_arrivals:
-            return last_completion
-        query = ordered[cursor]
-        cursor += 1
-        next_arrival = (
-            ordered[cursor].arrival_time if cursor < num_arrivals else _INFINITY
+    def _refresh(self) -> None:
+        transitions = self._transitions
+        next_transition = (
+            transitions[self._cursor].time_s
+            if self._cursor < len(transitions)
+            else _INFINITY
         )
-        chosen = choose(query, kernels)
-        if not 0 <= chosen < num_kernels:
-            raise ValueError(
-                f"balancer {policy!r} chose server {chosen} of {num_kernels}"
+        next_retry = self._retries[0][0] if self._retries else _INFINITY
+        self._next_transition = next_transition
+        self.next_time = min(next_transition, next_retry)
+
+    def step(self) -> None:
+        """Process the transition or retry due at ``next_time``."""
+        if self._next_transition <= self.next_time:
+            self._apply(self._transitions[self._cursor])
+            self._cursor += 1
+        else:
+            due, _, query_id = heapq.heappop(self._retries)
+            track = self.tracked[query_id]
+            if not track.done and track.live == 0:
+                self._retry(track, due)
+        self._refresh()
+
+    def dispatch(self, query: Query, chosen: int, now: float) -> None:
+        """Submit an arrival to node ``chosen``, or black-hole it if down."""
+        if self.health[chosen].up:
+            self._kernels[chosen].submit(query, now)
+            return
+        self.stats.blackholed_dispatches += 1
+        self._lost(query, now)
+        self._refresh()
+
+    def absorb_completion(self, query_id: int) -> bool:
+        """Note a completion; True when a hedge twin already finished first."""
+        track = self.tracked.get(query_id)
+        if track is None:
+            return False
+        if track.done:
+            return True
+        track.done = True
+        track.live -= 1
+        return False
+
+    # ------------------------------------------------------------------ #
+
+    def _apply(self, transition: FaultEvent) -> None:
+        node = transition.node
+        kernel = self._kernels[node]
+        health = self.health[node]
+        kind = transition.kind
+        if kind == KIND_CRASH:
+            if not health.up:
+                return
+            health.up = False
+            self.healthy = False
+            self.stats.crashes += 1
+            lost = kernel.crash()
+            self.stats.crash_killed_in_flight += len(lost)
+            self._observe_health(self.health)
+            for query in lost:
+                self._lost(query, transition.time_s)
+            return
+        if kind == KIND_RECOVER:
+            if health.up:
+                return
+            health.up = True
+            self.healthy = all(node.up for node in self.health)
+            self.stats.recoveries += 1
+        elif kind == KIND_SLOW_ON:
+            kernel.service_scale = transition.slowdown
+            health.slowdown = transition.slowdown
+        else:  # KIND_SLOW_OFF
+            kernel.service_scale = 1.0
+            health.slowdown = 1.0
+        self._observe_health(self.health)
+
+    def _lost(self, query: Query, now: float) -> None:
+        """An attempt at ``query`` was lost: its node crashed, or was down."""
+        track = self.tracked.get(query.query_id)
+        if track is None:
+            track = _FaultTrack(query, self._max_retries)
+            self.tracked[query.query_id] = track
+        elif track.live > 0:
+            track.live -= 1
+        if not track.done and track.live == 0:
+            self._retry_or_fail(track, now)
+
+    def _retry(self, track: _FaultTrack, now: float) -> None:
+        """Consume one retry: re-dispatch (optionally hedged)."""
+        query = track.query
+        kernels = self._kernels
+        track.attempts_left -= 1
+        self.stats.retries += 1
+        chosen = self._choose(query, kernels)
+        if not 0 <= chosen < len(kernels):
+            raise misrouted(self._policy, chosen, len(kernels))
+        if self.health[chosen].up:
+            kernels[chosen].submit(query, now)
+            track.live += 1
+        else:
+            self.stats.blackholed_dispatches += 1
+        if self._hedge:
+            second = _healthy_least_loaded(kernels, self.health, exclude=chosen)
+            if second >= 0:
+                kernels[second].submit(query, now)
+                self.stats.hedged_dispatches += 1
+                track.live += 1
+        if track.live == 0:
+            self._retry_or_fail(track, now)
+
+    def _retry_or_fail(self, track: _FaultTrack, now: float) -> None:
+        """Schedule the retry a lost attempt earns, or fail the query."""
+        if track.attempts_left > 0:
+            heapq.heappush(
+                self._retries,
+                (now + self._detect_delay, next(self._retry_seq), track.query.query_id),
             )
-        kernels[chosen].submit(query, query.arrival_time)
+        else:
+            track.done = True
+            self.stats.failed_queries += 1
+
+
+# --------------------------------------------------------------------------- #
+# The cluster simulator
+# --------------------------------------------------------------------------- #
 
 
 class ClusterSimulator:
     """Event-driven simulator for a fleet of inference servers.
 
-    All servers share one event heap and one clock; the balancer routes each
-    query at its arrival instant using the kernels' live outstanding-work
-    counters, so balancing decisions see exactly the state a real balancer
-    would.  With a single server every policy degenerates to pass-through and
-    the run is event-for-event identical to :class:`ServingSimulator`.
+    All servers share one event heap and one clock
+    (:func:`~repro.serving.simulator.run_event_loop`); the balancer routes
+    each query at its arrival instant using the kernels' live
+    outstanding-work counters, so balancing decisions see exactly the state
+    a real balancer would.  With a single server every policy degenerates to
+    pass-through and the run is event-for-event identical to
+    :class:`ServingSimulator`.
     """
 
     def __init__(
@@ -697,11 +797,15 @@ class ClusterSimulator:
             raise ValueError(
                 f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
             )
-        self._warmup_fraction = warmup_fraction
+        self._warmup_fraction = (
+            warmup_fraction
+            if warmup_fraction is not None
+            else self._servers[0].config.warmup_fraction
+        )
         self._collect_per_server = collect_per_server_latencies
-        # An empty plan is the "no faults" sentinel: run() then takes the
-        # original code path, byte for byte, so zero-plan results stay
-        # bit-identical to a simulator built without fault arguments.
+        # An empty plan is the "no faults" sentinel: the event loop then runs
+        # without a fault source, so zero-plan results are bit-identical to
+        # a simulator built without fault arguments.
         if fault_plan is not None and fault_plan.is_empty():
             fault_plan = None
         self._fault_plan = fault_plan
@@ -764,17 +868,19 @@ class ClusterSimulator:
     ) -> Union[ClusterSimulationResult, CertainRejection, CertainAcceptance]:
         """Serve ``queries`` across the fleet and return fleet measurements.
 
-        ``reject_above_sla_s`` arms the exact early-rejection exit shared
-        with :class:`~repro.serving.simulator.ServingSimulator`: the run
-        stops with a :class:`~repro.serving.simulator.CertainRejection` once
-        the full run's p95 provably exceeds the target, and always completes
+        ``queries`` are sorted by arrival time and streamed through the
+        event loop.  ``reject_above_sla_s`` arms the exact early-rejection
+        exit shared with :class:`~repro.serving.simulator.ServingSimulator`:
+        the run stops with a
+        :class:`~repro.serving.simulator.CertainRejection` once the full
+        run's p95 provably exceeds the target, and always completes
         (bit-identically) otherwise.  Capacity searches use it to cut short
         overloaded probe evaluations whose results are discarded anyway.
 
         ``accept_within_sla_s`` arms the dual early-acceptance exit: once
         neither the full run's p95 nor its late-window p95 can end up over
-        the target, recording stops, the event loop drains (balancer
-        included), and a
+        the target, recording stops, the event loop runs on to the last
+        completion (balancer included), and a
         :class:`~repro.serving.simulator.CertainAcceptance` carrying the
         exact measured drain time is returned instead of full statistics.
         Fault-injected runs ignore it: queries lost to faults shrink the
@@ -783,232 +889,17 @@ class ClusterSimulator:
         fault-aware SLA verdict additionally folds failures back in as
         misses, which no completion-count certificate can anticipate.
 
-        With a non-empty :class:`~repro.faults.FaultPlan`, the run is
-        delegated to the fault-injected loop: servers crash (losing in-flight
-        work, handled per the :class:`~repro.faults.RetryPolicy`), recover,
-        and straggle mid-trace, and the result carries a
-        :class:`~repro.faults.FaultStats`.  Without a plan this method is the
-        original loop, untouched — zero-plan runs are bit-identical to
-        pre-fault-support builds (``tests/test_faults.py``).
+        With a non-empty :class:`~repro.faults.FaultPlan`, a
+        :class:`FaultInjector` joins the loop as an event source: servers
+        crash (losing in-flight work, handled per the
+        :class:`~repro.faults.RetryPolicy`), recover, and straggle mid-trace,
+        and the result carries a :class:`~repro.faults.FaultStats`.  Fault
+        transitions after the run has drained (no arrival, completion or
+        retry left) are not applied.  Without a plan the loop runs with no
+        fault source at all (``tests/test_faults.py``).
         """
-        if not queries:
-            raise ValueError("cannot simulate an empty query stream")
-        if self._fault_plan is not None:
-            return self._run_with_faults(queries, reject_above_sla_s)
-
         ordered = sorted(queries, key=_arrival_key)
-        warmup_fraction = (
-            self._warmup_fraction
-            if self._warmup_fraction is not None
-            else self._servers[0].config.warmup_fraction
-        )
-        warmup_count = int(len(ordered) * warmup_fraction)
-        warmup_ids = {q.query_id for q in ordered[:warmup_count]}
-        measured_total = len(ordered) - warmup_count
-        reject_sla = reject_above_sla_s if reject_above_sla_s is not None else _INFINITY
-        reject_needed = certain_rejection_threshold(measured_total)
-        over_sla = 0
-
-        # Certain-acceptance bookkeeping (see ServingSimulator.run): the
-        # late-window boundary is known up front in a no-fault run, so both
-        # the whole-run and late-window certificates can be tracked.
-        accept_armed = accept_within_sla_s is not None
-        accept_sla = accept_within_sla_s if accept_armed else _INFINITY
-        late_start = measured_total // 2
-        accept_allowed = certain_acceptance_threshold(measured_total)
-        accept_allowed_late = certain_acceptance_threshold(measured_total - late_start)
-        accept_over = 0
-        accept_over_late = 0
-
-        # Arrivals are consumed straight from the sorted list with a cursor
-        # (the balancer assigns their server at that point); only completions
-        # go through the event heap, as (time, kind, seq, server, query_id).
-        # A completion at time t is processed before an arrival at the same
-        # instant, matching the EVT_* ordering of the all-in-one-heap form.
-        counter = itertools.count()
-        events: List[tuple] = []
-        kernels = [
-            ServerKernel(server.engines, server.config, cores, events, counter, index)
-            for index, (server, cores) in enumerate(zip(self._servers, self._cores))
-        ]
-        self._balancer.prepare(self._servers)
-        self._balancer.reset(len(kernels))
-
-        first_arrival = ordered[0].arrival_time
-        last_completion = first_arrival
-
-        # Hot loop: bind everything to locals; the branch order matches the
-        # event frequency (CPU completions > arrivals > GPU completions).
-        # Measured latencies collect into a plain list and feed the tracker
-        # in one vectorized pass after the run.
-        heappop = heapq.heappop
-        choose = self._balancer.choose
-        measured_latencies: List[float] = []
-        sketch_mode = self._latency_stats == "sketch"
-        if sketch_mode:
-            tracker = PercentileTracker(mode="sketch")
-            late_tracker = PercentileTracker(mode="sketch")
-            record, flush_chunks = _sketch_recorder(tracker, late_tracker, late_start)
-        else:
-            record = measured_latencies.append
-        measured_count = 0
-        per_server_latencies: Optional[List[List[float]]] = (
-            [[] for _ in kernels] if self._collect_per_server else None
-        )
-        num_kernels = len(kernels)
-        num_arrivals = len(ordered)
-        cursor = 0
-        next_arrival = first_arrival
-        with pause_gc():
-            while True:
-                if events:
-                    head = events[0]
-                    now = head[0]
-                    if now <= next_arrival:
-                        _, kind, _, server_index, query_id = heappop(events)
-                        if kind == EVT_CPU_DONE:
-                            completed = kernels[server_index].on_cpu_done(query_id, now)
-                            if completed is None:
-                                continue
-                        else:  # EVT_GPU_DONE
-                            completed = kernels[server_index].on_gpu_done(query_id, now)
-                        if now > last_completion:
-                            last_completion = now
-                        if completed.query_id not in warmup_ids:
-                            latency = now - completed.arrival_time
-                            record(latency)
-                            measured_count += 1
-                            if per_server_latencies is not None:
-                                per_server_latencies[server_index].append(latency)
-                            if latency > reject_sla:
-                                over_sla += 1
-                                if over_sla >= reject_needed:
-                                    return CertainRejection(
-                                        sla_latency_s=reject_sla,
-                                        measured_queries=measured_count,
-                                        over_sla_queries=over_sla,
-                                    )
-                            if accept_armed:
-                                if latency > accept_sla:
-                                    accept_over += 1
-                                    if measured_count > late_start:
-                                        accept_over_late += 1
-                                remaining = measured_total - measured_count
-                                if (
-                                    accept_over + remaining <= accept_allowed
-                                    and accept_over_late + remaining
-                                    <= accept_allowed_late
-                                ):
-                                    last_completion = _drain_cluster_events(
-                                        events,
-                                        ordered,
-                                        cursor,
-                                        next_arrival,
-                                        kernels,
-                                        choose,
-                                        self.policy,
-                                        last_completion,
-                                    )
-                                    return CertainAcceptance(
-                                        sla_latency_s=accept_sla,
-                                        measured_queries=measured_count,
-                                        over_sla_queries=accept_over,
-                                        drain_s=max(
-                                            0.0,
-                                            last_completion
-                                            - ordered[-1].arrival_time,
-                                        ),
-                                        arrival_span_s=max(
-                                            ordered[-1].arrival_time - first_arrival,
-                                            1e-9,
-                                        ),
-                                    )
-                        continue
-                if cursor >= num_arrivals:
-                    break
-                query = ordered[cursor]
-                cursor += 1
-                next_arrival = (
-                    ordered[cursor].arrival_time if cursor < num_arrivals else _INFINITY
-                )
-                chosen = choose(query, kernels)
-                if not 0 <= chosen < num_kernels:
-                    raise ValueError(
-                        f"balancer {self.policy!r} chose server {chosen} of "
-                        f"{num_kernels}"
-                    )
-                kernels[chosen].submit(query, query.arrival_time)
-
-        if sketch_mode:
-            flush_chunks()
-            samples: List[float] = []
-        else:
-            tracker = PercentileTracker()
-            tracker.extend(measured_latencies)
-
-        duration = max(last_completion - first_arrival, 1e-9)
-        offered_duration = max(ordered[-1].arrival_time - first_arrival, 1e-9)
-        measured = tracker.count
-        if measured == 0:
-            raise ValueError(
-                "no queries outside the warmup window; lower warmup_fraction or "
-                "send more queries"
-            )
-        if sketch_mode:
-            p95_late = (
-                late_tracker.percentile(95) if late_tracker.raw_count else 0.0
-            )
-        else:
-            samples = tracker.samples()
-            p95_late = late_window_p95(samples)
-
-        total_queries = len(ordered)
-        per_server: List[ServerLoadSummary] = []
-        total_core_busy = 0.0
-        total_cores = 0
-        for server, kernel in zip(self._servers, kernels):
-            total_core_busy += kernel.cpu_busy_time
-            total_cores += kernel.num_cores
-            per_server.append(
-                ServerLoadSummary(
-                    name=server.name,
-                    num_queries=kernel.num_submitted,
-                    num_items=kernel.total_items,
-                    cpu_utilization=min(
-                        1.0, kernel.cpu_busy_time / (kernel.num_cores * duration)
-                    ),
-                    gpu_utilization=min(1.0, kernel.gpu_busy_time / duration),
-                    gpu_work_fraction=(
-                        kernel.gpu_items / kernel.total_items
-                        if kernel.total_items
-                        else 0.0
-                    ),
-                    query_share=kernel.num_submitted / total_queries,
-                )
-            )
-
-        return ClusterSimulationResult(
-            policy=self.policy,
-            num_servers=len(kernels),
-            num_queries=total_queries,
-            measured_queries=measured,
-            duration_s=duration,
-            p50_latency_s=tracker.p50(),
-            p95_latency_s=tracker.p95(),
-            p99_latency_s=tracker.p99(),
-            mean_latency_s=tracker.mean(),
-            achieved_qps=total_queries / duration,
-            offered_qps=total_queries / offered_duration,
-            fleet_cpu_utilization=min(1.0, total_core_busy / (total_cores * duration)),
-            per_server=per_server,
-            p95_late_window_s=p95_late,
-            drain_s=max(0.0, last_completion - ordered[-1].arrival_time),
-            arrival_span_s=offered_duration,
-            latencies_s=samples,
-            per_server_latencies=per_server_latencies,
-        )
-
-    # ------------------------------------------------------------------ #
+        return self._simulate(ordered, len(ordered), reject_above_sla_s, accept_within_sla_s)
 
     def run_stream(
         self,
@@ -1030,15 +921,15 @@ class ClusterSimulator:
 
         * arrivals come **pre-sorted** by arrival time (the generator
           paths already emit them sorted);
-        * ``query_id`` equals the arrival index (0, 1, 2, ...), which is
-          how the generators number queries — the warmup window is the
-          first ``num_queries * warmup_fraction`` arrivals, tested by id;
         * ``num_queries`` states the stream's exact length up front (the
           warmup count and the early-exit certificates need the total
           before the stream ends); a mismatch raises at the end.
 
-        Fault plans are not supported — faulted runs retain samples for
-        their SLA verdict and are figure-sized; use :meth:`run`.
+        Query ids are free: the warmup window is the first
+        ``num_queries * warmup_fraction`` arrivals consumed, so a stream
+        gives the same result as :meth:`run` on the same queries.  Fault
+        plans are not supported — faulted runs retain samples for their SLA
+        verdict and are figure-sized; use :meth:`run`.
         ``reject_above_sla_s`` / ``accept_within_sla_s`` arm the same exact
         early exits as :meth:`run`.
         """
@@ -1047,556 +938,63 @@ class ClusterSimulator:
                 "run_stream does not support fault injection; use run()"
             )
         check_positive("num_queries", num_queries)
-        iterator = iter(queries)
-        pending = next(iterator, None)
-        if pending is None:
-            raise ValueError("cannot simulate an empty query stream")
+        return self._simulate(queries, num_queries, reject_above_sla_s, accept_within_sla_s)
 
-        warmup_fraction = (
-            self._warmup_fraction
-            if self._warmup_fraction is not None
-            else self._servers[0].config.warmup_fraction
-        )
-        warmup_count = int(num_queries * warmup_fraction)
-        measured_total = num_queries - warmup_count
-        reject_sla = reject_above_sla_s if reject_above_sla_s is not None else _INFINITY
-        reject_needed = certain_rejection_threshold(measured_total)
-        over_sla = 0
-
-        accept_armed = accept_within_sla_s is not None
-        accept_sla = accept_within_sla_s if accept_armed else _INFINITY
-        late_start = measured_total // 2
-        accept_allowed = certain_acceptance_threshold(measured_total)
-        accept_allowed_late = certain_acceptance_threshold(measured_total - late_start)
-        accept_over = 0
-        accept_over_late = 0
-
-        counter = itertools.count()
-        events: List[tuple] = []
-        kernels = [
-            ServerKernel(server.engines, server.config, cores, events, counter, index)
-            for index, (server, cores) in enumerate(zip(self._servers, self._cores))
-        ]
-        self._balancer.prepare(self._servers)
-        self._balancer.reset(len(kernels))
-
-        first_arrival = pending.arrival_time
-        last_arrival = first_arrival
-        last_completion = first_arrival
-
-        heappop = heapq.heappop
-        choose = self._balancer.choose
-        measured_latencies: List[float] = []
-        sketch_mode = self._latency_stats == "sketch"
-        if sketch_mode:
-            tracker = PercentileTracker(mode="sketch")
-            late_tracker = PercentileTracker(mode="sketch")
-            record, flush_chunks = _sketch_recorder(tracker, late_tracker, late_start)
-        else:
-            record = measured_latencies.append
-        measured_count = 0
-        per_server_latencies: Optional[List[List[float]]] = (
-            [[] for _ in kernels] if self._collect_per_server else None
-        )
-        num_kernels = len(kernels)
-        consumed = 0
-        next_arrival = first_arrival
-        accepted: Optional[CertainAcceptance] = None
-        with pause_gc():
-            while True:
-                if events:
-                    head = events[0]
-                    now = head[0]
-                    if now <= next_arrival:
-                        _, kind, _, server_index, query_id = heappop(events)
-                        if kind == EVT_CPU_DONE:
-                            completed = kernels[server_index].on_cpu_done(query_id, now)
-                            if completed is None:
-                                continue
-                        else:  # EVT_GPU_DONE
-                            completed = kernels[server_index].on_gpu_done(query_id, now)
-                        if now > last_completion:
-                            last_completion = now
-                        if completed.query_id >= warmup_count:
-                            latency = now - completed.arrival_time
-                            record(latency)
-                            measured_count += 1
-                            if per_server_latencies is not None:
-                                per_server_latencies[server_index].append(latency)
-                            if latency > reject_sla:
-                                over_sla += 1
-                                if over_sla >= reject_needed:
-                                    return CertainRejection(
-                                        sla_latency_s=reject_sla,
-                                        measured_queries=measured_count,
-                                        over_sla_queries=over_sla,
-                                    )
-                            if accept_armed:
-                                if latency > accept_sla:
-                                    accept_over += 1
-                                    if measured_count > late_start:
-                                        accept_over_late += 1
-                                remaining = measured_total - measured_count
-                                if (
-                                    accept_over + remaining <= accept_allowed
-                                    and accept_over_late + remaining
-                                    <= accept_allowed_late
-                                ):
-                                    # Certificate fired: stop recording, but
-                                    # keep consuming and completing so the
-                                    # drain time (and the stream-length
-                                    # check) stays exact.
-                                    accept_armed = False
-                                    reject_sla = _INFINITY
-                                    record = _discard_latency
-                                    accepted = CertainAcceptance(
-                                        sla_latency_s=accept_sla,
-                                        measured_queries=measured_count,
-                                        over_sla_queries=accept_over,
-                                        drain_s=0.0,
-                                        arrival_span_s=0.0,
-                                    )
-                        continue
-                if pending is None:
-                    break
-                query = pending
-                if query.query_id != consumed:
-                    raise ValueError(
-                        "run_stream requires query_id to equal the arrival "
-                        f"index: got id {query.query_id} at position {consumed}"
-                    )
-                if query.arrival_time < last_arrival:
-                    raise ValueError(
-                        "run_stream requires arrivals pre-sorted by time: "
-                        f"query {query.query_id} arrives at "
-                        f"{query.arrival_time} after {last_arrival}"
-                    )
-                last_arrival = query.arrival_time
-                consumed += 1
-                pending = next(iterator, None)
-                next_arrival = (
-                    pending.arrival_time if pending is not None else _INFINITY
-                )
-                chosen = choose(query, kernels)
-                if not 0 <= chosen < num_kernels:
-                    raise ValueError(
-                        f"balancer {self.policy!r} chose server {chosen} of "
-                        f"{num_kernels}"
-                    )
-                kernels[chosen].submit(query, query.arrival_time)
-
-        if consumed != num_queries:
-            raise ValueError(
-                f"num_queries={num_queries} but the stream yielded {consumed}"
-            )
-        offered_duration = max(last_arrival - first_arrival, 1e-9)
-        if accepted is not None:
-            return CertainAcceptance(
-                sla_latency_s=accepted.sla_latency_s,
-                measured_queries=accepted.measured_queries,
-                over_sla_queries=accepted.over_sla_queries,
-                drain_s=max(0.0, last_completion - last_arrival),
-                arrival_span_s=offered_duration,
-            )
-
-        if sketch_mode:
-            flush_chunks()
-            samples: List[float] = []
-        else:
-            tracker = PercentileTracker()
-            tracker.extend(measured_latencies)
-
-        duration = max(last_completion - first_arrival, 1e-9)
-        measured = tracker.count
-        if measured == 0:
-            raise ValueError(
-                "no queries outside the warmup window; lower warmup_fraction or "
-                "send more queries"
-            )
-        if sketch_mode:
-            p95_late = (
-                late_tracker.percentile(95) if late_tracker.raw_count else 0.0
-            )
-        else:
-            samples = tracker.samples()
-            p95_late = late_window_p95(samples)
-
-        per_server: List[ServerLoadSummary] = []
-        total_core_busy = 0.0
-        total_cores = 0
-        for server, kernel in zip(self._servers, kernels):
-            total_core_busy += kernel.cpu_busy_time
-            total_cores += kernel.num_cores
-            per_server.append(
-                ServerLoadSummary(
-                    name=server.name,
-                    num_queries=kernel.num_submitted,
-                    num_items=kernel.total_items,
-                    cpu_utilization=min(
-                        1.0, kernel.cpu_busy_time / (kernel.num_cores * duration)
-                    ),
-                    gpu_utilization=min(1.0, kernel.gpu_busy_time / duration),
-                    gpu_work_fraction=(
-                        kernel.gpu_items / kernel.total_items
-                        if kernel.total_items
-                        else 0.0
-                    ),
-                    query_share=kernel.num_submitted / num_queries,
-                )
-            )
-
-        return ClusterSimulationResult(
-            policy=self.policy,
-            num_servers=num_kernels,
-            num_queries=num_queries,
-            measured_queries=measured,
-            duration_s=duration,
-            p50_latency_s=tracker.p50(),
-            p95_latency_s=tracker.p95(),
-            p99_latency_s=tracker.p99(),
-            mean_latency_s=tracker.mean(),
-            achieved_qps=num_queries / duration,
-            offered_qps=num_queries / offered_duration,
-            fleet_cpu_utilization=min(1.0, total_core_busy / (total_cores * duration)),
-            per_server=per_server,
-            p95_late_window_s=p95_late,
-            drain_s=max(0.0, last_completion - last_arrival),
-            arrival_span_s=offered_duration,
-            latencies_s=samples,
-            per_server_latencies=per_server_latencies,
-        )
-
-    # ------------------------------------------------------------------ #
-
-    def _run_with_faults(
+    def _simulate(
         self,
-        queries: Sequence[Query],
-        reject_above_sla_s: Optional[float] = None,
-    ) -> Union[ClusterSimulationResult, CertainRejection]:
-        """The fault-injected event loop: four merged, deterministic streams.
-
-        Completions (shared heap), fault transitions (the plan, pre-sorted),
-        retry detections (their own small heap), and arrivals (sorted-list
-        cursor) merge on simulated time; ties at one instant resolve in that
-        order, so a fixed plan over a fixed trace replays bit-identically.
-
-        Crash mechanics: a crashed kernel's heap *slot* is retired, so its
-        already-pushed completions arrive as stale no-ops, and the kernel is
-        rebound to a fresh slot for its life after recovery — one kernel per
-        node for the whole run, which keeps busy-time/work accounting
-        cumulative.  A down node still *exists* to health-blind balancers
-        (cleared, outstanding 0 — they actively prefer it, which is exactly
-        the naive-policy failure mode the degraded-fleet experiment shows);
-        dispatches to it are black-holed and noticed ``detect_delay_s``
-        later.
-        """
-        ordered = sorted(queries, key=_arrival_key)
-        warmup_fraction = (
-            self._warmup_fraction
-            if self._warmup_fraction is not None
-            else self._servers[0].config.warmup_fraction
+        arrivals: Iterable[Query],
+        num_queries: int,
+        reject_above_sla_s: Optional[float],
+        accept_within_sla_s: Optional[float],
+    ) -> Union[ClusterSimulationResult, CertainRejection, CertainAcceptance]:
+        kernels = build_kernels(
+            [
+                (server.engines, server.config, cores)
+                for server, cores in zip(self._servers, self._cores)
+            ]
         )
-        warmup_count = int(len(ordered) * warmup_fraction)
-        warmup_ids = {q.query_id for q in ordered[:warmup_count]}
-        reject_sla = reject_above_sla_s if reject_above_sla_s is not None else _INFINITY
-        # Computed from the zero-failure measured count: with failures the
-        # true threshold only shrinks, so triggering on this larger count is
-        # still an exact (never premature) rejection.
-        reject_needed = certain_rejection_threshold(len(ordered) - warmup_count)
-        over_sla = 0
-
-        counter = itertools.count()
-        events: List[tuple] = []
-        kernels = [
-            ServerKernel(server.engines, server.config, cores, events, counter, index)
-            for index, (server, cores) in enumerate(zip(self._servers, self._cores))
-        ]
-        num_kernels = len(kernels)
-        self._balancer.prepare(self._servers)
-        self._balancer.reset(num_kernels)
-
-        health = [NodeHealth() for _ in kernels]
-        observe_health = self._balancer.observe_health
-        observe_health(health)
-        stats = FaultStats()
-        retry_policy = self._retry_policy
-        detect_delay = retry_policy.detect_delay_s
-        max_retries = retry_policy.max_retries
-        hedge = retry_policy.hedge
-
-        transitions = self._fault_plan.events(num_kernels)
-        num_transitions = len(transitions)
-        t_cursor = 0
-        next_transition = transitions[0].time_s if transitions else _INFINITY
-
-        # Completion routing: slot -> node (None = retired slot, stale
-        # events), node -> current slot.  Slots only grow, one per crash.
-        slot_node: List[Optional[int]] = list(range(num_kernels))
-        node_slot: List[int] = list(range(num_kernels))
-
-        retry_heap: List[tuple] = []  # (due_time, seq, query_id)
-        retry_seq = itertools.count()
-        tracked: Dict[int, _FaultTrack] = {}
-
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        choose = self._balancer.choose
-
-        def handle_lost(query: Query, now: float) -> None:
-            """One live attempt for ``query`` died with its node."""
-            track = tracked.get(query.query_id)
-            if track is None:
-                track = _FaultTrack(query, max_retries)
-                tracked[query.query_id] = track
-            elif track.live > 0:
-                track.live -= 1
-            if track.done or track.live > 0:
-                return  # already completed/failed, or a hedge twin survives
-            if track.attempts_left > 0:
-                heappush(
-                    retry_heap,
-                    (now + detect_delay, next(retry_seq), query.query_id),
-                )
-            else:
-                track.done = True
-                stats.failed_queries += 1
-
-        def dispatch_retry(track: _FaultTrack, now: float) -> None:
-            """Consume one retry: re-dispatch (optionally hedged)."""
-            query = track.query
-            track.attempts_left -= 1
-            stats.retries += 1
-            chosen = choose(query, kernels)
-            if not 0 <= chosen < num_kernels:
-                raise ValueError(
-                    f"balancer {self.policy!r} chose server {chosen} of "
-                    f"{num_kernels}"
-                )
-            if health[chosen].up:
-                kernels[chosen].submit(query, now)
-                track.live += 1
-            else:
-                stats.blackholed_dispatches += 1
-            if hedge:
-                second = _healthy_least_loaded(kernels, health, exclude=chosen)
-                if second >= 0:
-                    kernels[second].submit(query, now)
-                    stats.hedged_dispatches += 1
-                    track.live += 1
-            if track.live == 0:
-                if track.attempts_left > 0:
-                    heappush(
-                        retry_heap,
-                        (now + detect_delay, next(retry_seq), query.query_id),
-                    )
-                else:
-                    track.done = True
-                    stats.failed_queries += 1
-
-        first_arrival = ordered[0].arrival_time
-        last_completion = first_arrival
-        measured_latencies: List[float] = []
-        record = measured_latencies.append
+        balancer = self._balancer
+        balancer.prepare(self._servers)
+        balancer.reset(len(kernels))
+        faults = (
+            FaultInjector(
+                self._fault_plan, self._retry_policy, kernels, balancer, self.policy
+            )
+            if self._fault_plan is not None
+            else None
+        )
         per_server_latencies: Optional[List[List[float]]] = (
             [[] for _ in kernels] if self._collect_per_server else None
         )
-        num_arrivals = len(ordered)
-        cursor = 0
-        next_arrival = first_arrival
-        with pause_gc():
-            while True:
-                next_completion = events[0][0] if events else _INFINITY
-                next_retry = retry_heap[0][0] if retry_heap else _INFINITY
-                if (
-                    events
-                    and next_completion <= next_transition
-                    and next_completion <= next_retry
-                    and next_completion <= next_arrival
-                ):
-                    now, kind, _, slot, query_id = heappop(events)
-                    node = slot_node[slot]
-                    if node is None:
-                        continue  # stale: pushed before its node crashed
-                    if kind == EVT_CPU_DONE:
-                        completed = kernels[node].on_cpu_done(query_id, now)
-                        if completed is None:
-                            continue
-                    else:  # EVT_GPU_DONE
-                        completed = kernels[node].on_gpu_done(query_id, now)
-                    if now > last_completion:
-                        last_completion = now
-                    track = tracked.get(query_id)
-                    if track is not None:
-                        if track.done:
-                            continue  # a hedge twin already finished first
-                        track.done = True
-                        track.live -= 1
-                    if completed.query_id not in warmup_ids:
-                        latency = now - completed.arrival_time
-                        record(latency)
-                        if per_server_latencies is not None:
-                            per_server_latencies[node].append(latency)
-                        if latency > reject_sla:
-                            over_sla += 1
-                            if over_sla >= reject_needed:
-                                return CertainRejection(
-                                    sla_latency_s=reject_sla,
-                                    measured_queries=len(measured_latencies),
-                                    over_sla_queries=over_sla,
-                                )
-                    continue
-                if (
-                    t_cursor < num_transitions
-                    and next_transition <= next_retry
-                    and next_transition <= next_arrival
-                ):
-                    transition = transitions[t_cursor]
-                    t_cursor += 1
-                    next_transition = (
-                        transitions[t_cursor].time_s
-                        if t_cursor < num_transitions
-                        else _INFINITY
-                    )
-                    node = transition.node
-                    kernel = kernels[node]
-                    kind_t = transition.kind
-                    if kind_t == KIND_CRASH:
-                        if health[node].up:
-                            health[node].up = False
-                            stats.crashes += 1
-                            old_slot = node_slot[node]
-                            slot_node[old_slot] = None
-                            new_slot = len(slot_node)
-                            slot_node.append(node)
-                            node_slot[node] = new_slot
-                            kernel.set_server_index(new_slot)
-                            lost = kernel.crash()
-                            stats.crash_killed_in_flight += len(lost)
-                            observe_health(health)
-                            for query in lost:
-                                handle_lost(query, transition.time_s)
-                    elif kind_t == KIND_RECOVER:
-                        if not health[node].up:
-                            health[node].up = True
-                            stats.recoveries += 1
-                            observe_health(health)
-                    elif kind_t == KIND_SLOW_ON:
-                        kernel.service_scale = transition.slowdown
-                        health[node].slowdown = transition.slowdown
-                        observe_health(health)
-                    else:  # KIND_SLOW_OFF
-                        kernel.service_scale = 1.0
-                        health[node].slowdown = 1.0
-                        observe_health(health)
-                    continue
-                if retry_heap and next_retry <= next_arrival:
-                    due, _, query_id = heappop(retry_heap)
-                    track = tracked[query_id]
-                    if not track.done and track.live == 0:
-                        dispatch_retry(track, due)
-                    continue
-                if cursor >= num_arrivals:
-                    break
-                query = ordered[cursor]
-                cursor += 1
-                next_arrival = (
-                    ordered[cursor].arrival_time if cursor < num_arrivals else _INFINITY
-                )
-                chosen = choose(query, kernels)
-                if not 0 <= chosen < num_kernels:
-                    raise ValueError(
-                        f"balancer {self.policy!r} chose server {chosen} of "
-                        f"{num_kernels}"
-                    )
-                if health[chosen].up:
-                    kernels[chosen].submit(query, query.arrival_time)
-                else:
-                    # Black-holed: the dispatch is lost and noticed
-                    # detect_delay_s later, where the retry budget decides.
-                    stats.blackholed_dispatches += 1
-                    track = _FaultTrack(query, max_retries)
-                    tracked[query.query_id] = track
-                    if track.attempts_left > 0:
-                        heappush(
-                            retry_heap,
-                            (
-                                query.arrival_time + detect_delay,
-                                next(retry_seq),
-                                query.query_id,
-                            ),
-                        )
-                    else:
-                        track.done = True
-                        stats.failed_queries += 1
-
-        tracker = PercentileTracker()
-        tracker.extend(measured_latencies)
-
-        duration = max(last_completion - first_arrival, 1e-9)
-        offered_duration = max(ordered[-1].arrival_time - first_arrival, 1e-9)
-        measured = tracker.count
-        if measured == 0:
-            if reject_above_sla_s is not None:
-                # A capacity probe where every measured query died (e.g. a
-                # balancer blackholing the whole stream into a crashed
-                # node): 100% of the offered population missed the SLA, so
-                # the verdict is certain — reject, don't crash the search.
-                return CertainRejection(
-                    sla_latency_s=reject_above_sla_s,
-                    measured_queries=0,
-                    over_sla_queries=stats.failed_queries,
-                )
-            raise ValueError(
-                "no queries completed outside the warmup window; lower the "
-                "fault rates, the warmup_fraction, or send more queries"
-            )
-        samples = tracker.samples()
-
-        total_queries = len(ordered)
-        per_server: List[ServerLoadSummary] = []
-        total_core_busy = 0.0
-        total_cores = 0
-        for server, kernel in zip(self._servers, kernels):
-            total_core_busy += kernel.cpu_busy_time
-            total_cores += kernel.num_cores
-            per_server.append(
-                ServerLoadSummary(
-                    name=server.name,
-                    num_queries=kernel.num_submitted,
-                    num_items=kernel.total_items,
-                    cpu_utilization=min(
-                        1.0, kernel.cpu_busy_time / (kernel.num_cores * duration)
-                    ),
-                    gpu_utilization=min(1.0, kernel.gpu_busy_time / duration),
-                    gpu_work_fraction=(
-                        kernel.gpu_items / kernel.total_items
-                        if kernel.total_items
-                        else 0.0
-                    ),
-                    query_share=kernel.num_submitted / total_queries,
-                )
-            )
-
+        outcome = run_event_loop(
+            kernels,
+            arrivals,
+            num_queries,
+            self._warmup_fraction,
+            choose=balancer.choose,
+            policy=self.policy,
+            latency_stats=self._latency_stats,
+            per_server=per_server_latencies,
+            reject_above_sla_s=reject_above_sla_s,
+            accept_within_sla_s=accept_within_sla_s,
+            faults=faults,
+        )
+        if not isinstance(outcome, dict):
+            return outcome
+        duration = outcome["duration_s"]
+        total_core_busy = sum(kernel.cpu_busy_time for kernel in kernels)
+        total_cores = sum(kernel.num_cores for kernel in kernels)
         return ClusterSimulationResult(
             policy=self.policy,
-            num_servers=num_kernels,
-            num_queries=total_queries,
-            measured_queries=measured,
-            duration_s=duration,
-            p50_latency_s=tracker.p50(),
-            p95_latency_s=tracker.p95(),
-            p99_latency_s=tracker.p99(),
-            mean_latency_s=tracker.mean(),
-            achieved_qps=total_queries / duration,
-            offered_qps=total_queries / offered_duration,
+            num_servers=len(kernels),
             fleet_cpu_utilization=min(1.0, total_core_busy / (total_cores * duration)),
-            per_server=per_server,
-            p95_late_window_s=late_window_p95(samples),
-            drain_s=max(0.0, last_completion - ordered[-1].arrival_time),
-            arrival_span_s=offered_duration,
-            latencies_s=samples,
+            per_server=[
+                summarize_server(kernel, server.name, duration, num_queries)
+                for server, kernel in zip(self._servers, kernels)
+            ],
             per_server_latencies=per_server_latencies,
-            fault_stats=stats,
+            fault_stats=faults.stats if faults is not None else None,
+            **outcome,
         )
 
 

@@ -18,10 +18,12 @@ quantities the paper's evaluation figures are built from.
 
 The event mechanics of a single server live in :class:`ServerKernel`, a
 steppable object that owns the server's queues and accounting but not the
-event heap or the clock.  :class:`ServingSimulator` drives one kernel;
-:class:`~repro.serving.cluster.ClusterSimulator` drives a fleet of them from
-a shared heap, which is what makes a cluster with one server bit-identical to
-the single-server simulator.
+event heap or the clock.  :func:`run_event_loop` is the one discrete-event
+loop that drives a set of kernels from a shared heap:
+:class:`ServingSimulator` runs it with one kernel and
+:class:`~repro.serving.cluster.ClusterSimulator` with a fleet (and, when a
+fault plan is set, a fault source), which is what makes a cluster with one
+server bit-identical to the single-server simulator.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import operator
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List
+from typing import Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +45,9 @@ from repro.execution.engine import EnginePair
 from repro.queries.query import Query
 from repro.utils.stats import PercentileTracker
 from repro.utils.validation import check_positive
+
+if TYPE_CHECKING:
+    from repro.serving.cluster import FaultInjector
 
 
 @dataclass(frozen=True)
@@ -358,12 +364,11 @@ class ServerKernel:
 
     The kernel owns the server-local state — CPU/accelerator FIFO queues,
     busy-core count, busy-time and work accounting — while the *owner* owns
-    the event heap and the simulated clock.  Completion events are pushed
-    straight onto the owner's heap as ``(time, kind, seq, server_index,
-    query_id)`` tuples; ``server_index`` tags each event with the kernel it
-    belongs to (a cluster routes on it, a single-server owner ignores it) and
-    the shared ``seq`` counter keeps equal-time events deterministically
-    ordered.
+    the event heap and the simulated clock (:func:`run_event_loop`).
+    Completion events are pushed straight onto the owner's heap as ``(time,
+    kind, seq, server_index, query_id)`` tuples; ``server_index`` tags each
+    event with the kernel it belongs to and the shared ``seq`` counter keeps
+    equal-time events deterministically ordered.
 
     The live ``outstanding_queries`` / ``outstanding_items`` counters are the
     signals cluster load balancers key on.
@@ -502,25 +507,16 @@ class ServerKernel:
             raise ValueError(f"service_scale must be > 0, got {scale}")
         self._service_scale = scale
 
-    def set_server_index(self, server_index: int) -> None:
-        """Re-tag future completion events with a new heap routing slot.
-
-        The cluster's fault path retires a crashed kernel's old slot (so
-        completions already on the shared heap become stale no-ops) and
-        rebinds the kernel to a fresh slot on recovery.
-        """
-        self._server_index = server_index
-
     def crash(self) -> List[Query]:
         """Fail the node: drop all queued and in-flight work.
 
         Returns the lost queries in submission order so the owner can fail
         or re-dispatch them per its retry policy.  Busy-time and item
         counters keep the work already admitted — burned cycles on a dead
-        node are not refunded, matching fleet-utilisation accounting.
-        Completion events already pushed onto the shared heap are NOT
-        removed; the owner must retire this kernel's ``server_index`` slot
-        so they arrive as stale no-ops.
+        node are not refunded, matching fleet-utilisation accounting.  The
+        node's completion events are purged from the shared heap; the
+        survivors keep their ``(time, kind, seq)`` keys, a total order, so
+        every other event still pops exactly when it would have.
         """
         states = self._states
         lost = [
@@ -533,6 +529,9 @@ class ServerKernel:
         self._busy_cores = 0
         self._gpu_busy = False
         self.outstanding_items = 0
+        events = self._events
+        events[:] = [event for event in events if event[3] != self._server_index]
+        heapq.heapify(events)
         return lost
 
     def submit(self, query: Query, now: float) -> None:
@@ -714,42 +713,278 @@ def _sketch_recorder(tracker, late_tracker, late_start):
     return record, flush
 
 
-def _drain_events(events, ordered, cursor, next_arrival, kernel, last_completion):
-    """Run the event loop to exhaustion without recording latencies.
+@dataclass(frozen=True)
+class ServerLoadSummary:
+    """Per-server slice of one run."""
 
-    Used once a :class:`CertainAcceptance` certificate fires: the remaining
-    completions cannot change the verdict, but the drain time (last
-    completion after the last arrival) is part of the stability check, so
-    the mechanics still run — submissions, completions, clock — with all
-    per-query measurement skipped.  Returns the exact last completion time.
+    name: str
+    num_queries: int
+    num_items: int
+    cpu_utilization: float
+    gpu_utilization: float
+    gpu_work_fraction: float
+    query_share: float
+
+
+def summarize_server(
+    kernel: ServerKernel, name: str, duration_s: float, num_queries: int
+) -> ServerLoadSummary:
+    """What one kernel did over a run lasting ``duration_s``."""
+    return ServerLoadSummary(
+        name=name,
+        num_queries=kernel.num_submitted,
+        num_items=kernel.total_items,
+        cpu_utilization=min(1.0, kernel.cpu_busy_time / (kernel.num_cores * duration_s)),
+        gpu_utilization=min(1.0, kernel.gpu_busy_time / duration_s),
+        gpu_work_fraction=(
+            kernel.gpu_items / kernel.total_items if kernel.total_items else 0.0
+        ),
+        query_share=kernel.num_submitted / num_queries,
+    )
+
+
+def build_kernels(
+    specs: Sequence[Tuple[EnginePair, ServingConfig, int]],
+) -> List[ServerKernel]:
+    """One kernel per ``(engines, config, num_cores)``, all on one event heap."""
+    events: List[tuple] = []
+    counter = itertools.count()
+    return [
+        ServerKernel(engines, config, cores, events, counter, index)
+        for index, (engines, config, cores) in enumerate(specs)
+    ]
+
+
+def _only_server(query: Query, servers: Sequence[ServerKernel]) -> int:
+    """The single-server simulator's balancer: everything goes to server 0."""
+    return 0
+
+
+def misrouted(policy: str, chosen: int, num_servers: int) -> ValueError:
+    """The error for a balancer that chose a server outside the fleet."""
+    return ValueError(f"balancer {policy!r} chose server {chosen} of {num_servers}")
+
+
+def run_event_loop(
+    kernels: Sequence[ServerKernel],
+    arrivals: Iterable[Query],
+    num_queries: int,
+    warmup_fraction: float,
+    *,
+    choose: Callable[[Query, Sequence[ServerKernel]], int] = _only_server,
+    policy: str = "",
+    latency_stats: str = "exact",
+    per_server: Optional[List[List[float]]] = None,
+    reject_above_sla_s: Optional[float] = None,
+    accept_within_sla_s: Optional[float] = None,
+    faults: Optional[FaultInjector] = None,
+) -> Union[Dict[str, Any], CertainRejection, CertainAcceptance]:
+    """Serve a time-sorted arrival stream on ``kernels``: the one event loop.
+
+    ``arrivals`` is read one query ahead of the clock; each is routed by
+    ``choose`` at its arrival instant.  Completions on the kernels' shared
+    heap are popped while they are due no later than the next *external*
+    event — the next arrival or, with a ``faults`` source
+    (:class:`~repro.serving.cluster.FaultInjector`), the next fault
+    transition or retry — so a completion at time t frees its core before
+    anything else happens at t.  ``num_queries`` states the stream's length
+    up front (the warmup split and the certificates need it); a mismatch
+    raises once the stream ends.
+
+    The first ``int(num_queries * warmup_fraction)`` arrivals consumed are
+    warmup: the loop holds each one's id only until it completes, and never
+    measures it, so query ids need not follow arrival order.  Measured
+    latencies are recorded exactly (every sample retained) or into
+    fixed-space sketches (``latency_stats="sketch"``), and appended to
+    ``per_server[server_index]`` when those lists are given.
+
+    ``reject_above_sla_s`` returns a :class:`CertainRejection` as soon as the
+    full run's p95 provably exceeds the target.  ``accept_within_sla_s``
+    stops recording once neither the p95 nor the late-window p95 can end up
+    over the target, keeps stepping to the last completion (so the drain
+    time is exact), and returns a :class:`CertainAcceptance`; it is ignored
+    under faults, where lost queries shrink the measured population after
+    the fact.  Otherwise the run's measurements are returned as the keyword
+    arguments every result type shares.
     """
+    iterator = iter(arrivals)
+    pending = next(iterator, None)
+    if pending is None:
+        raise ValueError("cannot simulate an empty query stream")
+
+    warmup_count = int(num_queries * warmup_fraction)
+    measured_total = num_queries - warmup_count
+    reject_sla = reject_above_sla_s if reject_above_sla_s is not None else _INFINITY
+    reject_needed = certain_rejection_threshold(measured_total)
+    over_sla = 0
+    # Certain acceptance also certifies the late window, whose boundary is
+    # known up front only when every measured query completes.
+    accept_armed = accept_within_sla_s is not None and faults is None
+    accept_sla = accept_within_sla_s if accept_armed else _INFINITY
+    late_start = measured_total // 2
+    accept_allowed = certain_acceptance_threshold(measured_total)
+    accept_allowed_late = certain_acceptance_threshold(measured_total - late_start)
+    accept_over = 0
+    accept_over_late = 0
+    accepted: Optional[Tuple[int, int]] = None  # (measured, over) when it fired
+
+    # Exact mode collects into a plain list that feeds the tracker in one
+    # vectorized pass; sketch mode flushes chunk-wise into fixed-space
+    # sketches so peak memory stays O(1) in the trace.
+    latencies: List[float] = []
+    sketch_mode = latency_stats == "sketch"
+    if sketch_mode:
+        tracker = PercentileTracker(mode="sketch")
+        late_tracker = PercentileTracker(mode="sketch")
+        record, flush_chunks = _sketch_recorder(tracker, late_tracker, late_start)
+    else:
+        record = latencies.append
+
+    # Hot loop: bind everything to locals.
+    events = kernels[0]._events
     heappop = heapq.heappop
-    submit = kernel.submit
-    on_cpu_done = kernel.on_cpu_done
-    on_gpu_done = kernel.on_gpu_done
-    num_arrivals = len(ordered)
-    while True:
-        if events:
-            head = events[0]
-            now = head[0]
-            if now <= next_arrival:
-                _, kind, _, _, query_id = heappop(events)
+    num_kernels = len(kernels)
+    # Until a fault fires, every node is up and no query is tracked, so a
+    # faulted run takes the same per-event path as a fault-free one.
+    tracked = faults.tracked if faults is not None else {}
+    absorb = faults.absorb_completion if faults is not None else None
+    next_fault = faults.next_time if faults is not None else _INFINITY
+    healthy = True  # every node up: arrivals go straight to their kernel
+    warmup: Set[int] = set()  # warmup queries in flight
+    measured = 0
+    consumed = 0
+    first_arrival = last_arrival = last_completion = pending.arrival_time
+    next_arrival = first_arrival
+    next_external = min(first_arrival, next_fault)
+    with pause_gc():
+        while True:
+            while events and events[0][0] <= next_external:
+                now, kind, _, server_index, query_id = heappop(events)
                 if kind == EVT_CPU_DONE:
-                    if on_cpu_done(query_id, now) is None:
+                    completed = kernels[server_index].on_cpu_done(query_id, now)
+                    if completed is None:
                         continue
                 else:  # EVT_GPU_DONE
-                    on_gpu_done(query_id, now)
+                    completed = kernels[server_index].on_gpu_done(query_id, now)
                 if now > last_completion:
                     last_completion = now
+                if tracked and absorb(query_id):
+                    continue
+                if query_id in warmup:
+                    warmup.remove(query_id)
+                    continue
+                if accepted is not None:
+                    continue
+                latency = now - completed.arrival_time
+                record(latency)
+                measured += 1
+                if per_server is not None:
+                    per_server[server_index].append(latency)
+                if latency > reject_sla:
+                    over_sla += 1
+                    if over_sla >= reject_needed:
+                        return CertainRejection(
+                            sla_latency_s=reject_sla,
+                            measured_queries=measured,
+                            over_sla_queries=over_sla,
+                        )
+                if accept_armed:
+                    if latency > accept_sla:
+                        accept_over += 1
+                        if measured > late_start:
+                            accept_over_late += 1
+                    remaining = measured_total - measured
+                    if (
+                        accept_over + remaining <= accept_allowed
+                        and accept_over_late + remaining <= accept_allowed_late
+                    ):
+                        # Certified: stop recording, keep stepping so the
+                        # drain time (and the stream-length check) is exact.
+                        accepted = (measured, accept_over)
+            if next_fault <= next_arrival:  # always true once arrivals run out
+                if pending is None and not events and (faults is None or faults.idle):
+                    break  # drained: later transitions cannot touch the run
+                faults.step()
+                next_fault = faults.next_time
+                healthy = faults.healthy
+                next_external = min(next_arrival, next_fault)
                 continue
-        if cursor >= num_arrivals:
-            return last_completion
-        query = ordered[cursor]
-        cursor += 1
-        next_arrival = (
-            ordered[cursor].arrival_time if cursor < num_arrivals else _INFINITY
+            query = pending
+            arrival = query.arrival_time
+            if arrival < last_arrival:
+                raise ValueError(
+                    "arrivals must come pre-sorted by time: query "
+                    f"{query.query_id} arrives at {arrival} after {last_arrival}"
+                )
+            last_arrival = arrival
+            if consumed < warmup_count:
+                warmup.add(query.query_id)
+            consumed += 1
+            pending = next(iterator, None)
+            next_arrival = pending.arrival_time if pending is not None else _INFINITY
+            chosen = choose(query, kernels)
+            if not 0 <= chosen < num_kernels:
+                raise misrouted(policy, chosen, num_kernels)
+            if healthy:
+                kernels[chosen].submit(query, arrival)
+            else:
+                faults.dispatch(query, chosen, arrival)
+                next_fault = faults.next_time
+            next_external = next_arrival if next_arrival < next_fault else next_fault
+
+    if consumed != num_queries:
+        raise ValueError(f"num_queries={num_queries} but the stream yielded {consumed}")
+    arrival_span = max(last_arrival - first_arrival, 1e-9)
+    drain = max(0.0, last_completion - last_arrival)
+    if accepted is not None:
+        return CertainAcceptance(
+            sla_latency_s=accept_sla,
+            measured_queries=accepted[0],
+            over_sla_queries=accepted[1],
+            drain_s=drain,
+            arrival_span_s=arrival_span,
         )
-        submit(query, query.arrival_time)
+
+    if sketch_mode:
+        flush_chunks()
+        samples: List[float] = []
+    else:
+        tracker = PercentileTracker()
+        tracker.extend(latencies)
+    if tracker.count == 0:
+        if reject_above_sla_s is not None:
+            # Every measured query was lost to faults: 100% of the offered
+            # population missed the SLA, so the verdict is certain.
+            return CertainRejection(
+                sla_latency_s=reject_above_sla_s,
+                measured_queries=0,
+                over_sla_queries=faults.stats.failed_queries if faults is not None else 0,
+            )
+        raise ValueError(
+            "no queries completed outside the warmup window; lower "
+            "warmup_fraction (or the fault rates), or send more queries"
+        )
+    if sketch_mode:
+        p95_late = late_tracker.percentile(95) if late_tracker.raw_count else 0.0
+    else:
+        samples = tracker.samples()
+        p95_late = late_window_p95(samples)
+    duration = max(last_completion - first_arrival, 1e-9)
+    return dict(
+        num_queries=num_queries,
+        measured_queries=tracker.count,
+        duration_s=duration,
+        p50_latency_s=tracker.p50(),
+        p95_latency_s=tracker.p95(),
+        p99_latency_s=tracker.p99(),
+        mean_latency_s=tracker.mean(),
+        achieved_qps=num_queries / duration,
+        offered_qps=num_queries / arrival_span,
+        p95_late_window_s=p95_late,
+        drain_s=drain,
+        arrival_span_s=arrival_span,
+        latencies_s=samples,
+    )
 
 
 class ServingSimulator:
@@ -811,177 +1046,31 @@ class ServingSimulator:
         few measured latencies exceed the target that neither the full run's
         p95 nor its late-window p95 can end up over it
         (:func:`certain_acceptance_threshold`), latency recording stops, the
-        event loop drains to the exact last completion, and a
+        event loop runs on to the exact last completion, and a
         :class:`CertainAcceptance` carrying the measured drain time is
         returned instead of full statistics.  Callers that report a run's
         statistics must leave this unarmed (or re-run) — capacity searches
         arm it only for probe evaluations whose result objects are discarded.
         """
-        if not queries:
-            raise ValueError("cannot simulate an empty query stream")
         config = self._config
-
         ordered = sorted(queries, key=_arrival_key)
-        warmup_count = int(len(ordered) * config.warmup_fraction)
-        warmup_ids = {q.query_id for q in ordered[:warmup_count]}
-        measured_total = len(ordered) - warmup_count
-        reject_sla = reject_above_sla_s if reject_above_sla_s is not None else _INFINITY
-        reject_needed = certain_rejection_threshold(measured_total)
-        over_sla = 0
-
-        # Certain-acceptance bookkeeping: the late-window boundary is known
-        # up front (every measured query completes in a no-fault run), so
-        # both the whole-run and late-window certificates can be tracked.
-        accept_armed = accept_within_sla_s is not None
-        accept_sla = accept_within_sla_s if accept_armed else _INFINITY
-        late_start = measured_total // 2
-        accept_allowed = certain_acceptance_threshold(measured_total)
-        accept_allowed_late = certain_acceptance_threshold(measured_total - late_start)
-        accept_over = 0
-        accept_over_late = 0
-
-        # Arrivals are consumed straight from the sorted list with a cursor;
-        # only completions go through the event heap.  A completion at time t
-        # is processed before an arrival at the same instant (frees cores
-        # first), matching the EVT_* ordering of the all-in-one-heap form.
-        events: List[tuple] = []
-        kernel = ServerKernel(
-            self._engines, config, self._num_cores, events, itertools.count()
+        kernels = build_kernels([(self._engines, config, self._num_cores)])
+        outcome = run_event_loop(
+            kernels,
+            ordered,
+            len(ordered),
+            config.warmup_fraction,
+            latency_stats=self._latency_stats,
+            reject_above_sla_s=reject_above_sla_s,
+            accept_within_sla_s=accept_within_sla_s,
         )
-
-        first_arrival = ordered[0].arrival_time
-        last_completion = first_arrival
-
-        # Hot loop: bind everything to locals.  In exact mode measured
-        # latencies collect into a plain list and feed the tracker in one
-        # vectorized pass; in sketch mode they flush chunk-wise into
-        # fixed-space sketches so peak memory stays O(1) in the trace.
-        heappop = heapq.heappop
-        submit = kernel.submit
-        on_cpu_done = kernel.on_cpu_done
-        on_gpu_done = kernel.on_gpu_done
-        measured_latencies: List[float] = []
-        sketch_mode = self._latency_stats == "sketch"
-        if sketch_mode:
-            tracker = PercentileTracker(mode="sketch")
-            late_tracker = PercentileTracker(mode="sketch")
-            record, flush_chunks = _sketch_recorder(tracker, late_tracker, late_start)
-        else:
-            record = measured_latencies.append
-        measured_count = 0
-        num_arrivals = len(ordered)
-        cursor = 0
-        next_arrival = first_arrival
-        with pause_gc():
-            while True:
-                if events:
-                    head = events[0]
-                    now = head[0]
-                    if now <= next_arrival:
-                        _, kind, _, _, query_id = heappop(events)
-                        if kind == EVT_CPU_DONE:
-                            completed = on_cpu_done(query_id, now)
-                            if completed is None:
-                                continue
-                        else:  # EVT_GPU_DONE
-                            completed = on_gpu_done(query_id, now)
-                        if now > last_completion:
-                            last_completion = now
-                        if completed.query_id not in warmup_ids:
-                            latency = now - completed.arrival_time
-                            record(latency)
-                            measured_count += 1
-                            if latency > reject_sla:
-                                over_sla += 1
-                                if over_sla >= reject_needed:
-                                    return CertainRejection(
-                                        sla_latency_s=reject_sla,
-                                        measured_queries=measured_count,
-                                        over_sla_queries=over_sla,
-                                    )
-                            if accept_armed:
-                                if latency > accept_sla:
-                                    accept_over += 1
-                                    if measured_count > late_start:
-                                        accept_over_late += 1
-                                remaining = measured_total - measured_count
-                                if (
-                                    accept_over + remaining <= accept_allowed
-                                    and accept_over_late + remaining
-                                    <= accept_allowed_late
-                                ):
-                                    last_completion = _drain_events(
-                                        events,
-                                        ordered,
-                                        cursor,
-                                        next_arrival,
-                                        kernel,
-                                        last_completion,
-                                    )
-                                    return CertainAcceptance(
-                                        sla_latency_s=accept_sla,
-                                        measured_queries=measured_count,
-                                        over_sla_queries=accept_over,
-                                        drain_s=max(
-                                            0.0,
-                                            last_completion
-                                            - ordered[-1].arrival_time,
-                                        ),
-                                        arrival_span_s=max(
-                                            ordered[-1].arrival_time - first_arrival,
-                                            1e-9,
-                                        ),
-                                    )
-                        continue
-                if cursor >= num_arrivals:
-                    break
-                query = ordered[cursor]
-                cursor += 1
-                next_arrival = (
-                    ordered[cursor].arrival_time if cursor < num_arrivals else _INFINITY
-                )
-                submit(query, query.arrival_time)
-
-        if sketch_mode:
-            flush_chunks()
-            samples: List[float] = []
-        else:
-            tracker = PercentileTracker()
-            tracker.extend(measured_latencies)
-
-        duration = max(last_completion - first_arrival, 1e-9)
-        offered_duration = max(ordered[-1].arrival_time - first_arrival, 1e-9)
-        measured = tracker.count
-        if measured == 0:
-            raise ValueError(
-                "no queries outside the warmup window; lower warmup_fraction or "
-                "send more queries"
-            )
-        if sketch_mode:
-            p95_late = (
-                late_tracker.percentile(95) if late_tracker.raw_count else 0.0
-            )
-        else:
-            samples = tracker.samples()
-            p95_late = late_window_p95(samples)
+        if not isinstance(outcome, dict):
+            return outcome
+        server = summarize_server(kernels[0], "", outcome["duration_s"], len(ordered))
         return SimulationResult(
             config=config,
-            num_queries=len(ordered),
-            measured_queries=measured,
-            duration_s=duration,
-            p50_latency_s=tracker.p50(),
-            p95_latency_s=tracker.p95(),
-            p99_latency_s=tracker.p99(),
-            mean_latency_s=tracker.mean(),
-            achieved_qps=len(ordered) / duration,
-            offered_qps=len(ordered) / offered_duration,
-            cpu_utilization=min(1.0, kernel.cpu_busy_time / (self._num_cores * duration)),
-            gpu_utilization=min(1.0, kernel.gpu_busy_time / duration),
-            gpu_work_fraction=(
-                (kernel.gpu_items / kernel.total_items) if kernel.total_items else 0.0
-            ),
-            p95_late_window_s=p95_late,
-            drain_s=max(0.0, last_completion - ordered[-1].arrival_time),
-            arrival_span_s=offered_duration,
-            latencies_s=samples,
+            cpu_utilization=server.cpu_utilization,
+            gpu_utilization=server.gpu_utilization,
+            gpu_work_fraction=server.gpu_work_fraction,
+            **outcome,
         )

@@ -147,6 +147,32 @@ class TestResultNeutrality:
         assert with_empty.fault_stats is None
         assert with_empty.failed_queries == 0
 
+    def test_plan_that_never_fires_is_result_neutral(self, servers, queries):
+        # The only crash opens after the last arrival, once the run has
+        # drained: the fault source is in the loop but nothing ever fires.
+        horizon = queries[-1].arrival_time
+        plan = FaultPlan(
+            nodes={
+                0: NodeFaultSchedule(
+                    crashes=(CrashWindow(horizon + 1.0, horizon + 2.0),)
+                )
+            }
+        )
+        plain = ClusterSimulator(servers, "least-outstanding").run(queries)
+        hooked = ClusterSimulator(
+            servers,
+            "least-outstanding",
+            fault_plan=plan,
+            retry_policy=RetryPolicy(max_retries=2),
+        ).run(queries)
+        assert hooked.latencies_s == plain.latencies_s
+        assert hooked.p50_latency_s == plain.p50_latency_s
+        assert hooked.p95_latency_s == plain.p95_latency_s
+        assert hooked.p99_latency_s == plain.p99_latency_s
+        assert hooked.mean_latency_s == plain.mean_latency_s
+        assert hooked.per_server == plain.per_server
+        assert hooked.fault_stats == FaultStats()
+
     def test_faulted_replays_are_deterministic(self, servers, queries):
         runs = [
             ClusterSimulator(

@@ -1,0 +1,176 @@
+"""Differential test: the production event loop against a naive reference.
+
+``tests/reference_sim.py`` serves the same queries with one sorted event
+list and scalar latency calls.  For random small fleets — 1-4 servers,
+every registered balancer, per-server batch sizes, core counts, offload
+thresholds with and without an accelerator, speed-scaled nodes, bursts of
+simultaneous arrivals and straggler-only fault plans — every query must
+complete at exactly the same instant in both, and the production run must
+conserve work: every arrival is submitted to exactly one server, and no
+server is busier than its cores can be over the run's span.  Generated
+traces never put an arrival exactly on a completion instant, so a
+constructed chain checks that tie (completions go first) separately.  Crash and retry semantics are pinned by
+``tests/test_event_loop_golden.py`` and ``tests/test_faults.py``.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import reference_sim
+from repro.execution.engine import EnginePair, build_engine_pair
+from repro.execution.scaled_engine import ScaledCPUEngine
+from repro.faults import FaultPlan, NodeFaultSchedule, StragglerEpisode
+from repro.queries.generator import LoadGenerator
+from repro.queries.query import Query
+from repro.serving.cluster import (
+    ClusterServer,
+    ClusterSimulator,
+    available_balancers,
+    get_balancer,
+)
+from repro.serving.simulator import ServerKernel, ServingConfig
+
+_ENGINES = {
+    "cpu": build_engine_pair("dlrm-rmc1", "skylake", None),
+    "gpu": build_engine_pair("dlrm-rmc1", "skylake", "gtx1080ti"),
+}
+
+
+@st.composite
+def servers(draw):
+    """One server: CPU-only (possibly speed-scaled) or accelerator-attached."""
+    batch_size = draw(st.sampled_from((16, 64, 100, 256, 512)))
+    num_cores = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        engines = _ENGINES["gpu"]
+        threshold = draw(st.one_of(st.none(), st.integers(50, 600)))
+    else:
+        engines = _ENGINES["cpu"]
+        threshold = None
+        speed = draw(st.sampled_from((1.0, 0.9, 1.25)))
+        if speed != 1.0:
+            engines = EnginePair(cpu=ScaledCPUEngine(engines.cpu, speed), gpu=None)
+    config = ServingConfig(
+        batch_size=batch_size, num_cores=num_cores, offload_threshold=threshold
+    )
+    return ClusterServer(engines=engines, config=config)
+
+
+@st.composite
+def straggler_plans(draw, num_servers: int, horizon: float):
+    """``None`` or a plan of straggler episodes inside the trace."""
+    if not draw(st.booleans()):
+        return None
+    nodes = {}
+    for node in draw(st.sets(st.integers(0, num_servers - 1), min_size=1)):
+        start = draw(st.floats(0.0, 0.8)) * horizon
+        length = draw(st.floats(0.05, 0.5)) * horizon
+        slowdown = draw(st.sampled_from((1.5, 3.0, 6.0)))
+        nodes[node] = NodeFaultSchedule(
+            stragglers=(StragglerEpisode(start, start + length, slowdown=slowdown),)
+        )
+    return FaultPlan(nodes=nodes)
+
+
+@pytest.fixture
+def completions(monkeypatch):
+    """Record every production query completion as ``{query_id: time}``."""
+    times = {}
+    kernels = set()
+    on_cpu_done = ServerKernel.on_cpu_done
+    on_gpu_done = ServerKernel.on_gpu_done
+
+    def cpu_done(self, query_id, now):
+        kernels.add(self)
+        query = on_cpu_done(self, query_id, now)
+        if query is not None:
+            times[query_id] = now
+        return query
+
+    def gpu_done(self, query_id, now):
+        kernels.add(self)
+        times[query_id] = now
+        return on_gpu_done(self, query_id, now)
+
+    monkeypatch.setattr(ServerKernel, "on_cpu_done", cpu_done)
+    monkeypatch.setattr(ServerKernel, "on_gpu_done", gpu_done)
+    return times, kernels
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    fleet=st.lists(servers(), min_size=1, max_size=4),
+    policy=st.sampled_from(available_balancers()),
+    rate=st.sampled_from((300.0, 1500.0, 6000.0)),
+    count=st.integers(40, 200),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_completion_times_match_reference(
+    completions, fleet, policy, rate, count, seed, data
+):
+    times, kernels = completions
+    times.clear()
+    kernels.clear()
+    queries = LoadGenerator(seed=seed).with_rate(rate).generate(count)
+    if data.draw(st.booleans()):
+        # Arrivals on a coarse clock: bursts of simultaneous arrivals.
+        queries = [
+            Query(q.query_id, round(q.arrival_time * 500.0) / 500.0, q.size)
+            for q in queries
+        ]
+    plan = data.draw(straggler_plans(len(fleet), queries[-1].arrival_time))
+
+    simulator = ClusterSimulator(
+        fleet, get_balancer(policy, seed=seed), balancer_seed=seed, fault_plan=plan
+    )
+    result = simulator.run(queries)
+    reference = reference_sim.simulate(
+        simulator.servers,
+        [server.config.num_cores for server in simulator.servers],
+        get_balancer(policy, seed=seed),
+        queries,
+        plan,
+    )
+
+    assert times == reference.completion_time
+    # Conservation: every arrival went to exactly one server ...
+    assert sum(s.num_queries for s in result.per_server) == len(queries)
+    assert [s.num_queries for s in result.per_server] == [
+        node.submitted for node in reference.servers
+    ]
+    # ... and no server was busier than its cores over the run's span.
+    span = result.duration_s
+    for kernel in kernels:
+        assert kernel.cpu_busy_time <= span * kernel.num_cores * (1 + 1e-12)
+        assert kernel.gpu_busy_time <= span * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("policy", ["least-outstanding", "power-of-two"])
+def test_arrivals_on_completion_instants_match_reference(completions, policy):
+    # Each arrival lands exactly on the previous query's completion instant,
+    # so the balancer's view depends on completions going first at a tie.
+    times, _ = completions
+    engines = _ENGINES["cpu"]
+    config = ServingConfig(batch_size=256, num_cores=1)
+    fleet = [ClusterServer(engines=engines, config=config) for _ in range(2)]
+    queries = []
+    now = 0.0
+    for query_id, size in enumerate([40, 200, 7, 128, 256, 90] * 5):
+        queries.append(Query(query_id, now, size))
+        now = now + engines.cpu.request_latency_s(size, 1)
+    result = ClusterSimulator(fleet, policy).run(queries)
+    reference = reference_sim.simulate(
+        fleet, [1, 1], get_balancer(policy), queries
+    )
+    assert times == reference.completion_time
+    assert [s.num_queries for s in result.per_server] == [
+        node.submitted for node in reference.servers
+    ]

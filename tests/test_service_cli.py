@@ -408,7 +408,6 @@ class TestGracefulShutdownSignals:
 
     def test_sigterm_on_stdin_service_exits_cleanly(self, tmp_path):
         import signal as _signal
-        import time as _time
 
         queries = LoadGenerator(seed=3).with_rate(60.0).generate(200)
         lines = "".join(
@@ -420,11 +419,10 @@ class TestGracefulShutdownSignals:
         try:
             proc.stdin.write(lines)
             proc.stdin.flush()
-            deadline = _time.time() + 60
-            while _time.time() < deadline and proc.poll() is None:
-                _time.sleep(0.5)
-                proc.send_signal(_signal.SIGTERM)
-                break
+            # "reading events from stdin" on stderr is the readiness marker.
+            marker = proc.stderr.readline()
+            assert "reading events" in marker
+            proc.send_signal(_signal.SIGTERM)
             stdout, stderr = proc.communicate(timeout=60)
         finally:
             if proc.poll() is None:

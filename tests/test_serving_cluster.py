@@ -662,15 +662,22 @@ class TestRunStream:
         assert result.num_queries == total
         assert result.measured_queries == total - int(total * 0.1)
 
-    def test_non_sequential_ids_rejected(self, engines, config, query_stream):
+    def test_non_sequential_ids_match_batch_run(self, engines, config, query_stream):
+        # The warmup window is the first arrivals consumed, not an id range,
+        # so any distinct ids stream to the same result as run().
         fleet = homogeneous_fleet(engines, config, 2)
-        shifted = [
-            Query(q.query_id + 1, q.arrival_time, q.size) for q in query_stream
+        renumbered = [
+            Query(7 * (len(query_stream) - index), q.arrival_time, q.size)
+            for index, q in enumerate(query_stream)
         ]
-        with pytest.raises(ValueError, match="arrival index"):
-            ClusterSimulator(fleet, "round-robin").run_stream(
-                iter(shifted), len(shifted)
-            )
+        batch = ClusterSimulator(fleet, "round-robin").run(renumbered)
+        streamed = ClusterSimulator(fleet, "round-robin").run_stream(
+            iter(renumbered), len(renumbered)
+        )
+        assert streamed == batch
+        assert streamed.measured_queries == len(query_stream) - int(
+            len(query_stream) * config.warmup_fraction
+        )
 
     def test_unsorted_arrivals_rejected(self, engines, config, query_stream):
         fleet = homogeneous_fleet(engines, config, 2)
