@@ -7,15 +7,15 @@ Times nine representative workloads end to end and writes ``BENCH_7.json``:
   grid (the Fig. 9 experiment at reduced fidelity);
 * ``fig15-cluster-scaling`` — the full fleet-scaling experiment (Fig. 15
   extension), the heaviest consumer of the cluster event core;
-* ``cluster-capacity-search`` — one ``find_cluster_max_qps`` fleet bisection;
+* ``cluster-capacity-search`` — one fleet ``CapacitySearch`` bisection;
 * ``capacity-sweep-shared`` — a *sweep* of fleet capacity searches run twice
   against one warm-start cache under one shared worker pool: the workload
   the ``repro.runtime`` unification targets (pool reuse + replay-exact warm
   starts);
 * ``capacity-sweep-shared-j4`` — the same sweep workload on the
   completion-driven runtime at ``jobs=4`` (regardless of ``--jobs``) with a
-  shared ``CapacityCache`` instance and the opt-in near-miss bracket-hint
-  tier: what a sweep caller gets from the futures-based scheduler.  Tracked
+  shared ``CapacityCache`` instance: what a sweep caller gets from the
+  futures-based scheduler.  Tracked
   as its own case so the perf trend keeps the ``jobs=1`` trajectory clean;
 * ``fig13-production`` — the Fig. 13 diurnal fleet replay (fixed vs tuned
   batch size under random balancing), post-unification running through the
@@ -58,7 +58,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -80,7 +79,10 @@ if str(_SRC) not in sys.path:
 from repro.experiments import run_experiment  # noqa: E402
 from repro.execution.engine import build_engine_pair  # noqa: E402
 from repro.queries.generator import LoadGenerator  # noqa: E402
-from repro.serving.cluster import find_cluster_max_qps, homogeneous_fleet  # noqa: E402
+from repro.runtime.capacity import CapacitySearch  # noqa: E402
+from repro.runtime.pool import shared_pool  # noqa: E402
+from repro.serving.capacity import CapacityCache  # noqa: E402
+from repro.serving.cluster import homogeneous_fleet  # noqa: E402
 from repro.serving.simulator import ServingConfig  # noqa: E402
 from repro.serving.sla import SLATier, sla_target  # noqa: E402
 
@@ -141,12 +143,6 @@ BASELINE_COMMIT: Dict[str, str] = {
 }
 
 
-def _accepted_kwargs(func: Callable[..., Any], kwargs: Dict[str, Any]) -> Dict[str, Any]:
-    """Drop kwargs the callable does not accept (pre-/post-PR compatibility)."""
-    parameters = inspect.signature(func).parameters
-    return {key: value for key, value in kwargs.items() if key in parameters}
-
-
 def bench_fig9(quick: bool, jobs: int) -> None:
     kwargs: Dict[str, Any] = dict(
         models=("dlrm-rmc1", "dien"),
@@ -170,9 +166,6 @@ def bench_fig15(quick: bool, jobs: int) -> None:
             capacity_iterations=3,
             max_queries=1000,
         )
-    from repro.experiments.registry import get_experiment
-
-    kwargs = _accepted_kwargs(get_experiment("figure-15"), kwargs)
     run_experiment("figure-15", **kwargs)
 
 
@@ -180,23 +173,18 @@ def bench_capacity_search(quick: bool, jobs: int) -> None:
     engines = build_engine_pair("dlrm-rmc1", "skylake", None)
     fleet = homogeneous_fleet(engines, ServingConfig(batch_size=256, num_cores=8), 2)
     target = sla_target("dlrm-rmc1", SLATier.MEDIUM)
-    kwargs: Dict[str, Any] = dict(
-        num_queries=250, iterations=5, max_queries=3000, jobs=jobs
-    )
+    kwargs: Dict[str, Any] = dict(num_queries=250, iterations=5, max_queries=3000)
     if quick:
         kwargs.update(num_queries=100, iterations=3, max_queries=1000)
-    kwargs = _accepted_kwargs(find_cluster_max_qps, kwargs)
-    find_cluster_max_qps(
+    CapacitySearch.for_fleet(
         fleet, "least-outstanding", target.latency_s, LoadGenerator(seed=5), **kwargs
-    )
+    ).run(jobs=jobs)
 
 
 def bench_capacity_sweep(quick: bool, jobs: int) -> None:
     # A sweep of fleet capacity searches, run twice against one warm-start
     # cache: pass 1 measures cold searches sharing one worker pool, pass 2
-    # the replay-exact warm starts.  Pre-runtime-PR checkouts run the same
-    # workload without a shared pool (each search owned its own), so the
-    # speedup column isolates exactly what the unification bought.
+    # the replay-exact warm starts.
     import tempfile
 
     engines = build_engine_pair("dlrm-rmc1", "skylake", None)
@@ -208,40 +196,31 @@ def bench_capacity_sweep(quick: bool, jobs: int) -> None:
     else:
         sizes, policies = (1, 2), ("least-outstanding", "power-of-two")
         kwargs = dict(num_queries=200, iterations=5, max_queries=2500)
-    try:
-        from repro.runtime.pool import shared_pool
-    except ImportError:  # pre-runtime-PR: no invocation-wide pool to share
-        from contextlib import nullcontext as shared_pool
 
     with tempfile.TemporaryDirectory() as cache_dir:
         with shared_pool(jobs):
             for _pass in range(2):
                 for size in sizes:
                     for policy in policies:
-                        find_cluster_max_qps(
+                        CapacitySearch.for_fleet(
                             homogeneous_fleet(engines, config, size),
                             policy,
                             target.latency_s,
                             LoadGenerator(seed=5),
-                            jobs=jobs,
-                            warm_start_cache=cache_dir,
                             **kwargs,
-                        )
+                        ).run(jobs=jobs, warm_start_cache=cache_dir)
 
 
 def bench_capacity_sweep_j4(quick: bool, jobs: int) -> None:
     # The capacity-sweep-shared workload on the completion-driven runtime at
     # a fixed jobs=4 (tracked separately so the jobs=1 trajectory stays
-    # clean): one shared CapacityCache *instance* across both passes (its
-    # in-process memo replays pass 2 without re-verification) and the
-    # opt-in near-miss bracket-hint tier for pass 1's adjacent searches.
-    # On multi-core hosts the futures scheduler additionally overlaps each
+    # clean): one shared CapacityCache *instance* across both passes, so
+    # its in-process memo replays pass 2 without re-verification.  On
+    # multi-core hosts the futures scheduler additionally overlaps each
     # search's speculative evaluations; the in-flight budget is clamped by
     # physical cores, so a one-core recording host measures the scheduling +
     # warm-tier wins alone.
     import tempfile
-
-    from repro.serving.capacity import CapacityCache
 
     engines = build_engine_pair("dlrm-rmc1", "skylake", None)
     config = ServingConfig(batch_size=256, num_cores=8)
@@ -252,9 +231,6 @@ def bench_capacity_sweep_j4(quick: bool, jobs: int) -> None:
     else:
         sizes, policies = (1, 2), ("least-outstanding", "power-of-two")
         kwargs = dict(num_queries=200, iterations=5, max_queries=2500)
-    kwargs.update(jobs=4, bracket_hints=True)
-    kwargs = _accepted_kwargs(find_cluster_max_qps, kwargs)
-    from repro.runtime.pool import shared_pool
 
     with tempfile.TemporaryDirectory() as cache_dir:
         cache = CapacityCache(cache_dir)
@@ -262,14 +238,13 @@ def bench_capacity_sweep_j4(quick: bool, jobs: int) -> None:
             for _pass in range(2):
                 for size in sizes:
                     for policy in policies:
-                        find_cluster_max_qps(
+                        CapacitySearch.for_fleet(
                             homogeneous_fleet(engines, config, size),
                             policy,
                             target.latency_s,
                             LoadGenerator(seed=5),
-                            warm_start_cache=cache,
                             **kwargs,
-                        )
+                        ).run(jobs=4, warm_start_cache=cache)
 
 
 def bench_fig13(quick: bool, jobs: int) -> None:
@@ -279,9 +254,6 @@ def bench_fig13(quick: bool, jobs: int) -> None:
     kwargs: Dict[str, Any] = dict(policies=("random",), jobs=jobs)
     if quick:
         kwargs.update(duration_s=3.0)
-    from repro.experiments.registry import get_experiment
-
-    kwargs = _accepted_kwargs(get_experiment("figure-13"), kwargs)
     run_experiment("figure-13", **kwargs)
 
 
@@ -342,9 +314,6 @@ def bench_fig7(quick: bool, jobs: int) -> None:
     kwargs: Dict[str, Any] = dict(policies=("random",))
     if quick:
         kwargs.update(num_nodes=8, queries_per_node=60)
-    from repro.experiments.registry import get_experiment
-
-    kwargs = _accepted_kwargs(get_experiment("figure-7"), kwargs)
     run_experiment("figure-7", **kwargs)
 
 

@@ -15,7 +15,8 @@ import sys
 from repro import LoadGenerator, ServingConfig
 from repro.execution import build_engine_pair
 from repro.hardware import SystemPowerModel
-from repro.serving import SLATier, find_max_qps, sla_target
+from repro.runtime import CapacitySearch
+from repro.serving import SLATier, sla_target
 from repro.utils import format_table
 
 
@@ -29,10 +30,9 @@ def study(model: str = "dlrm-rmc1", batch_size: int = 512) -> None:
     rows = []
     for threshold in (None, 1, 128, 256, 384, 512, 768):
         config = ServingConfig(batch_size=batch_size, offload_threshold=threshold)
-        outcome = find_max_qps(
-            engines, config, target.latency_s, generator,
-            num_queries=300, iterations=4,
-        )
+        outcome = CapacitySearch.for_server(
+            engines, config, target.latency_s, generator, num_queries=300, iterations=4,
+        ).run()
         sim = outcome.result
         gpu_fraction = sim.gpu_work_fraction if sim else 0.0
         cpu_util = sim.cpu_utilization if sim else 0.0

@@ -21,12 +21,12 @@ import tempfile
 from repro.execution import build_engine_pair
 from repro.experiments import SweepRunner
 from repro.queries import LoadGenerator
+from repro.runtime import CapacitySearch
 from repro.serving import (
     ClusterServer,
     ClusterSimulator,
     ServingConfig,
     SLATier,
-    find_cluster_max_qps,
     sla_target,
 )
 from repro.utils import format_table
@@ -88,15 +88,10 @@ def fleet_capacity(num_queries: int = 300, iterations: int = 4) -> None:
     generator = LoadGenerator(seed=42)
     rows = []
     for policy in POLICIES:
-        outcome = find_cluster_max_qps(
-            servers,
-            policy,
-            target.latency_s,
-            generator,
-            num_queries=num_queries,
-            iterations=iterations,
-            max_queries=3000,
-        )
+        outcome = CapacitySearch.for_fleet(
+            servers, policy, target.latency_s, generator, num_queries=num_queries,
+            iterations=iterations, max_queries=3000,
+        ).run()
         rows.append([policy, round(outcome.max_qps, 1)])
     print(
         format_table(

@@ -15,7 +15,7 @@ import sys
 from repro import LoadGenerator, ServingConfig
 from repro.core import BatchSizeTuner, StaticSchedulerPolicy
 from repro.execution import build_engine_pair
-from repro.serving import find_max_qps
+from repro.runtime import CapacitySearch
 from repro.utils import format_table
 
 
@@ -35,14 +35,10 @@ def sweep(model: str = "dlrm-rmc3") -> None:
             engines, generator, num_queries=300, capacity_iterations=4
         )
         tuned = tuner.tune(target_s)
-        baseline = find_max_qps(
-            engines,
-            ServingConfig(batch_size=static_batch),
-            target_s,
-            generator,
-            num_queries=300,
-            iterations=4,
-        )
+        baseline = CapacitySearch.for_server(
+            engines, ServingConfig(batch_size=static_batch), target_s, generator,
+            num_queries=300, iterations=4,
+        ).run()
         speedup = tuned.best_qps / baseline.max_qps if baseline.max_qps else float("inf")
         rows.append(
             [

@@ -15,7 +15,7 @@ from repro.core.hill_climber import ClimbResult, hill_climb, power_of_two_candid
 from repro.execution.engine import EnginePair
 from repro.queries.generator import LoadGenerator
 from repro.queries.size_dist import MAX_QUERY_SIZE
-from repro.serving.capacity import find_max_qps
+from repro.runtime.capacity import CapacitySearch
 from repro.serving.simulator import ServingConfig
 from repro.utils.validation import check_positive
 
@@ -73,14 +73,14 @@ class BatchSizeTuner:
     def capacity_at(self, batch_size: int, sla_latency_s: float) -> float:
         """Max QPS under the SLA at one batch size (a single objective evaluation)."""
         config = ServingConfig(batch_size=batch_size, num_cores=self._num_cores)
-        outcome = find_max_qps(
+        outcome = CapacitySearch.for_server(
             self._engines,
             config,
             sla_latency_s,
             self._load_generator,
             num_queries=self._num_queries,
             iterations=self._capacity_iterations,
-        )
+        ).run()
         return outcome.max_qps
 
     def tune(self, sla_latency_s: float) -> BatchTuningResult:

@@ -28,9 +28,9 @@ from repro.core.hill_climber import (
 from repro.execution.engine import EnginePair
 from repro.queries.generator import LoadGenerator
 from repro.queries.size_dist import MAX_QUERY_SIZE
+from repro.runtime.capacity import CapacitySearch, _parallel_budget
 from repro.runtime.pool import Future, TaskContext, WorkerPool, pool_scope
-from repro.serving.capacity import find_max_qps
-from repro.serving.cluster import ClusterServer, available_balancers, find_cluster_max_qps
+from repro.serving.cluster import ClusterServer, available_balancers
 from repro.serving.simulator import ServingConfig, SimulationResult
 from repro.utils.validation import check_positive
 
@@ -60,8 +60,8 @@ def _build_tuner_state(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     The warm-start cache is materialised here so each worker (and the
     parent) holds one :class:`~repro.serving.capacity.CapacityCache`
-    instance across all of its evaluations — the in-process memo and
-    near-miss tiers need instance continuity to pay off.
+    instance across all of its evaluations — the in-process memo needs
+    instance continuity to pay off.
     """
     from repro.serving.capacity import CapacityCache
 
@@ -85,16 +85,14 @@ def _evaluate_tuner_point(state: Dict[str, Any], knobs: Dict[str, Any]) -> float
         state["engines"], state["num_cores"], knobs["batch_size"],
         knobs.get("offload_threshold"),
     )
-    outcome = find_cluster_max_qps(
+    outcome = CapacitySearch.for_fleet(
         servers,
         knobs["policy"],
         state["sla_latency_s"],
         state["load_generator"],
         num_queries=state["num_queries"],
         iterations=state["capacity_iterations"],
-        warm_start_cache=state["cache"],
-        bracket_hints=state["bracket_hints"],
-    )
+    ).run(warm_start_cache=state["cache"])
     return outcome.max_qps
 
 
@@ -170,14 +168,14 @@ class OffloadThresholdTuner:
             num_cores=self._num_cores,
             offload_threshold=threshold,
         )
-        outcome = find_max_qps(
+        outcome = CapacitySearch.for_server(
             self._engines,
             config,
             sla_latency_s,
             self._load_generator,
             num_queries=self._num_queries,
             iterations=self._capacity_iterations,
-        )
+        ).run()
         return outcome.max_qps, outcome.result
 
     def tune(self, batch_size: int, sla_latency_s: float) -> OffloadTuningResult:
@@ -229,8 +227,8 @@ class FleetKnobTuner:
     Tunes the per-server batch size together with the load-balancing policy
     (and the offload threshold, when any server has an accelerator) to
     maximise the fleet's latency-bounded throughput.  The objective of every
-    knob assignment is one :func:`~repro.serving.cluster.find_cluster_max_qps`
-    search, so tuned knobs account for balancing losses, not just per-server
+    knob assignment is one fleet
+    :class:`~repro.runtime.capacity.CapacitySearch`, so tuned knobs account for balancing losses, not just per-server
     throughput.
 
     With ``jobs > 1`` the tuner keeps several upcoming knob assignments'
@@ -241,9 +239,7 @@ class FleetKnobTuner:
     evaluation are identical to the serial tuner's — speculation past a
     patience stop is the only wasted work.  ``warm_start_cache`` replays
     identical searches bit-identically across tuner runs sharing the
-    directory; ``bracket_hints=True`` additionally tightens brackets from
-    adjacent assignments' entries (faster, result-identical only within the
-    cold search's bracket tolerance — opt-in).
+    directory.
     """
 
     def __init__(
@@ -261,7 +257,6 @@ class FleetKnobTuner:
         jobs: int = 1,
         pool: Optional[WorkerPool] = None,
         warm_start_cache: Union[str, Path, None] = None,
-        bracket_hints: bool = False,
     ) -> None:
         if not engines_per_server:
             raise ValueError("fleet tuning requires at least one server")
@@ -298,7 +293,6 @@ class FleetKnobTuner:
         self._warm_start_cache = (
             str(warm_start_cache) if warm_start_cache is not None else None
         )
-        self._bracket_hints = bracket_hints
 
     def _fleet(self, batch_size: int, threshold: Optional[int]) -> List[ClusterServer]:
         return _tuner_fleet(self._engines, self._num_cores, batch_size, threshold)
@@ -312,7 +306,6 @@ class FleetKnobTuner:
             "sla_latency_s": sla_latency_s,
             "load_generator": self._load_generator,
             "warm_start_cache": self._warm_start_cache,
-            "bracket_hints": self._bracket_hints,
         }
 
     def tune(self, sla_latency_s: float) -> FleetTuningResult:
@@ -324,8 +317,6 @@ class FleetKnobTuner:
         }
         if self._threshold_candidates is not None:
             candidates["offload_threshold"] = self._threshold_candidates
-
-        from repro.runtime.capacity import _parallel_budget
 
         context = TaskContext(_build_tuner_state, self._evaluator_payload(sla_latency_s))
         with pool_scope(self._jobs, self._pool) as worker_pool:

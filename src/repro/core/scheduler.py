@@ -26,7 +26,7 @@ from repro.core.static_scheduler import StaticSchedulerPolicy
 from repro.execution.engine import EnginePair, build_engine_pair
 from repro.hardware.power import SystemPowerModel
 from repro.queries.generator import LoadGenerator
-from repro.serving.capacity import find_max_qps
+from repro.runtime.capacity import CapacitySearch
 from repro.serving.simulator import ServingConfig, SimulationResult
 from repro.serving.sla import SLATier, sla_target
 from repro.utils.validation import check_positive
@@ -102,14 +102,14 @@ class DeepRecSched:
     def _measure(
         self, config: ServingConfig, sla_latency_s: float
     ) -> tuple:
-        outcome = find_max_qps(
+        outcome = CapacitySearch.for_server(
             self._engines,
             config,
             sla_latency_s,
             self._load_generator,
             num_queries=self._num_queries,
             iterations=self._capacity_iterations,
-        )
+        ).run()
         return outcome.max_qps, outcome.result
 
     def _operating_point(

@@ -32,7 +32,7 @@ from repro.hardware.cpu import get_cpu
 from repro.queries.arrival import get_arrival_process
 from repro.queries.generator import LoadGenerator
 from repro.queries.size_dist import LognormalQuerySizes, ProductionQuerySizes
-from repro.serving.capacity import find_max_qps
+from repro.runtime.capacity import CapacitySearch
 from repro.serving.simulator import ServingConfig
 from repro.serving.sla import SLATier, sla_target
 
@@ -69,16 +69,14 @@ def run_arrival_ablation(
         generator = LoadGenerator(
             arrival=get_arrival_process(name, rate_qps=100.0), seed=seed
         )
-        outcome = find_max_qps(
+        outcome = CapacitySearch.for_server(
             engines,
             ServingConfig(batch_size=batch_size),
             target.latency_s,
             generator,
             num_queries=num_queries,
             iterations=capacity_iterations,
-            jobs=jobs,
-            warm_start_cache=capacity_cache_dir,
-        )
+        ).run(jobs=jobs, warm_start_cache=capacity_cache_dir)
         capacities[name] = outcome.max_qps
         p95_ms = outcome.result.p95_latency_s * 1e3 if outcome.result else 0.0
         result.add_row(name, round(outcome.max_qps, 1), round(p95_ms, 2))
@@ -118,16 +116,14 @@ def run_size_distribution_ablation(
 
     def capacity(batch: int, dist_name: str) -> float:
         generator = LoadGenerator(sizes=distributions[dist_name], seed=seed)
-        outcome = find_max_qps(
+        outcome = CapacitySearch.for_server(
             engines,
             ServingConfig(batch_size=batch),
             target.latency_s,
             generator,
             num_queries=num_queries,
             iterations=capacity_iterations,
-            jobs=jobs,
-            warm_start_cache=capacity_cache_dir,
-        )
+        ).run(jobs=jobs, warm_start_cache=capacity_cache_dir)
         return outcome.max_qps
 
     optima = {}
@@ -205,16 +201,14 @@ def run_cache_contention_ablation(
             engines = EnginePair(cpu=CPUEngine(
                 build_engine_pair(model, platform, None).cpu.model, cpu_platform
             ))
-            outcome = find_max_qps(
+            outcome = CapacitySearch.for_server(
                 engines,
                 ServingConfig(batch_size=batch),
                 target.latency_s,
                 generator,
                 num_queries=num_queries,
                 iterations=capacity_iterations,
-                jobs=jobs,
-                warm_start_cache=capacity_cache_dir,
-            )
+            ).run(jobs=jobs, warm_start_cache=capacity_cache_dir)
             capacities[label] = outcome.max_qps
         ratio = (
             capacities["without"] / capacities["with"] if capacities["with"] else 0.0

@@ -15,7 +15,7 @@ from repro.experiments.registry import register_experiment
 from repro.experiments.result import ExperimentResult
 from repro.queries.generator import LoadGenerator
 from repro.queries.size_dist import MAX_QUERY_SIZE
-from repro.serving.capacity import find_max_qps
+from repro.runtime.capacity import CapacitySearch
 from repro.serving.simulator import ServingConfig
 from repro.serving.sla import SLATier, sla_target
 
@@ -50,14 +50,14 @@ def run(
         qps_values = []
         for threshold in thresholds:
             config = ServingConfig(batch_size=batch_size, offload_threshold=threshold)
-            outcome = find_max_qps(
+            outcome = CapacitySearch.for_server(
                 engines,
                 config,
                 target.latency_s,
                 generator,
                 num_queries=num_queries,
                 iterations=capacity_iterations,
-            )
+            ).run()
             qps_values.append(outcome.max_qps)
         best_index = max(range(len(thresholds)), key=lambda i: qps_values[i])
         optima[model] = thresholds[best_index]

@@ -19,7 +19,7 @@ from repro.experiments.registry import register_experiment
 from repro.experiments.result import ExperimentResult
 from repro.queries.generator import LoadGenerator
 from repro.queries.size_dist import LognormalQuerySizes, ProductionQuerySizes
-from repro.serving.capacity import find_max_qps
+from repro.runtime.capacity import CapacitySearch
 from repro.serving.simulator import ServingConfig
 from repro.serving.sla import SLATier, sla_target
 
@@ -36,14 +36,14 @@ def _optimal_batch(
 ) -> tuple:
     best_batch, best_qps = batch_sizes[0], 0.0
     for batch in batch_sizes:
-        outcome = find_max_qps(
+        outcome = CapacitySearch.for_server(
             engines,
             ServingConfig(batch_size=batch),
             sla_latency_s,
             generator,
             num_queries=num_queries,
             iterations=capacity_iterations,
-        )
+        ).run()
         # Prefer the smaller batch size on near-ties: the QPS surface is flat
         # near the optimum, and requiring a 2% improvement keeps the reported
         # optimum stable across seeds and fidelity settings.

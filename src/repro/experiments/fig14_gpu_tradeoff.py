@@ -19,7 +19,7 @@ from repro.experiments.registry import register_experiment
 from repro.experiments.result import ExperimentResult
 from repro.hardware.power import SystemPowerModel
 from repro.queries.generator import LoadGenerator
-from repro.serving.capacity import find_max_qps
+from repro.runtime.capacity import CapacitySearch
 from repro.serving.simulator import ServingConfig
 
 
@@ -59,10 +59,10 @@ def run(
         )
         cpu_tuning = batch_tuner.tune(sla_s)
         cpu_config = ServingConfig(batch_size=max(1, cpu_tuning.best_batch_size))
-        cpu_outcome = find_max_qps(
+        cpu_outcome = CapacitySearch.for_server(
             engines, cpu_config, sla_s, generator,
             num_queries=num_queries, iterations=capacity_iterations,
-        )
+        ).run()
         cpu_result = cpu_outcome.result
         cpu_util = cpu_result.cpu_utilization if cpu_result else 0.0
         cpu_power = power_model.power(cpu_util, 0.0, cpu_outcome.max_qps)
@@ -76,10 +76,10 @@ def run(
             batch_size=max(1, cpu_tuning.best_batch_size),
             offload_threshold=gpu_tuning.best_threshold,
         )
-        gpu_outcome = find_max_qps(
+        gpu_outcome = CapacitySearch.for_server(
             engines, gpu_config, sla_s, generator,
             num_queries=num_queries, iterations=capacity_iterations,
-        )
+        ).run()
         gpu_result = gpu_outcome.result
         gpu_work = gpu_result.gpu_work_fraction if gpu_result else 0.0
         gpu_power = power_model.power(

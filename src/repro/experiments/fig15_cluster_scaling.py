@@ -53,7 +53,6 @@ def run(
     seed: int = 5,
     jobs: int = 1,
     capacity_cache_dir: Optional[str] = None,
-    bracket_hints: bool = False,
 ) -> ExperimentResult:
     """Sweep fleet size x balancing policy; add one heterogeneous fleet per policy.
 
@@ -66,10 +65,7 @@ def run(
     with ``jobs > 1`` the pool stays full even where one bisection's
     speculative lookahead could not fill it — results stay identical to the
     serial sweep.  ``capacity_cache_dir`` replays previously recorded
-    identical searches (bit-identical warm starts); ``bracket_hints=True``
-    additionally lets exact misses tighten their initial bracket from
-    near-miss entries (fewer evaluations, same capacities within the cold
-    search's bracket tolerance — not bit-identical, hence opt-in).
+    identical searches (bit-identical warm starts).
     """
     sizes = sorted(set(int(n) for n in fleet_sizes))
     if not sizes or sizes[0] < 1:
@@ -137,14 +133,7 @@ def run(
                 max_queries=max_queries,
             )
         )
-    outcomes = iter(
-        run_capacity_searches(
-            searches,
-            jobs=jobs,
-            warm_start_cache=warm_start,
-            bracket_hints=bracket_hints,
-        )
-    )
+    outcomes = iter(run_capacity_searches(searches, jobs=jobs, warm_start_cache=warm_start))
 
     qps_by_policy: Dict[str, Dict[str, float]] = {}
     efficiency_by_policy: Dict[str, Dict[str, float]] = {}

@@ -35,7 +35,6 @@ def run(
     seed: int = 3,
     jobs: int = 1,
     capacity_cache_dir: Optional[str] = None,
-    bracket_hints: bool = False,
 ) -> ExperimentResult:
     """Sweep QPS over batch sizes for several models and latency targets.
 
@@ -45,9 +44,6 @@ def run(
     across the whole row rather than within one bisection;
     ``capacity_cache_dir`` replays previously recorded searches — both
     return results bit-identical to a cold serial run.
-    ``bracket_hints=True`` lets exact cache misses tighten their bracket
-    from adjacent batch-size/SLA entries (fewer evaluations, same
-    capacities within bracket tolerance — opt-in, not bit-identical).
     """
     from repro.runtime.capacity import CapacitySearch, run_capacity_searches
     from repro.serving.capacity import CapacityCache
@@ -81,7 +77,6 @@ def run(
                 ],
                 jobs=jobs,
                 warm_start_cache=warm_start,
-                bracket_hints=bracket_hints,
             )
             qps_values = [outcome.max_qps for outcome in outcomes]
             best_index = max(range(len(batch_sizes)), key=lambda i: qps_values[i])

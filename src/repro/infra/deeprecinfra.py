@@ -31,7 +31,8 @@ from repro.queries.size_dist import (
     QuerySizeDistribution,
     get_size_distribution,
 )
-from repro.serving.capacity import CapacityResult, find_max_qps
+from repro.runtime.capacity import CapacitySearch
+from repro.serving.capacity import CapacityResult
 from repro.serving.simulator import ServingConfig, ServingSimulator, SimulationResult
 from repro.serving.sla import SLATarget, SLATier, sla_target
 from repro.utils.validation import check_positive
@@ -144,11 +145,11 @@ class DeepRecInfra:
         iterations: int = 6,
     ) -> CapacityResult:
         """Max QPS under the tier's p95 SLA for one serving configuration."""
-        return find_max_qps(
+        return CapacitySearch.for_server(
             self._engines,
             serving_config,
             self.sla(tier).latency_s,
             self._load_generator,
             num_queries=num_queries,
             iterations=iterations,
-        )
+        ).run()

@@ -7,21 +7,18 @@ routes through:
   reusable, nesting-safe process pool; :func:`shared_pool` scopes one pool
   to a whole CLI invocation and :func:`pool_scope` is how library code picks
   it up.
-* :mod:`repro.runtime.capacity` — :class:`CapacitySearch`, the unified
-  single-server / fleet capacity search with completion-driven speculative
+* :mod:`repro.runtime.capacity` — :class:`CapacitySearch`, the one
+  single-server / fleet capacity search, with completion-driven speculative
   bisection and schema-versioned warm-start replay, both decision-identical
   to the cold serial search; :func:`run_capacity_searches` interleaves many
-  searches' evaluations over the one pool (plus the opt-in near-miss
-  bracket-hint tier).
+  searches' evaluations over the one pool.
 * :mod:`repro.runtime.remote` — :class:`RemoteWorkerPool`, the same
   futures surface executed by a fleet of worker processes on other hosts
   (``python -m repro.runtime.remote worker``), with heartbeat liveness,
   lease reassignment, and local-fallback degradation.
 
-``repro.serving.capacity.find_max_qps``,
-``repro.serving.cluster.find_cluster_max_qps``, the experiment
-``SweepRunner``, and the figure drivers' replay fans are all thin layers
-over these two primitives.
+The figure drivers and tuners, the experiment ``SweepRunner``, and the
+replay fans are all thin layers over these two primitives.
 """
 
 from repro.runtime.pool import (

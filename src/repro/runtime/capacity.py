@@ -1,10 +1,8 @@
-"""Unified capacity search: one entry point for single-server and fleet QPS.
+"""The capacity search: one entry point for single-server and fleet QPS.
 
 The paper's headline figures all reduce to the same question — the largest
 offered load whose p95 latency stays inside the SLA — asked of either one
-server or a fleet.  Historically the two searches lived in different modules
-with different capabilities: only the fleet search had speculative parallel
-bisection and warm-started brackets.  :class:`CapacitySearch` merges them:
+server or a fleet.  :class:`CapacitySearch` answers both:
 
 * ``CapacitySearch.for_server(...)`` and ``CapacitySearch.for_fleet(...)``
   describe the search; :meth:`CapacitySearch.run` executes it;
@@ -27,19 +25,11 @@ bisection and warm-started brackets.  :class:`CapacitySearch` merges them:
   evaluation at the cached rate and returns — bit-identical to the cold run,
   an order of magnitude cheaper.  Bump :data:`CAPACITY_SCHEMA_VERSION`
   whenever the search semantics change; old entries then miss by
-  construction instead of replaying stale answers;
-* ``bracket_hints=True`` adds the opt-in second tier: on an exact miss,
-  near-miss entries (same fleet and workload; adjacent SLA, batch size, or
-  policy; scaled homogeneous fleet sizes) tighten the *initial bracket
-  only*.  Hinted searches evaluate strictly fewer rates and converge to the
-  same capacity within the cold search's bracket tolerance, but are not
-  bit-identical — hence opt-in, with per-tier hit/miss counters on the
-  cache.
+  construction instead of replaying stale answers.
 
-``repro.serving.capacity.find_max_qps`` and
-``repro.serving.cluster.find_cluster_max_qps`` are thin wrappers over this
-class, so every consumer — figure drivers, tuners, sweeps — shares one
-search implementation and one pool.
+Every consumer — figure drivers, tuners, sweeps — builds a
+:class:`CapacitySearch`, so they all share one search implementation and
+one pool.
 
 A complete (reduced-fidelity) single-server search, serial and cold:
 
@@ -121,34 +111,12 @@ from repro.utils.validation import check_positive
 #: event-identical, so policy variants of the same search now share entries.)
 CAPACITY_SCHEMA_VERSION = 3
 
-#: Over-capacity margins of the near-miss bracket probe, by donor-similarity
-#: penalty: a hinted search probes ``hint * margin`` expecting rejection and
-#: ``hint`` expecting acceptance, which brackets the boundary in two
-#: evaluations whenever the donor capacity is within ``margin`` of this
-#: search's.  Very near donors (an adjacent balancing policy on the same
-#: fleet) warrant a tight bracket; farther ones (another SLA, batch size, or
-#: a scaled homogeneous fleet size) a wider one that absorbs e.g. the
-#: superlinear part of fleet scaling.  A wrong-sided probe only costs a
-#: fallback into the cold phases.
-BRACKET_HINT_MARGINS = ((1.5, 1.06), (9.5, 1.15), (float("inf"), 1.3))
-
-
-def _hint_margin(penalty: float) -> float:
-    """Probe margin for a hint donor at the given similarity penalty."""
-    for threshold, margin in BRACKET_HINT_MARGINS:
-        if penalty <= threshold:
-            return margin
-    return BRACKET_HINT_MARGINS[-1][1]
-
-
 #: Sentinel for "signature not computed yet" (None is a valid signature
 #: outcome, so it cannot double as the marker).
 _UNCOMPUTED = object()
 
 
-def _memo_key(
-    signature: Dict[str, Any], search: "CapacitySearch", hinted: bool
-) -> Dict[str, Any]:
+def _memo_key(signature: Dict[str, Any], search: "CapacitySearch") -> Dict[str, Any]:
     """In-process memo key: the signature *plus* presentation-only fields.
 
     Single-server fleets normalise the balancing policy out of the shared
@@ -158,14 +126,11 @@ def _memo_key(
     returns a stored result object verbatim, so it must not cross policies:
     a least-outstanding result replayed for a power-of-two search would
     carry the wrong policy label even though every measured number matches.
-    Hinted results get their own key for the same reason hinted disk
-    entries do.
     """
     return {
         "signature": signature,
         "memo_policy": search._policy_name(),
         "memo_balancer_seed": search._balancer_seed,
-        "memo_hinted": hinted,
     }
 
 
@@ -173,8 +138,8 @@ def _component_signature(component: Any) -> Dict[str, Any]:
     """Type name plus instance parameters of a workload component.
 
     Two distributions (or arrival processes) of the same class but different
-    parameters must not collide in the warm-start cache — a stale hint from
-    a different workload would replay a wrong capacity.  Raises for
+    parameters must not collide in the warm-start cache — an entry from a
+    different workload would replay a wrong capacity.  Raises for
     components whose state is not plain data; the caller treats that as
     "cannot sign, skip caching".
     """
@@ -416,7 +381,7 @@ class CapacitySearch:
         accept_early: bool = False,
         latency_stats: str = "exact",
     ) -> "CapacitySearch":
-        """A single-server search (the :func:`find_max_qps` problem).
+        """A single-server search.
 
         ``accept_early`` opts probe evaluations into the certain-acceptance
         exit (same answer, less simulated work); ``latency_stats="sketch"``
@@ -458,8 +423,12 @@ class CapacitySearch:
         accept_early: bool = False,
         latency_stats: str = "exact",
     ) -> "CapacitySearch":
-        """A fleet search (the :func:`find_cluster_max_qps` problem).
+        """A fleet search.
 
+        The offered stream is generated once per candidate rate and routed
+        by ``balancer``, so the measured capacity includes balancing losses
+        (a skewed policy saturates one server before the fleet is nominally
+        full).  With ``jobs > 1`` servers and balancer must be picklable.
         ``fault_plan`` / ``retry_policy`` make every candidate-rate
         evaluation run fault-injected, so the search measures capacity
         *under* the plan's crashes and stragglers.  ``accept_early`` /
@@ -634,23 +603,11 @@ class CapacitySearch:
         """The cold search's initial bracket top (headroom × analytic bound)."""
         return self._headroom * self.upper_bound_qps()
 
-    def convergence_width_qps(self) -> float:
-        """Bracket width the cold search guarantees after its iterations.
-
-        The cold bisection starts from ``[upper/64, upper]`` and halves the
-        bracket ``iterations`` times; a hinted search uses this width as its
-        early-stop tolerance, so it converges at least as tightly as the
-        cold search would while evaluating fewer rates.
-        """
-        upper = self.default_upper_qps()
-        return upper * (1.0 - 1.0 / 64.0) / (2.0 ** self._iterations)
-
     def run(
         self,
         jobs: int = 1,
         warm_start_cache: Union[CapacityCache, str, Path, None] = None,
         pool: Optional[WorkerPool] = None,
-        bracket_hints: bool = False,
     ) -> CapacityResult:
         """Execute the search and return the best sustainable rate.
 
@@ -662,20 +619,13 @@ class CapacitySearch:
         cores; inside a pool worker the search runs serially).  The returned
         result is identical to the serial search's in all cases.
 
-        ``bracket_hints=True`` additionally lets a replay-exact cache miss
-        consult near-miss entries (same fleet and workload, adjacent
-        SLA/batch/policy, or a scaled homogeneous fleet size) to tighten the
-        *initial bracket only*.  Hinted searches evaluate fewer rates and
-        converge to the same capacity within the cold search's bracket
-        tolerance (:meth:`convergence_width_qps`), but are not bit-identical
-        to the cold search — which is why the tier is opt-in.
+        ``warm_start_cache`` (a :class:`~repro.serving.capacity.CapacityCache`
+        or a directory path) replays a previously recorded identical search
+        after one verifying evaluation at the cached rate, and records this
+        search's outcome for future runs.
         """
         return run_capacity_searches(
-            [self],
-            jobs=jobs,
-            warm_start_cache=warm_start_cache,
-            pool=pool,
-            bracket_hints=bracket_hints,
+            [self], jobs=jobs, warm_start_cache=warm_start_cache, pool=pool
         )[0]
 
 
@@ -725,7 +675,6 @@ class _SearchExecution:
         "search",
         "sla",
         "cache",
-        "bracket_hints",
         "signature",
         "context",
         "machine",
@@ -735,19 +684,12 @@ class _SearchExecution:
         "evaluations",
         "cancelled",
         "result",
-        "hinted",
     )
 
-    def __init__(
-        self,
-        search: CapacitySearch,
-        cache: Optional[CapacityCache],
-        bracket_hints: bool,
-    ) -> None:
+    def __init__(self, search: CapacitySearch, cache: Optional[CapacityCache]) -> None:
         self.search = search
         self.sla = search.sla_latency_s
         self.cache = cache
-        self.bracket_hints = bracket_hints
         self.signature = search.signature() if cache is not None else None
         self.context = search._context()
         self.machine: Optional[BisectionMachine] = None
@@ -757,89 +699,26 @@ class _SearchExecution:
         self.evaluations = 0
         self.cancelled = 0
         self.result: Optional[CapacityResult] = None
-        # Whether this search's answer came through the (approximate)
-        # near-miss tier: such results are stored under a *tagged*
-        # signature so they can never be replayed as the cold search's
-        # bit-identical answer by a hints-off run.
-        self.hinted = False
         if cache is not None and self.signature is not None:
-            memo = cache.memo_load(self._memo_signature(hinted=False))
+            memo = cache.memo_load(_memo_key(self.signature, search))
             if memo is not None:
                 # This process already ran the identical search against this
                 # cache instance: its full result replays without any
                 # re-verification (it *is* the earlier result).
                 self.result = dataclasses.replace(memo, evaluations=0)
                 return
-            hint = cache.load(self.signature)
-            if hint is not None:
+            cached = cache.load(self.signature)
+            if cached is not None:
                 # The signature pins every decision input, so the cached QPS
                 # is exactly what a cold serial search would return; one
                 # verifying evaluation rebuilds its deterministic result.
-                self.replay_rate = hint
+                self.replay_rate = cached
                 return
-            if bracket_hints:
-                # A hints-on run may also replay a previously *hinted*
-                # answer for this exact search — approximate in exactly the
-                # way the caller already opted into.  These probes are not
-                # the exact tier, so they do not touch its counters.
-                memo = cache.memo_load(self._memo_signature(hinted=True))
-                if memo is not None:
-                    # Mark the answer as hint-derived: batch dedupe reads
-                    # this flag to key follower results, which must never
-                    # memo-replay for a hints-off run.
-                    self.hinted = True
-                    self.result = dataclasses.replace(memo, evaluations=0)
-                    return
-                hinted_entry = cache.load(self._hinted_signature(), count=False)
-                if hinted_entry is not None:
-                    cache.stats["hinted_replays"] += 1
-                    self.replay_rate = hinted_entry
-                    self.hinted = True
-                    return
         self._build_machine()
 
-    def _hinted_signature(self) -> Dict[str, Any]:
-        """The tagged store key for answers found via bracket hints.
-
-        Hinted searches converge within tolerance but are not bit-identical
-        to the cold search, so their entries live under a distinct key:
-        hints-off runs (which only consult the untagged signature) can
-        never replay them, preserving the exact tier's guarantee.
-        """
-        assert self.signature is not None  # callers gate on a usable signature
-        return {**self.signature, "hinted": True}
-
-    def _memo_signature(self, hinted: bool) -> Dict[str, Any]:
-        """This search's in-process memo key (see :func:`_memo_key`)."""
-        assert self.signature is not None  # callers gate on a usable signature
-        return _memo_key(self.signature, self.search, hinted)
-
     def _build_machine(self) -> None:
-        # Reset on entry: a stale *hinted* replay that falls back here may
-        # end up running fully cold, and a cold answer must be stored under
-        # the untagged (bit-identical) keys.
-        self.hinted = False
         search = self.search
-        upper = search.default_upper_qps()
-        if self.bracket_hints and self.cache is not None and self.signature is not None:
-            hint = self.cache.near_hint(self.signature)
-            if hint is not None:
-                machine = BisectionMachine.hinted(
-                    hint.max_qps,
-                    upper,
-                    search._iterations,
-                    margin=_hint_margin(hint.penalty),
-                    stop_width=search.convergence_width_qps(),
-                )
-                # A donor at or above the cold bracket top cannot tighten
-                # anything; `hinted` fell back to the cold machine, and the
-                # counters must say miss, not hit.
-                self.hinted = machine.phase == "hint-upper"
-                self.cache.count_hint(used=self.hinted)
-                self.machine = machine
-                return
-            self.cache.count_hint(used=False)
-        self.machine = BisectionMachine(upper, search._iterations)
+        self.machine = BisectionMachine(search.default_upper_qps(), search._iterations)
 
     # ------------------------------------------------------------------ #
 
@@ -869,7 +748,7 @@ class _SearchExecution:
                         store=False,
                     )
                     return
-                # A hint the simulator no longer sustains is stale (e.g. a
+                # An entry the simulator no longer sustains is stale (e.g. a
                 # foreign file dropped into the directory): search cold.
                 self.replay_rate = None
                 self._build_machine()
@@ -920,11 +799,8 @@ class _SearchExecution:
         )
         if self.cache is not None and self.signature is not None:
             if store and max_qps > 0:
-                self.cache.store(
-                    self._hinted_signature() if self.hinted else self.signature,
-                    max_qps,
-                )
-            self.cache.memo_store(self._memo_signature(self.hinted), self.result)
+                self.cache.store(self.signature, max_qps)
+            self.cache.memo_store(_memo_key(self.signature, self.search), self.result)
 
     # ------------------------------------------------------------------ #
 
@@ -944,7 +820,6 @@ def run_capacity_searches(
     jobs: int = 1,
     warm_start_cache: Union[CapacityCache, str, Path, None] = None,
     pool: Optional[WorkerPool] = None,
-    bracket_hints: bool = False,
 ) -> List[CapacityResult]:
     """Run several capacity searches concurrently over one worker pool.
 
@@ -956,9 +831,7 @@ def run_capacity_searches(
     budget is shared — needed rates of all searches first, deeper
     speculation after — and each search's outcome is exactly what
     :meth:`CapacitySearch.run` would return with the same options (searches
-    are independent; with ``bracket_hints=True``, concurrent searches
-    consult hints from the cache as they start, not from siblings still in
-    flight).  Results are returned in input order.
+    are independent).  Results are returned in input order.
     """
     searches = list(searches)
     if jobs < 1:
@@ -995,7 +868,7 @@ def run_capacity_searches(
     with pool_scope(jobs, pool) as worker_pool:
         budget = _parallel_budget(jobs, worker_pool)
         executions = {
-            index: _SearchExecution(search, cache, bracket_hints)
+            index: _SearchExecution(search, cache)
             for index, search in enumerate(searches)
             if index not in followers
         }
@@ -1019,16 +892,9 @@ def run_capacity_searches(
         for index, execution in executions.items():
             results[index] = execution.result
         for index, leader_index in followers.items():
-            leader_execution = executions[followers[index]]
             leader_result = results[leader_index]
             assert leader_result is not None  # leaders run before followers replay
-            results[index] = _replay_for_follower(
-                searches[index],
-                leader_result,
-                leader_execution.hinted,
-                cache,
-                bracket_hints,
-            )
+            results[index] = _replay_for_follower(searches[index], leader_result, cache)
     assert all(result is not None for result in results)
     return cast(List[CapacityResult], results)
 
@@ -1036,9 +902,7 @@ def run_capacity_searches(
 def _replay_for_follower(
     search: CapacitySearch,
     leader: CapacityResult,
-    leader_hinted: bool,
     cache: Optional[CapacityCache],
-    bracket_hints: bool,
 ) -> CapacityResult:
     """A duplicate search's result, replayed from its leader's answer.
 
@@ -1074,20 +938,16 @@ def _replay_for_follower(
         )
         signature = search.signature()
         if cache is not None and signature is not None:
-            # Keyed by the leader's hintedness: an answer derived from a
-            # hinted leader must never memo-replay for a hints-off run.
-            cache.memo_store(_memo_key(signature, search, leader_hinted), result)
+            cache.memo_store(_memo_key(signature, search), result)
         return result
-    return _run_follower_cold(search, cache, bracket_hints)
+    return _run_follower_cold(search, cache)
 
 
 def _run_follower_cold(
-    search: CapacitySearch,
-    cache: Optional[CapacityCache],
-    bracket_hints: bool,
+    search: CapacitySearch, cache: Optional[CapacityCache]
 ) -> CapacityResult:
     """Safety net: run a follower as its own serial search."""
-    execution = _SearchExecution(search, cache, bracket_hints)
+    execution = _SearchExecution(search, cache)
     if execution.result is None:
         execution.run_serial()
     assert execution.result is not None  # run_serial only returns with a result

@@ -1,10 +1,12 @@
 """Latency-bounded capacity search.
 
 The paper's throughput metric is the largest sustainable query arrival rate
-(QPS) whose measured p95 latency stays within the SLA target.
-:func:`find_max_qps` estimates an upper bound from the engines' raw
-throughput, then bisects over the offered load, running the serving simulator
-at each candidate rate.
+(QPS) whose measured p95 latency stays within the SLA target.  This module
+holds the search's building blocks: the analytic upper bound that seeds the
+bracket (:func:`estimate_upper_bound_qps`), the bisection's decision tree
+(:class:`BisectionMachine`), and the warm-start store (:class:`CapacityCache`).
+:class:`repro.runtime.capacity.CapacitySearch` drives them, running the
+serving simulator at each candidate rate.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import (
 )
 
 from repro.execution.engine import EnginePair
-from repro.queries.generator import LoadGenerator
 from repro.queries.size_dist import QuerySizeDistribution
 from repro.serving.simulator import ServingConfig, SimulationResult
 from repro.utils.validation import check_positive
@@ -134,169 +135,53 @@ def offload_size_stats(
     return large_fraction, mean_large
 
 
-def bisect_max_qps(
-    evaluate: Callable[[float], SimulationResult],
-    upper_qps: float,
-    sla_latency_s: float,
-    iterations: int,
-) -> CapacityResult:
-    """Bisection search over offered load for the largest acceptable rate.
-
-    ``evaluate(rate_qps)`` must run the system at that offered load and
-    return a result exposing ``acceptable(sla_latency_s)`` (any of the
-    simulation result types qualifies).  ``upper_qps`` is an optimistic
-    starting bracket; if the system still meets the SLA there, the bracket is
-    raised before bisecting.
-    """
-    check_positive("sla_latency_s", sla_latency_s)
-    check_positive("iterations", iterations)
-    check_positive("upper_qps", upper_qps)
-    evals = 0
-
-    upper = upper_qps
-    # Make sure the bracket actually contains the SLA boundary: if the upper
-    # bound still meets the SLA, raise it.
-    for _ in range(3):
-        at_upper = evaluate(upper)
-        evals += 1
-        if not at_upper.acceptable(sla_latency_s):
-            break
-        upper *= 1.6
-    else:
-        # Even the top of the raised bracket sustains the SLA.  Measure at
-        # the rate actually reported, so ``result`` always corresponds to
-        # ``max_qps`` (and a warm-start replay of this search — one
-        # evaluation at the recorded rate — reproduces it bit-identically).
-        return CapacityResult(
-            max_qps=upper,
-            sla_latency_s=sla_latency_s,
-            result=evaluate(upper),
-            evaluations=evals + 1,
-        )
-
-    lower = upper / 64.0
-    at_lower = evaluate(lower)
-    evals += 1
-    if not at_lower.acceptable(sla_latency_s):
-        # Even a lightly loaded system misses the target: check near-zero load.
-        trickle = max(lower / 16.0, 1e-3)
-        at_trickle = evaluate(trickle)
-        evals += 1
-        if not at_trickle.acceptable(sla_latency_s):
-            return CapacityResult(
-                max_qps=0.0, sla_latency_s=sla_latency_s, result=None,
-                evaluations=evals,
-            )
-        lower, at_lower = trickle, at_trickle
-
-    best_rate, best_result = lower, at_lower
-    for _ in range(iterations):
-        middle = 0.5 * (lower + upper)
-        outcome = evaluate(middle)
-        evals += 1
-        if outcome.acceptable(sla_latency_s):
-            lower = middle
-            best_rate, best_result = middle, outcome
-        else:
-            upper = middle
-    return CapacityResult(
-        max_qps=best_rate, sla_latency_s=sla_latency_s, result=best_result,
-        evaluations=evals,
-    )
-
-
 class BisectionMachine:
     """The capacity bisection's decision tree as an explicit state machine.
 
-    :func:`bisect_max_qps` walks one path through a binary decision tree:
-    every evaluation's accept/reject verdict picks the next rate.  This
-    class factors that tree out of the execution loop — :meth:`next_rate`
-    is the rate the search needs now, :meth:`advance` consumes its verdict —
-    so the *same* decisions can be driven serially, speculatively (cloning
-    the machine down both branches enumerates every rate the next few
-    verdicts could require, see :func:`speculative_rates`), or
-    completion-driven over a pool of in-flight evaluations.  A cold machine
-    consumes exactly the rate sequence of :func:`bisect_max_qps` (property
-    tested), so however the evaluations are scheduled, the final bracket and
-    result are those of the serial search.
+    The serial search walks one path through a binary decision tree: every
+    evaluation's accept/reject verdict picks the next rate.  This class
+    factors that tree out of the execution loop — :meth:`next_rate` is the
+    rate the search needs now, :meth:`advance` consumes its verdict — so the
+    *same* decisions can be driven serially, speculatively (cloning the
+    machine down both branches enumerates every rate the next few verdicts
+    could require, see :func:`speculative_rates`), or completion-driven over
+    a pool of in-flight evaluations.
 
-    :meth:`hinted` builds a machine whose *initial bracket only* is
-    tightened around a near-miss warm-start hint: it probes
-    ``hint * margin`` (expected over capacity) and ``hint`` (expected
-    under), falling back to the cold phases whenever a probe disagrees, and
-    ``stop_width`` ends the bisection once the bracket is at least as tight
-    as the cold search's final bracket would be.  Hinted searches converge
-    to the same capacity within that bracket width in fewer evaluations —
-    they are *not* bit-identical to the cold search, which is why hints are
-    opt-in at the search layer.
+    The tree: raise the initial ``upper_qps`` by ×1.6 (at most three times)
+    until it misses the SLA, probe ``upper / 64`` (and a near-zero trickle
+    rate if even that misses), then bisect ``iterations`` times, reporting
+    the last accepted rate.  The machine consumes exactly the rate sequence
+    of a plain serial bisection loop (property tested against one), so
+    however the evaluations are scheduled, the final bracket and result are
+    those of the serial search.
     """
 
     __slots__ = (
         "phase",
         "upper",
         "lower",
-        "hint",
-        "cold_upper",
-        "known_lower",
         "raise_attempts",
         "best_rate",
         "remaining",
         "iterations",
-        "stop_width",
         "trickle_rate",
         "max_qps",
         "result_rate",
     )
 
-    def __init__(
-        self, upper_qps: float, iterations: int, stop_width: float = 0.0
-    ) -> None:
+    def __init__(self, upper_qps: float, iterations: int) -> None:
         check_positive("upper_qps", upper_qps)
         check_positive("iterations", iterations)
-        if stop_width < 0:
-            raise ValueError(f"stop_width must be >= 0, got {stop_width}")
         self.phase = "raise"
         self.upper = upper_qps
         self.lower = 0.0
-        self.hint = 0.0
-        self.cold_upper = upper_qps
-        self.known_lower: Optional[float] = None
         self.raise_attempts = 0
         self.best_rate: Optional[float] = None
         self.remaining = 0
         self.iterations = iterations
-        self.stop_width = stop_width
         self.trickle_rate = 0.0
         self.max_qps: Optional[float] = None
         self.result_rate: Optional[float] = None
-
-    @classmethod
-    def hinted(
-        cls,
-        hint_qps: float,
-        upper_qps: float,
-        iterations: int,
-        margin: float = 1.15,
-        stop_width: float = 0.0,
-    ) -> "BisectionMachine":
-        """A machine whose initial bracket is tightened around ``hint_qps``.
-
-        Falls back to a cold machine when the hint cannot tighten anything
-        (non-positive, or so close to the default upper bound that the
-        probes would not help).  ``cold_upper`` is remembered: when the
-        ``hint * margin`` probe unexpectedly sustains the SLA, the machine
-        recovers by probing the cold upper bound directly — bracketing in
-        one step whenever the cold bound would have, instead of crawling up
-        in ×1.6 raises from the hinted top.
-        """
-        machine = cls(upper_qps, iterations, stop_width=stop_width)
-        if hint_qps <= 0 or margin <= 1.0 or hint_qps * margin >= upper_qps:
-            return machine
-        machine.cold_upper = upper_qps
-        machine.phase = "hint-upper"
-        machine.upper = hint_qps * margin
-        machine.hint = hint_qps
-        return machine
 
     # ------------------------------------------------------------------ #
 
@@ -304,11 +189,6 @@ class BisectionMachine:
     def done(self) -> bool:
         """True once the search has concluded (``max_qps`` is set)."""
         return self.phase == "done"
-
-    @property
-    def infeasible(self) -> bool:
-        """True when the search concluded that no load meets the SLA."""
-        return self.done and self.result_rate is None
 
     def clone(self) -> "BisectionMachine":
         """An independent copy (used to enumerate speculative branches)."""
@@ -320,10 +200,8 @@ class BisectionMachine:
     def next_rate(self) -> Optional[float]:
         """The offered load whose verdict the decision tree needs next."""
         phase = self.phase
-        if phase in ("raise", "unbracketed", "hint-upper"):
+        if phase in ("raise", "unbracketed"):
             return self.upper
-        if phase == "hint-lower":
-            return self.hint
         if phase == "lower":
             return self.lower
         if phase == "trickle":
@@ -341,40 +219,13 @@ class BisectionMachine:
                 self.upper *= 1.6
                 if self.raise_attempts >= 3:
                     self.phase = "unbracketed"
-            elif self.known_lower is not None:
-                # A hinted probe already established an acceptable rate, so
-                # the cold lower-bound probe is redundant.
-                self.lower = self.known_lower
-                self._enter_bisect()
             else:
-                self._enter_lower()
+                self.lower = self.upper / 64.0
+                self.phase = "lower"
         elif phase == "unbracketed":
             # Whatever this measurement says, the serial search reports the
             # raised upper (its result is measured at that same rate).
             self._finish(self.upper, self.upper)
-        elif phase == "hint-upper":
-            if acceptable:
-                # The hinted top still sustains the SLA: keep it as a known
-                # lower bound and jump straight to the cold upper bound,
-                # which brackets in one probe whenever the cold search's
-                # initial bracket would have (further ×1.6 raises only if
-                # even that sustains the SLA).
-                self.known_lower = self.upper
-                self.best_rate = self.upper
-                self.upper = self.cold_upper
-                self.phase = "raise"
-            else:
-                self.phase = "hint-lower"
-        elif phase == "hint-lower":
-            if acceptable:
-                self.lower = self.hint
-                self.best_rate = self.hint
-                self._enter_bisect()
-            else:
-                # The hint itself is over capacity: it is a tighter upper
-                # bound than the probe; continue with the cold phases.
-                self.upper = self.hint
-                self._enter_lower()
         elif phase == "lower":
             if acceptable:
                 self.best_rate = self.lower
@@ -397,23 +248,16 @@ class BisectionMachine:
             else:
                 self.upper = middle
             self.remaining -= 1
-            if self.remaining <= 0 or (self.upper - self.lower) <= self.stop_width:
+            if self.remaining <= 0:
                 self._finish(self.best_rate, self.best_rate)
         else:
             raise RuntimeError("cannot advance a finished bisection")
 
     # ------------------------------------------------------------------ #
 
-    def _enter_lower(self) -> None:
-        self.lower = self.upper / 64.0
-        self.phase = "lower"
-
     def _enter_bisect(self) -> None:
         self.remaining = self.iterations
-        if (self.upper - self.lower) <= self.stop_width:
-            self._finish(self.best_rate, self.best_rate)
-        else:
-            self.phase = "bisect"
+        self.phase = "bisect"
 
     def _finish(self, max_qps: Optional[float], result_rate: Optional[float]) -> None:
         self.max_qps = max_qps
@@ -456,137 +300,13 @@ def speculative_rates(machine: BisectionMachine, limit: int) -> List[float]:
     return rates
 
 
-#: Top-level signature fields a near-miss bracket hint may disagree on, with
-#: the similarity penalty each disagreement adds.  Everything *not* listed
-#: here (and not handled by the per-server / fleet-size rules) must match
-#: exactly for an entry to qualify as a hint donor.
-_HINT_FLEXIBLE_FIELDS: Dict[str, float] = {
-    "sla_latency_s": 2.0,
-    "policy": 1.0,
-    "balancer_seed": 0.5,
-    "num_queries": 0.25,
-    "iterations": 0.25,
-    "max_queries": 0.25,
-    "headroom": 0.25,
-}
-
-#: Flexible fields whose values are magnitudes (so donor distance grows with
-#: the log ratio), as opposed to identity fields like a policy name or an
-#: RNG seed where the numeric "distance" between values is meaningless.
-_HINT_MAGNITUDE_FIELDS = frozenset(
-    {"sla_latency_s", "num_queries", "iterations", "max_queries", "headroom"}
-)
-
-#: Per-server signature fields a hint donor may disagree on (per server).
-_HINT_FLEXIBLE_SERVER_FIELDS: Dict[str, float] = {"batch_size": 2.0}
-
-#: Penalty for a homogeneous-fleet size mismatch (the hint is scaled by the
-#: size ratio) — deliberately the largest, so any same-size donor wins.
-_HINT_SIZE_SCALE_PENALTY = 8.0
-
-
-@dataclass(frozen=True)
-class BracketHint:
-    """A near-miss warm-start hint for the initial bisection bracket.
-
-    ``max_qps`` is the donor entry's capacity (scaled by the fleet-size
-    ratio when the donor is the same homogeneous fleet at another size);
-    ``penalty`` is the similarity distance it was selected at, which the
-    search uses to size its probe margin — near donors (an adjacent
-    balancing policy) get a tight bracket, farther ones (another SLA or a
-    scaled fleet size) a wider one.
-    """
-
-    max_qps: float
-    penalty: float
-
-
-def _hint_distance(
-    current: Dict[str, Any], entry: Dict[str, Any]
-) -> Optional[tuple]:
-    """``(penalty, scale)`` for using ``entry`` as a bracket hint, or None.
-
-    ``None`` means the entry is not a near miss at all (different workload,
-    schema, platform, ...).  ``scale`` multiplies the donor's capacity —
-    1.0 except for homogeneous fleets of a different size, where capacity
-    scales roughly linearly with the server count.  Entries tagged
-    ``hinted`` (answers themselves found via a hint) may still donate — a
-    bracket hint needs no exactness — at a small extra penalty.
-    """
-    penalty = 0.0
-    if entry.get("hinted"):
-        entry = {key: value for key, value in entry.items() if key != "hinted"}
-        penalty += 0.5
-    if current.keys() != entry.keys():
-        return None
-    for field_name, value in current.items():
-        if field_name in ("servers", *_HINT_FLEXIBLE_FIELDS):
-            continue
-        if entry[field_name] != value:
-            return None
-    for field_name, field_penalty in _HINT_FLEXIBLE_FIELDS.items():
-        mine, theirs = current.get(field_name), entry.get(field_name)
-        if theirs == mine:
-            continue
-        penalty += field_penalty
-        # Magnitude knobs (the SLA above all) are *adjacent*, not just
-        # different: rank donors by log-distance so the nearest SLA wins
-        # over a farther one instead of a filename tie-break.  Identity
-        # fields (a balancer seed, a policy name) carry no magnitude — for
-        # them the flat penalty is the whole story.
-        if (
-            field_name in _HINT_MAGNITUDE_FIELDS
-            and isinstance(mine, (int, float))
-            and isinstance(theirs, (int, float))
-            and mine > 0
-            and theirs > 0
-        ):
-            penalty += abs(math.log2(mine / theirs))
-
-    ours, theirs = current["servers"], entry["servers"]
-    scale = 1.0
-    if len(ours) == len(theirs):
-        for mine, other in zip(ours, theirs):
-            if mine.keys() != other.keys():
-                return None
-            for key, value in mine.items():
-                if other[key] == value:
-                    continue
-                per_server = _HINT_FLEXIBLE_SERVER_FIELDS.get(key)
-                if per_server is None:
-                    return None
-                penalty += per_server
-    else:
-        # A homogeneous fleet of a different size: capacity scales roughly
-        # linearly with the server count, so the donor's QPS (scaled by the
-        # ratio) still brackets the answer usefully.
-        if not ours or not theirs:
-            return None
-        if any(server != ours[0] for server in ours[1:]):
-            return None
-        if any(server != theirs[0] for server in theirs[1:]):
-            return None
-        if ours[0] != theirs[0]:
-            return None
-        penalty += _HINT_SIZE_SCALE_PENALTY
-        scale = len(ours) / len(theirs)
-    return penalty, scale
-
-
 class CapacityCache:
-    """Warm-start store for capacity searches, with two tiers plus a memo.
+    """Warm-start store for capacity searches: an on-disk tier plus a memo.
 
     * **Replay-exact tier** (:meth:`load` / :meth:`store`): maps a canonical
       search signature to the ``max_qps`` a previous search found.  Because
       the signature pins every decision input, a hit replays the cold
       search's answer after one verifying evaluation — bit-identical.
-    * **Near-miss tier** (:meth:`near_hint`): when the exact tier misses, an
-      entry for the *same fleet and workload* at an adjacent SLA, batch
-      size, or balancing policy (or a homogeneous fleet of a different
-      size, scaled by the size ratio) can still tighten the initial
-      bisection bracket.  Hints change the evaluation count, not the
-      converged capacity (within the cold search's bracket tolerance), and
-      are only consulted when the search opts in (``bracket_hints=True``).
     * **In-process memo** (:meth:`memo_load` / :meth:`memo_store`): full
       :class:`CapacityResult` objects keyed by digest, so one
       :class:`CapacityCache` instance shared across a sweep serves repeated
@@ -596,23 +316,16 @@ class CapacityCache:
     Entries are one JSON file per signature, named by its SHA-256 digest —
     shareable and prunable with ordinary file tools, like the sweep runner's
     result cache.  ``stats`` counts hits and misses per tier so sweep
-    reports can surface cache behaviour.  The near-miss tier scans the
-    directory (parsed entries are memoised per instance), so it is meant
-    for per-sweep cache directories with up to a few thousand entries, not
-    unbounded shared stores.
+    reports can surface cache behaviour.
     """
 
     def __init__(self, cache_dir: Union[str, Path]) -> None:
         self._dir = Path(cache_dir)
         self._memo: Dict[str, "CapacityResult"] = {}
-        self._entries: Dict[str, Optional[tuple]] = {}  # filename -> (sig, qps)
         self.stats: Dict[str, int] = {
             "exact_hits": 0,
             "exact_misses": 0,
             "memo_hits": 0,
-            "hint_hits": 0,
-            "hint_misses": 0,
-            "hinted_replays": 0,
             "stores": 0,
             "corrupt_entries": 0,
         }
@@ -635,8 +348,8 @@ class CapacityCache:
         """Return the cached max QPS for ``signature``, or None.
 
         ``count=False`` leaves the exact-tier counters untouched — used by
-        lookups that are *not* the exact tier (the hinted-entry probe of a
-        hints-on run), whose outcomes are tallied by their own counters.
+        lookups that are not a search's warm start (merging entries synced
+        from another host checks for a local entry first).
 
         A present-but-unreadable entry (truncated write, garbage JSON, a
         foreign file shape) is a plain miss — the search falls back to the
@@ -669,7 +382,6 @@ class CapacityCache:
         scratch = path.with_suffix(f".tmp-{os.getpid()}")
         scratch.write_text(json.dumps(entry, sort_keys=True))
         scratch.replace(path)
-        self._entries[path.name] = (entry["signature"], max_qps)
         self.stats["stores"] += 1
         for observer in list(_STORE_OBSERVERS):
             observer(signature, max_qps)
@@ -686,75 +398,6 @@ class CapacityCache:
     def memo_store(self, signature: Dict[str, Any], result: "CapacityResult") -> None:
         """Remember a finished search's full result for this process."""
         self._memo[self.digest(signature)] = result
-
-    # ------------------------------------------------------------------ #
-
-    def _iter_entries(self):
-        """Parsed ``(signature, max_qps)`` pairs, newly seen files included."""
-        try:
-            names = sorted(
-                name
-                for name in os.listdir(self._dir)
-                if name.startswith("capacity-") and name.endswith(".json")
-            )
-        except OSError:
-            names = []
-        for name in names:
-            if name not in self._entries:
-                parsed = None
-                try:
-                    text = (self._dir / name).read_text()
-                except OSError:
-                    text = None  # vanished mid-scan: skip silently
-                if text is not None:
-                    try:
-                        payload = json.loads(text)
-                        parsed = (
-                            dict(payload["signature"]),
-                            float(payload["max_qps"]),
-                        )
-                    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                        self.stats["corrupt_entries"] += 1
-                self._entries[name] = parsed
-            entry = self._entries[name]
-            if entry is not None:
-                yield name, entry
-
-    def near_hint(self, signature: Dict[str, Any]) -> Optional[BracketHint]:
-        """A bracket hint from the most similar near-miss entry, or None.
-
-        Deterministic: candidates are ranked by similarity penalty (see
-        :func:`_hint_distance`), ties broken by entry filename.  The exact
-        entry for ``signature`` itself never reaches this tier — the caller
-        consults :meth:`load` first.  Does *not* touch ``stats``: whether a
-        donor actually tightened a bracket is only known once the search
-        builds its machine, so the search layer records the hit or miss
-        (:meth:`count_hint`).
-        """
-        own = self._path(signature).name
-        best: Optional[tuple] = None  # (penalty, name, scaled_qps)
-        for name, (entry_signature, max_qps) in self._iter_entries():
-            if name == own or max_qps <= 0:
-                continue
-            scored = _hint_distance(signature, entry_signature)
-            if scored is None:
-                continue
-            penalty, scale = scored
-            candidate = (penalty, name, max_qps * scale)
-            if best is None or candidate < best:
-                best = candidate
-        if best is None:
-            return None
-        return BracketHint(max_qps=best[2], penalty=best[0])
-
-    def count_hint(self, used: bool) -> None:
-        """Record whether a near-miss lookup actually tightened a bracket.
-
-        A donor whose capacity sits at or above the cold bracket top cannot
-        tighten anything and falls back to the cold search — that is a
-        *miss* in the counters, even though an entry was found.
-        """
-        self.stats["hint_hits" if used else "hint_misses"] += 1
 
 
 # --------------------------------------------------------------------------- #
@@ -829,61 +472,3 @@ def apply_synced_entries(
         cache.store(signature, max_qps)
         counts["applied"] += 1
     return counts
-
-
-def find_max_qps(
-    engines: EnginePair,
-    config: ServingConfig,
-    sla_latency_s: float,
-    load_generator: LoadGenerator,
-    num_queries: int = 800,
-    iterations: int = 7,
-    headroom: float = 1.3,
-    max_queries: int = 8000,
-    jobs: int = 1,
-    warm_start_cache: Union["CapacityCache", str, Path, None] = None,
-    pool: Optional[Any] = None,
-    bracket_hints: bool = False,
-    accept_early: bool = False,
-) -> CapacityResult:
-    """Bisection search for the maximum QPS meeting the p95 SLA.
-
-    ``load_generator`` provides the arrival process and query-size
-    distribution; its configured rate is ignored (the search sets the rate).
-    A rate only counts as sustainable when the run both meets the p95 target
-    and shows no sign of an unbounded backlog (``SimulationResult.acceptable``).
-    Returns max_qps=0 and result=None when the SLA cannot be met at any load
-    (e.g. a single large query already exceeds the target).
-
-    A thin wrapper over :class:`repro.runtime.capacity.CapacitySearch`:
-    ``jobs > 1`` keeps speculative candidate evaluations in flight on the
-    invocation's shared worker pool (or ``pool``, if given), reacting to
-    each completion as it lands, and ``warm_start_cache`` replays a
-    previously recorded identical search after one verifying evaluation.
-    Both paths return results **bit-identical** to the serial cold search.
-    ``bracket_hints=True`` opts into the near-miss warm-start tier —
-    fewer evaluations, same capacity within the cold search's bracket
-    tolerance, *not* bit-identical (see
-    :meth:`repro.runtime.capacity.CapacitySearch.run`).
-    ``accept_early=True`` additionally arms the certain-acceptance exit on
-    probe evaluations — same answer, bit-identical reported result, less
-    simulated work per accepted probe.
-    """
-    from repro.runtime.capacity import CapacitySearch
-
-    return CapacitySearch.for_server(
-        engines,
-        config,
-        sla_latency_s,
-        load_generator,
-        num_queries=num_queries,
-        iterations=iterations,
-        headroom=headroom,
-        max_queries=max_queries,
-        accept_early=accept_early,
-    ).run(
-        jobs=jobs,
-        warm_start_cache=warm_start_cache,
-        pool=pool,
-        bracket_hints=bracket_hints,
-    )

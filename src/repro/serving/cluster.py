@@ -40,7 +40,6 @@ import itertools
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -60,12 +59,7 @@ from repro.faults.plan import (
 )
 from repro.queries.generator import LoadGenerator
 from repro.queries.query import Query
-from repro.serving.capacity import (
-    CapacityCache,
-    CapacityResult,
-    estimate_upper_bound_qps,
-    offload_size_stats,
-)
+from repro.serving.capacity import estimate_upper_bound_qps, offload_size_stats
 from repro.serving.simulator import (
     CertainAcceptance,
     CertainRejection,
@@ -1047,84 +1041,3 @@ def warm_latency_tables(
             gpu_table = getattr(server.engines.gpu, "latency_table", None)
             if gpu_table is not None:
                 gpu_table.totals(max_query_size)
-
-
-def find_cluster_max_qps(
-    servers: Sequence[ClusterServer],
-    balancer: Union[str, LoadBalancer],
-    sla_latency_s: float,
-    load_generator: LoadGenerator,
-    num_queries: int = 600,
-    iterations: int = 6,
-    headroom: float = 1.3,
-    max_queries: int = 8000,
-    warmup_fraction: Optional[float] = None,
-    balancer_seed: int = 0,
-    jobs: int = 1,
-    warm_start_cache: Union[CapacityCache, str, Path, None] = None,
-    pool: Optional[Any] = None,
-    bracket_hints: bool = False,
-    fault_plan: Optional[FaultPlan] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    accept_early: bool = False,
-) -> CapacityResult:
-    """Bisection search for the fleet's maximum QPS under the p95 SLA.
-
-    The fleet analogue of :func:`repro.serving.capacity.find_max_qps`: the
-    offered stream is generated once per candidate rate and routed by the
-    balancer, so the measured capacity includes balancing losses (a skewed
-    policy saturates one server before the fleet is nominally full).
-
-    A thin wrapper over :class:`repro.runtime.capacity.CapacitySearch`.
-    With ``jobs > 1`` the candidate rates of each bisection round are
-    evaluated speculatively on the invocation's shared worker pool (or
-    ``pool``, if given), returning a result identical to the serial search
-    in a fraction of the wall-clock time; servers and balancer must then be
-    picklable.  Inside a pool worker the search silently runs serially —
-    nested pools are never forked.
-
-    ``warm_start_cache`` (a :class:`~repro.serving.capacity.CapacityCache`
-    or a directory path, typically the sweep runner's cache directory)
-    replays a previously recorded identical search — verified by one
-    evaluation at the cached rate — and records this search's outcome for
-    future runs.  Because the schema-versioned signature pins every decision
-    input, a warm-started search returns **bit-identical** results to the
-    cold serial run.  ``bracket_hints=True`` opts into the near-miss
-    warm-start tier: adjacent entries (SLA, batch size, policy, scaled
-    fleet size) tighten the initial bracket — fewer evaluations, same
-    capacity within the cold search's bracket tolerance, not bit-identical
-    (see :meth:`repro.runtime.capacity.CapacitySearch.run`).
-
-    ``fault_plan`` / ``retry_policy`` inject a deterministic
-    :class:`~repro.faults.FaultPlan` into every candidate-rate evaluation,
-    so the measured capacity is the fleet's capacity *under* those faults;
-    the plan is folded into the warm-start signature, so faulted and
-    fault-free searches never share cache entries.
-
-    ``accept_early=True`` arms the certain-acceptance exit on probe
-    evaluations — same answer, bit-identical reported result, less
-    simulated work per accepted probe (ignored under a fault plan).
-    """
-    check_positive("num_queries", num_queries)
-    from repro.runtime.capacity import CapacitySearch
-
-    return CapacitySearch.for_fleet(
-        servers,
-        balancer,
-        sla_latency_s,
-        load_generator,
-        num_queries=num_queries,
-        iterations=iterations,
-        headroom=headroom,
-        max_queries=max_queries,
-        warmup_fraction=warmup_fraction,
-        balancer_seed=balancer_seed,
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
-        accept_early=accept_early,
-    ).run(
-        jobs=jobs,
-        warm_start_cache=warm_start_cache,
-        pool=pool,
-        bracket_hints=bracket_hints,
-    )

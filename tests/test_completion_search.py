@@ -1,22 +1,21 @@
-"""Completion-driven capacity search: decision identity, hints, early exits.
+"""Completion-driven capacity search: decision identity, warm tiers, early exits.
 
 Three layers of coverage:
 
 * **Decision machine** (property-based): :class:`BisectionMachine` consumes
-  exactly the rate/verdict sequence of the serial :func:`bisect_max_qps`
-  for every randomized capacity/bracket/iteration combination, and
-  :func:`speculative_rates` always leads with the needed rate.
+  exactly the rate/verdict sequence of the serial reference
+  :func:`reference_bisect.bisect_max_qps` for every randomized
+  capacity/bracket/iteration combination, and :func:`speculative_rates`
+  always leads with the needed rate.
 * **Completion-driven driver** (randomized, threaded): the real
   :func:`_drive_completion` loop fed by a fake pool whose futures resolve
   in random order from a background thread still reproduces the serial
   search's decisions, for any in-flight budget and number of concurrent
   searches.
-* **Warm-start tiers and early rejection** (real simulators): near-miss
-  bracket hints converge within the cold search's bracket tolerance on
-  strictly fewer evaluations across an adjacent-SLA sweep; the in-process
+* **Warm-start tiers and early exits** (real simulators): the in-process
   memo replays without evaluations; single-server fleets share cache
-  entries across balancing policies; the certain-rejection exit is
-  verdict-identical to the full run.
+  entries across balancing policies; the certain-rejection and
+  certain-acceptance exits are verdict-identical to the full run.
 """
 
 import random
@@ -26,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_bisect import bisect_max_qps
 from repro.execution.engine import build_engine_pair
 from repro.queries.generator import LoadGenerator
 from repro.runtime.capacity import (
@@ -35,17 +35,8 @@ from repro.runtime.capacity import (
     run_capacity_searches,
 )
 from repro.runtime.pool import Future, WorkerPool
-from repro.serving.capacity import (
-    BisectionMachine,
-    CapacityCache,
-    bisect_max_qps,
-    speculative_rates,
-)
-from repro.serving.cluster import (
-    ClusterSimulator,
-    find_cluster_max_qps,
-    homogeneous_fleet,
-)
+from repro.serving.capacity import BisectionMachine, CapacityCache, speculative_rates
+from repro.serving.cluster import ClusterSimulator, homogeneous_fleet
 from repro.serving.simulator import (
     CertainAcceptance,
     CertainRejection,
@@ -91,12 +82,17 @@ class TestBisectionMachineProperty:
     def test_machine_decision_identical_to_serial_bisection(
         self, capacity, upper, iterations
     ):
-        serial = bisect_max_qps(
-            lambda rate: FakeOutcome(rate, capacity), upper, 1.0, iterations
-        )
+        serial_rates = []
+
+        def evaluate(rate):
+            serial_rates.append(rate)
+            return FakeOutcome(rate, capacity)
+
+        serial = bisect_max_qps(evaluate, upper, 1.0, iterations)
         machine = BisectionMachine(upper, iterations)
         max_qps, result_rate, rates = drive_machine_serially(machine, capacity)
         assert (max_qps or 0.0) == serial.max_qps
+        assert rates == serial_rates
         assert len(rates) == serial.evaluations
         if serial.result is None:
             assert result_rate is None
@@ -169,7 +165,6 @@ def build_fake_execution(upper, iterations, sla, capacity, pool_contexts):
     execution.search = None
     execution.sla = sla
     execution.cache = None
-    execution.bracket_hints = False
     execution.signature = None
     execution.context = object()
     execution.machine = BisectionMachine(upper, iterations)
@@ -260,93 +255,16 @@ class TestRealPoolCrossSearch:
             assert many.result.latencies_s == one.result.latencies_s
 
 
-class TestBracketHints:
-    def test_adjacent_sla_sweep_fewer_evaluations_same_capacity(
-        self, engines, config, tmp_path
-    ):
-        generator = LoadGenerator(seed=7)
-        fleet = homogeneous_fleet(engines, config, 2)
-        # SLAs tight enough that the capacity boundary sits *inside* the
-        # analytic bracket — where a hint can tighten something.  (When the
-        # boundary is at or above the analytic bound, hints clamp to the
-        # cold search by design.)
-        slas = (0.05, 0.06, 0.07)
-
-        def search(sla):
-            return CapacitySearch.for_fleet(
-                fleet, "least-outstanding", sla, generator,
-                num_queries=150, iterations=4, max_queries=1500,
-            )
-
-        cold = {sla: search(sla).run() for sla in slas}
-        cache = CapacityCache(tmp_path)
-        hinted = {
-            sla: search(sla).run(warm_start_cache=cache, bracket_hints=True)
-            for sla in slas
-        }
-        assert cache.stats["hint_hits"] >= 1
-        total_cold = sum(result.evaluations for result in cold.values())
-        total_hinted = sum(result.evaluations for result in hinted.values())
-        assert total_hinted < total_cold
-        for sla in slas:
-            tolerance = 2.0 * search(sla).convergence_width_qps()
-            assert abs(hinted[sla].max_qps - cold[sla].max_qps) <= tolerance
-            assert hinted[sla].evaluations <= cold[sla].evaluations
-
-    def test_unusable_hint_falls_back_to_cold_machine(self):
-        cold = BisectionMachine(1000.0, 4)
-        fallback = BisectionMachine.hinted(999.0, 1000.0, 4)  # margin overflows
-        assert fallback.phase == cold.phase == "raise"
-        assert BisectionMachine.hinted(0.0, 1000.0, 4).phase == "raise"
-        hinted = BisectionMachine.hinted(100.0, 1000.0, 4)
-        assert hinted.phase == "hint-upper"
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        capacity=st.floats(min_value=1e-3, max_value=6000),
-        hint=st.floats(min_value=1e-3, max_value=9000),
-        upper=st.floats(min_value=1e-2, max_value=9000),
-        iterations=st.integers(min_value=1, max_value=7),
-    )
-    def test_hinted_machine_converges_near_serial(
-        self, capacity, hint, upper, iterations
-    ):
-        # Whatever the hint quality, the hinted machine terminates and lands
-        # within the wider of the two searches' final bracket widths of the
-        # serial result (or both report infeasible/unbracketed consistently).
-        serial = bisect_max_qps(
-            lambda rate: FakeOutcome(rate, capacity), upper, 1.0, iterations
-        )
-        stop_width = upper * (1.0 - 1.0 / 64.0) / (2.0 ** iterations)
-        machine = BisectionMachine.hinted(
-            hint, upper, iterations, stop_width=stop_width
-        )
-        max_qps, result_rate, rates = drive_machine_serially(machine, capacity)
-        assert machine.done
-        assert len(rates) <= 3 + 2 + 2 + iterations  # raises + probes + bisect
-        if serial.result is None or result_rate is None:
-            return  # infeasible paths may disagree only through bracket shape
-        if serial.max_qps >= capacity or (max_qps or 0.0) >= capacity:
-            return  # an unbracketed exit reports the probed upper, not capacity
-        # Both converged brackets contain the boundary; widths bound the gap.
-        assert abs((max_qps or 0.0) - serial.max_qps) <= max(
-            stop_width, upper * 1.6 ** 3
-        )
-
-
 class TestWarmTiers:
     def test_memo_replays_without_evaluations(self, engines, config, tmp_path):
         generator = LoadGenerator(seed=7)
         fleet = homogeneous_fleet(engines, config, 2)
         cache = CapacityCache(tmp_path)
-        first = find_cluster_max_qps(
-            fleet, "least-outstanding", 0.1, generator,
-            warm_start_cache=cache, **SEARCH_KWARGS,
+        search = CapacitySearch.for_fleet(
+            fleet, "least-outstanding", 0.1, generator, **SEARCH_KWARGS
         )
-        again = find_cluster_max_qps(
-            fleet, "least-outstanding", 0.1, generator,
-            warm_start_cache=cache, **SEARCH_KWARGS,
-        )
+        first = search.run(warm_start_cache=cache)
+        again = search.run(warm_start_cache=cache)
         assert cache.stats["memo_hits"] == 1
         assert again.evaluations == 0
         assert again.max_qps == first.max_qps
@@ -358,14 +276,12 @@ class TestWarmTiers:
         generator = LoadGenerator(seed=7)
         fleet = homogeneous_fleet(engines, config, 1)
         cache = CapacityCache(tmp_path)
-        first = find_cluster_max_qps(
-            fleet, "least-outstanding", 0.1, generator,
-            warm_start_cache=cache, **SEARCH_KWARGS,
-        )
-        other_policy = find_cluster_max_qps(
-            fleet, "power-of-two", 0.1, generator,
-            warm_start_cache=cache, **SEARCH_KWARGS,
-        )
+        first = CapacitySearch.for_fleet(
+            fleet, "least-outstanding", 0.1, generator, **SEARCH_KWARGS
+        ).run(warm_start_cache=cache)
+        other_policy = CapacitySearch.for_fleet(
+            fleet, "power-of-two", 0.1, generator, **SEARCH_KWARGS
+        ).run(warm_start_cache=cache)
         # The second policy replays the shared entry (one verifying
         # evaluation) and still reports its own policy label.
         assert cache.stats["exact_hits"] == 1
@@ -387,39 +303,6 @@ class TestWarmTiers:
 
         assert signature(1, "least-outstanding") == signature(1, "power-of-two")
         assert signature(2, "least-outstanding") != signature(2, "power-of-two")
-
-
-class TestHintedIsolation:
-    def test_hinted_answers_never_replay_for_hints_off_runs(
-        self, engines, config, tmp_path
-    ):
-        # A hinted search's answer is stored under a *tagged* signature: a
-        # later hints-off run sharing the cache must compute the cold
-        # answer, not replay the hinted one — while a hints-on rerun may
-        # replay it (that is what the caller opted into).
-        generator = LoadGenerator(seed=7)
-        fleet = homogeneous_fleet(engines, config, 2)
-        kwargs = dict(num_queries=150, iterations=4, max_queries=1500)
-
-        def search(sla):
-            return CapacitySearch.for_fleet(
-                fleet, "least-outstanding", sla, generator, **kwargs
-            )
-
-        cold = search(0.06).run()
-        cache = CapacityCache(tmp_path)
-        search(0.05).run(warm_start_cache=cache)  # donor entry
-        hinted = search(0.06).run(warm_start_cache=cache, bracket_hints=True)
-        assert cache.stats["hint_hits"] == 1
-
-        hints_off = search(0.06).run(warm_start_cache=cache)
-        assert hints_off.max_qps == cold.max_qps
-        assert hints_off.result.latencies_s == cold.result.latencies_s
-
-        hints_on_again = search(0.06).run(
-            warm_start_cache=cache, bracket_hints=True
-        )
-        assert hints_on_again.max_qps == hinted.max_qps
 
 
 class TestBatchDedupe:
@@ -459,7 +342,7 @@ class TestUnbracketedExitResult:
         search = CapacitySearch.for_server(
             engines, config, 0.1, LoadGenerator(seed=7), **SEARCH_KWARGS
         )
-        execution = _SearchExecution(search, None, False)
+        execution = _SearchExecution(search, None)
         rate = 2000.0
         execution.machine.phase = "unbracketed"
         execution.machine.upper = rate

@@ -33,7 +33,6 @@ class TestExamplesImportable:
             "accelerator_offload.py",
             "production_fleet.py",
             "cluster_fleet.py",
-            "capacity_hints_sweep.py",
             "digital_twin.py",
             "fault_storm.py",
             "distributed_sweep.py",
@@ -93,15 +92,6 @@ class TestDigitalTwinExample:
         assert "memo replays" in output
         assert pipeline.reports, "no windows closed during the replay"
         assert all(r.real.green for r in pipeline.reports)
-
-
-class TestCapacityHintsSweepExample:
-    def test_sweep_reports_tiers_and_matching_capacities(self, capsys):
-        example = load_example("capacity_hints_sweep.py")
-        example.run_sweep()
-        output = capsys.readouterr().out
-        assert "bracket hints" in output
-        assert "hinted qps" in output
 
 
 class TestFaultStormExample:

@@ -33,10 +33,10 @@ from repro.faults import (
     StragglerEpisode,
 )
 from repro.queries.generator import LoadGenerator
+from repro.runtime.capacity import CapacitySearch
 from repro.serving.cluster import (
     ClusterSimulationResult,
     ClusterSimulator,
-    find_cluster_max_qps,
     homogeneous_fleet,
 )
 from repro.serving.simulator import ServingConfig
@@ -306,13 +306,13 @@ class TestFaultAwareSLAAcceptance:
     def test_faulted_capacity_never_exceeds_healthy_capacity(self, servers):
         generator = LoadGenerator(seed=11)
         fidelity = dict(num_queries=400, iterations=3, max_queries=1200)
-        healthy = find_cluster_max_qps(
-            servers, "least-outstanding", 0.1, generator, **fidelity
-        )
+        healthy = CapacitySearch.for_fleet(
+            servers, "least-outstanding", 0.1, generator, **fidelity,
+        ).run()
         # A storm covering most of the search workload's span: without the
         # failure-aware acceptance the blackholed queries would *raise* the
         # accepted rate (they never post a latency).
-        faulted = find_cluster_max_qps(
+        faulted = CapacitySearch.for_fleet(
             servers,
             "least-outstanding",
             0.1,
@@ -323,7 +323,7 @@ class TestFaultAwareSLAAcceptance:
                 }
             ),
             **fidelity,
-        )
+        ).run()
         assert faulted.max_qps < healthy.max_qps
 
 

@@ -19,7 +19,7 @@ from repro import (
 )
 from repro.core.static_scheduler import StaticSchedulerPolicy
 from repro.infra import DatacenterCluster, DeepRecInfra, InfraConfig
-from repro.serving.capacity import find_max_qps
+from repro.runtime.capacity import CapacitySearch
 
 
 class TestPublicAPI:
@@ -49,10 +49,10 @@ class TestServingPipeline:
         engines = build_engine_pair("ncf", "skylake", None)
         generator = LoadGenerator(seed=4)
         sla_s = 0.005
-        capacity = find_max_qps(
-            engines, ServingConfig(batch_size=64), sla_s, generator,
-            num_queries=200, iterations=4,
-        )
+        capacity = CapacitySearch.for_server(
+            engines, ServingConfig(batch_size=64), sla_s, generator, num_queries=200,
+            iterations=4,
+        ).run()
         assert capacity.feasible
         # Re-simulating at the reported capacity meets the SLA.
         verification = ServingSimulator(engines, ServingConfig(batch_size=64)).run(

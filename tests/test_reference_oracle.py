@@ -8,8 +8,10 @@ simultaneous arrivals and straggler-only fault plans — every query must
 complete at exactly the same instant in both, and the production run must
 conserve work: every arrival is submitted to exactly one server, and no
 server is busier than its cores can be over the run's span.  Generated
-traces never put an arrival exactly on a completion instant, so a
-constructed chain checks that tie (completions go first) separately.  Crash and retry semantics are pinned by
+traces never put an arrival or a straggler transition exactly on a
+completion instant, so a constructed chain checks those ties (completions
+go first, then transitions, then arrivals) separately.  Crash and retry
+semantics are pinned by
 ``tests/test_event_loop_golden.py`` and ``tests/test_faults.py``.
 """
 
@@ -153,22 +155,49 @@ def test_completion_times_match_reference(
         assert kernel.gpu_busy_time <= span * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("policy", ["least-outstanding", "power-of-two"])
-def test_arrivals_on_completion_instants_match_reference(completions, policy):
+@pytest.mark.parametrize(
+    "policy, straggler",
+    [
+        pytest.param("least-outstanding", False, id="least-outstanding"),
+        pytest.param("power-of-two", False, id="power-of-two"),
+        pytest.param("least-outstanding", True, id="least-outstanding-straggler"),
+        pytest.param("power-of-two", True, id="power-of-two-straggler"),
+    ],
+)
+def test_arrivals_on_completion_instants_match_reference(completions, policy, straggler):
     # Each arrival lands exactly on the previous query's completion instant,
     # so the balancer's view depends on completions going first at a tie.
+    # With ``straggler``, a slowdown on every server starts on the instant
+    # query 5 completes and ends on the instant query 11 completes, so both
+    # fault transitions also tie with a completion and an arrival: the
+    # completion goes first, then the transition, then the arrival (query 6
+    # is the first slowed, query 12 the first back at full speed).
     times, _ = completions
     engines = _ENGINES["cpu"]
     config = ServingConfig(batch_size=256, num_cores=1)
     fleet = [ClusterServer(engines=engines, config=config) for _ in range(2)]
+    slowdown, slowed = 3.0, range(6, 12)
     queries = []
-    now = 0.0
+    now = start = end = 0.0
     for query_id, size in enumerate([40, 200, 7, 128, 256, 90] * 5):
         queries.append(Query(query_id, now, size))
-        now = now + engines.cpu.request_latency_s(size, 1)
-    result = ClusterSimulator(fleet, policy).run(queries)
+        service = engines.cpu.request_latency_s(size, 1)
+        if straggler and query_id in slowed:
+            service = service * slowdown
+        now = now + service
+        if query_id == slowed[0] - 1:
+            start = now
+        if query_id == slowed[-1]:
+            end = now
+    plan = None
+    if straggler:
+        episode = StragglerEpisode(start, end, slowdown=slowdown)
+        plan = FaultPlan(
+            nodes={node: NodeFaultSchedule(stragglers=(episode,)) for node in range(2)}
+        )
+    result = ClusterSimulator(fleet, policy, fault_plan=plan).run(queries)
     reference = reference_sim.simulate(
-        fleet, [1, 1], get_balancer(policy), queries
+        fleet, [1, 1], get_balancer(policy), queries, plan
     )
     assert times == reference.completion_time
     assert [s.num_queries for s in result.per_server] == [

@@ -13,8 +13,8 @@ from repro.execution.engine import build_engine_pair
 from repro.queries.generator import LoadGenerator
 from repro.runtime.capacity import CAPACITY_SCHEMA_VERSION, CapacitySearch
 from repro.runtime.pool import WorkerPool, pool_forks
-from repro.serving.capacity import CapacityCache, find_max_qps
-from repro.serving.cluster import find_cluster_max_qps, homogeneous_fleet
+from repro.serving.capacity import CapacityCache
+from repro.serving.cluster import homogeneous_fleet
 from repro.serving.simulator import ServingConfig
 
 SEARCH_KWARGS = dict(num_queries=100, iterations=3, max_queries=1000)
@@ -35,10 +35,12 @@ class TestSingleServerDecisionIdentity:
 
     def test_parallel_search_bit_identical_to_serial(self, engines, config):
         generator = LoadGenerator(seed=7)
-        serial = find_max_qps(engines, config, 0.1, generator, **SEARCH_KWARGS)
-        parallel = find_max_qps(
-            engines, config, 0.1, generator, jobs=2, **SEARCH_KWARGS
-        )
+        serial = CapacitySearch.for_server(
+            engines, config, 0.1, generator, **SEARCH_KWARGS,
+        ).run()
+        parallel = CapacitySearch.for_server(
+            engines, config, 0.1, generator, **SEARCH_KWARGS,
+        ).run(jobs=2)
         assert parallel.max_qps == serial.max_qps
         assert parallel.result.p95_latency_s == serial.result.p95_latency_s
         assert parallel.result.measured_queries == serial.result.measured_queries
@@ -46,31 +48,31 @@ class TestSingleServerDecisionIdentity:
 
     def test_warm_start_bit_identical_to_cold_serial(self, engines, config, tmp_path):
         generator = LoadGenerator(seed=7)
-        serial = find_max_qps(engines, config, 0.1, generator, **SEARCH_KWARGS)
-        cold = find_max_qps(
-            engines, config, 0.1, generator, warm_start_cache=tmp_path,
-            **SEARCH_KWARGS,
-        )
+        serial = CapacitySearch.for_server(
+            engines, config, 0.1, generator, **SEARCH_KWARGS,
+        ).run()
+        cold = CapacitySearch.for_server(
+            engines, config, 0.1, generator, **SEARCH_KWARGS,
+        ).run(warm_start_cache=tmp_path)
         assert list(tmp_path.glob("capacity-*.json"))
-        warm = find_max_qps(
-            engines, config, 0.1, generator, warm_start_cache=tmp_path,
-            **SEARCH_KWARGS,
-        )
+        warm = CapacitySearch.for_server(
+            engines, config, 0.1, generator, **SEARCH_KWARGS,
+        ).run(warm_start_cache=tmp_path)
         assert warm.max_qps == cold.max_qps == serial.max_qps
         assert warm.result.p95_latency_s == serial.result.p95_latency_s
         assert warm.result.latencies_s == serial.result.latencies_s
 
     def test_warm_parallel_combination_bit_identical(self, engines, config, tmp_path):
         generator = LoadGenerator(seed=7)
-        serial = find_max_qps(engines, config, 0.1, generator, **SEARCH_KWARGS)
-        first = find_max_qps(
-            engines, config, 0.1, generator, jobs=2, warm_start_cache=tmp_path,
-            **SEARCH_KWARGS,
-        )
-        second = find_max_qps(
-            engines, config, 0.1, generator, jobs=2, warm_start_cache=tmp_path,
-            **SEARCH_KWARGS,
-        )
+        serial = CapacitySearch.for_server(
+            engines, config, 0.1, generator, **SEARCH_KWARGS,
+        ).run()
+        first = CapacitySearch.for_server(
+            engines, config, 0.1, generator, **SEARCH_KWARGS,
+        ).run(jobs=2, warm_start_cache=tmp_path)
+        second = CapacitySearch.for_server(
+            engines, config, 0.1, generator, **SEARCH_KWARGS,
+        ).run(jobs=2, warm_start_cache=tmp_path)
         assert first.max_qps == second.max_qps == serial.max_qps
 
     def test_unbracketed_exit_replays_bit_identically(
@@ -82,18 +84,18 @@ class TestSingleServerDecisionIdentity:
         # reproduce it bit for bit (regression: the unbracketed exit used to
         # attach a result measured at max_qps / 1.6).
         generator = LoadGenerator(seed=7)
-        serial = find_max_qps(engines, config, 30.0, generator, **SEARCH_KWARGS)
-        cold = find_max_qps(
-            engines, config, 30.0, generator, warm_start_cache=tmp_path,
-            **SEARCH_KWARGS,
-        )
-        warm = find_max_qps(
-            engines, config, 30.0, generator, warm_start_cache=tmp_path,
-            **SEARCH_KWARGS,
-        )
-        parallel = find_max_qps(
-            engines, config, 30.0, generator, jobs=2, **SEARCH_KWARGS
-        )
+        serial = CapacitySearch.for_server(
+            engines, config, 30.0, generator, **SEARCH_KWARGS,
+        ).run()
+        cold = CapacitySearch.for_server(
+            engines, config, 30.0, generator, **SEARCH_KWARGS,
+        ).run(warm_start_cache=tmp_path)
+        warm = CapacitySearch.for_server(
+            engines, config, 30.0, generator, **SEARCH_KWARGS,
+        ).run(warm_start_cache=tmp_path)
+        parallel = CapacitySearch.for_server(
+            engines, config, 30.0, generator, **SEARCH_KWARGS,
+        ).run(jobs=2)
         assert warm.max_qps == cold.max_qps == serial.max_qps
         assert parallel.max_qps == serial.max_qps
         assert warm.result.p95_latency_s == cold.result.p95_latency_s
@@ -103,29 +105,29 @@ class TestSingleServerDecisionIdentity:
 
     def test_invalid_jobs_rejected(self, engines, config):
         with pytest.raises(ValueError, match="jobs"):
-            find_max_qps(
-                engines, config, 0.1, LoadGenerator(seed=7), jobs=0, **SEARCH_KWARGS
-            )
+            CapacitySearch.for_server(
+                engines, config, 0.1, LoadGenerator(seed=7), **SEARCH_KWARGS,
+            ).run(jobs=0)
 
     def test_stale_cache_entry_falls_back_to_cold_search(
         self, engines, config, tmp_path
     ):
         generator = LoadGenerator(seed=7)
-        serial = find_max_qps(engines, config, 0.1, generator, **SEARCH_KWARGS)
-        find_max_qps(
-            engines, config, 0.1, generator, warm_start_cache=tmp_path,
-            **SEARCH_KWARGS,
-        )
+        serial = CapacitySearch.for_server(
+            engines, config, 0.1, generator, **SEARCH_KWARGS,
+        ).run()
+        CapacitySearch.for_server(
+            engines, config, 0.1, generator, **SEARCH_KWARGS,
+        ).run(warm_start_cache=tmp_path)
         (entry,) = tmp_path.glob("capacity-*.json")
         # Corrupt the recorded capacity to an unsustainable rate: the replay
         # verification must reject it and re-run the full cold search.
         payload = json.loads(entry.read_text())
         payload["max_qps"] = serial.max_qps * 50.0
         entry.write_text(json.dumps(payload))
-        recovered = find_max_qps(
-            engines, config, 0.1, generator, warm_start_cache=tmp_path,
-            **SEARCH_KWARGS,
-        )
+        recovered = CapacitySearch.for_server(
+            engines, config, 0.1, generator, **SEARCH_KWARGS,
+        ).run(warm_start_cache=tmp_path)
         assert recovered.max_qps == serial.max_qps
 
 
@@ -136,18 +138,18 @@ class TestCorruptCacheEntries:
         self, engines, config, tmp_path
     ):
         generator = LoadGenerator(seed=7)
-        serial = find_max_qps(engines, config, 0.1, generator, **SEARCH_KWARGS)
-        find_max_qps(
-            engines, config, 0.1, generator, warm_start_cache=tmp_path,
-            **SEARCH_KWARGS,
-        )
+        serial = CapacitySearch.for_server(
+            engines, config, 0.1, generator, **SEARCH_KWARGS,
+        ).run()
+        CapacitySearch.for_server(
+            engines, config, 0.1, generator, **SEARCH_KWARGS,
+        ).run(warm_start_cache=tmp_path)
         (entry,) = tmp_path.glob("capacity-*.json")
         entry.write_text("{ not json at all")
         cache = CapacityCache(tmp_path)
-        recovered = find_max_qps(
-            engines, config, 0.1, generator, warm_start_cache=cache,
-            **SEARCH_KWARGS,
-        )
+        recovered = CapacitySearch.for_server(
+            engines, config, 0.1, generator, **SEARCH_KWARGS,
+        ).run(warm_start_cache=cache)
         assert recovered.max_qps == serial.max_qps
         assert recovered.result.latencies_s == serial.result.latencies_s
         assert cache.stats["corrupt_entries"] >= 1
@@ -171,15 +173,6 @@ class TestCorruptCacheEntries:
         assert cache.stats["corrupt_entries"] == 0
         assert cache.stats["exact_misses"] == 1
 
-    def test_near_hint_scan_skips_and_counts_garbage_files(self, tmp_path):
-        (tmp_path / "capacity-deadbeef.json").write_text("garbage")
-        cache = CapacityCache(tmp_path)
-        assert cache.near_hint({"kind": "server", "servers": []}) is None
-        assert cache.stats["corrupt_entries"] == 1
-        # Parsed-entry memoisation: a rescan does not double-count the rot.
-        assert cache.near_hint({"kind": "server", "servers": []}) is None
-        assert cache.stats["corrupt_entries"] == 1
-
 
 class TestSharedPoolReuse:
     def test_explicit_pool_shared_across_searches(self, engines, config, monkeypatch):
@@ -191,18 +184,17 @@ class TestSharedPoolReuse:
         monkeypatch.setattr(runtime_capacity, "_host_cores", lambda: 2)
         generator = LoadGenerator(seed=7)
         fleet = homogeneous_fleet(engines, config, 2)
-        serial = find_cluster_max_qps(
-            fleet, "least-outstanding", 0.1, generator, **SEARCH_KWARGS
-        )
+        serial = CapacitySearch.for_fleet(
+            fleet, "least-outstanding", 0.1, generator, **SEARCH_KWARGS,
+        ).run()
         before = pool_forks()
         with WorkerPool(2) as pool:
-            first = find_cluster_max_qps(
-                fleet, "least-outstanding", 0.1, generator, jobs=2, pool=pool,
-                **SEARCH_KWARGS,
-            )
-            second = find_max_qps(
-                engines, config, 0.1, generator, jobs=2, pool=pool, **SEARCH_KWARGS
-            )
+            first = CapacitySearch.for_fleet(
+                fleet, "least-outstanding", 0.1, generator, **SEARCH_KWARGS,
+            ).run(jobs=2, pool=pool)
+            second = CapacitySearch.for_server(
+                engines, config, 0.1, generator, **SEARCH_KWARGS,
+            ).run(jobs=2, pool=pool)
         # One fork served both the fleet and the single-server search.
         assert pool_forks() == before + 1
         assert first.max_qps == serial.max_qps
@@ -282,3 +274,55 @@ class TestSignatures:
             LoadGenerator(seed=7, sizes=OpaqueSizes()), **SEARCH_KWARGS,
         )
         assert search.signature() is None
+
+
+class TestCacheKeyGolden:
+    """Warm-start entry names pinned across refactors of the search.
+
+    An entry's file name is the digest of its search's signature, so a
+    refactor that changes any signature field (or its encoding) silently
+    orphans every existing cache.  The digests below must stay put for as
+    long as :data:`CAPACITY_SCHEMA_VERSION` does: a change that moves one
+    must bump the schema, so stale entries miss instead of replaying.
+    """
+
+    GOLDEN_DIGESTS = {
+        "server": "b3f1d612ed3a36e8a6d39fb169838732e04702b37b0338793bec61dfdb78d50f",
+        "fleet": "773278043b776588d260dce3f6f64f341ba1e0d4571989a3db3358fb859a9660",
+        "fault-fleet": "74e5498b6ef32714051b65b45aba94fb31bf00d22f1fe4f96cb636d5b8309490",
+    }
+
+    @staticmethod
+    def _searches(engines, config):
+        from repro.faults.plan import FaultPlan, RetryPolicy
+
+        plan = FaultPlan.generate(
+            2, 4.0, crash_rate_hz=1.0, mean_downtime_s=0.2,
+            straggler_rate_hz=1.0, mean_straggler_s=0.3, straggler_slowdown=3.0,
+            seed=11,
+        )
+        fleet = homogeneous_fleet(engines, config, 2)
+        return {
+            "server": CapacitySearch.for_server(
+                engines, config, 0.1, LoadGenerator(seed=7), **SEARCH_KWARGS
+            ),
+            "fleet": CapacitySearch.for_fleet(
+                fleet, "least-outstanding", 0.1, LoadGenerator(seed=7),
+                **SEARCH_KWARGS,
+            ),
+            "fault-fleet": CapacitySearch.for_fleet(
+                fleet, "failure-aware", 0.1, LoadGenerator(seed=7),
+                fault_plan=plan, retry_policy=RetryPolicy(max_retries=2),
+                **SEARCH_KWARGS,
+            ),
+        }
+
+    def test_signature_digests_unchanged(self, engines, config):
+        searches = self._searches(engines, config)
+        assert "fault" in searches["fault-fleet"].signature()
+        digests = {
+            name: CapacityCache.digest(search.signature())
+            for name, search in searches.items()
+        }
+        assert CAPACITY_SCHEMA_VERSION == 3
+        assert digests == self.GOLDEN_DIGESTS

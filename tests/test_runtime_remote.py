@@ -630,7 +630,13 @@ class TestBitIdenticalSweep:
 
         def _assassin():
             # Once the sweep is flowing, SIGKILL a worker that is holding
-            # at least one task lease *right now* — a mid-task host loss.
+            # at least one task lease when it dies — a mid-task host loss.
+            # The victim is frozen first (SIGSTOP) so it cannot finish the
+            # lease between the check and the kill; after a short settle,
+            # any result it sent before freezing has been read, so a lease
+            # its link still holds under the pool's lock is one it can never
+            # complete.  If it holds none, thaw it and look again.
+            procs = {port: proc for proc, port in fleet}
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
                 with pool._lock:
@@ -641,12 +647,16 @@ class TestBitIdenticalSweep:
                         if link.alive and link.inflight
                     ]
                 if started and busy:
-                    victim_port = busy[0].address[1]
-                    for proc, port in fleet:
-                        if port == victim_port:
+                    victim = busy[0]
+                    proc = procs[victim.address[1]]
+                    os.kill(proc.pid, signal.SIGSTOP)
+                    time.sleep(0.05)
+                    with pool._lock:
+                        if victim.alive and victim.inflight:
                             proc.kill()
                             killed.set()
                             return
+                    os.kill(proc.pid, signal.SIGCONT)
                 time.sleep(0.005)
 
         assassin = threading.Thread(target=_assassin, daemon=True)

@@ -4,11 +4,8 @@ import pytest
 
 from repro.execution.engine import build_engine_pair
 from repro.queries.generator import LoadGenerator
-from repro.serving.capacity import (
-    estimate_upper_bound_qps,
-    find_max_qps,
-    measurement_queries,
-)
+from repro.runtime.capacity import CapacitySearch
+from repro.serving.capacity import estimate_upper_bound_qps, measurement_queries
 from repro.serving.simulator import ServingConfig
 
 
@@ -57,53 +54,51 @@ class TestUpperBound:
 class TestFindMaxQps:
     def test_returns_feasible_operating_point(self, engines):
         generator = LoadGenerator(seed=2)
-        outcome = find_max_qps(
-            engines,
-            ServingConfig(batch_size=256),
-            sla_latency_s=0.1,
-            load_generator=generator,
-            num_queries=250,
-            iterations=4,
-        )
+        outcome = CapacitySearch.for_server(
+            engines, ServingConfig(batch_size=256), sla_latency_s=0.1,
+            load_generator=generator, num_queries=250, iterations=4,
+        ).run()
         assert outcome.feasible
         assert outcome.max_qps > 0
         assert outcome.result.acceptable(0.1)
 
     def test_relaxed_sla_never_reduces_capacity(self, engines):
         generator = LoadGenerator(seed=2)
-        tight = find_max_qps(
-            engines, ServingConfig(batch_size=256), 0.05, generator,
-            num_queries=250, iterations=4,
-        )
-        relaxed = find_max_qps(
-            engines, ServingConfig(batch_size=256), 0.15, generator,
-            num_queries=250, iterations=4,
-        )
+        tight = CapacitySearch.for_server(
+            engines, ServingConfig(batch_size=256), 0.05, generator, num_queries=250,
+            iterations=4,
+        ).run()
+        relaxed = CapacitySearch.for_server(
+            engines, ServingConfig(batch_size=256), 0.15, generator, num_queries=250,
+            iterations=4,
+        ).run()
         assert relaxed.max_qps >= 0.8 * tight.max_qps
 
     def test_infeasible_sla_returns_zero(self, engines):
         # A microsecond-level p95 target cannot be met by any batch size.
         generator = LoadGenerator(seed=2)
-        outcome = find_max_qps(
-            engines, ServingConfig(batch_size=256), 1e-6, generator,
-            num_queries=150, iterations=3,
-        )
+        outcome = CapacitySearch.for_server(
+            engines, ServingConfig(batch_size=256), 1e-6, generator, num_queries=150,
+            iterations=3,
+        ).run()
         assert outcome.max_qps == 0.0
         assert not outcome.feasible
 
     def test_capacity_result_records_sla(self, engines):
         generator = LoadGenerator(seed=2)
-        outcome = find_max_qps(
-            engines, ServingConfig(batch_size=128), 0.1, generator,
-            num_queries=200, iterations=3,
-        )
+        outcome = CapacitySearch.for_server(
+            engines, ServingConfig(batch_size=128), 0.1, generator, num_queries=200,
+            iterations=3,
+        ).run()
         assert outcome.sla_latency_s == 0.1
 
     def test_invalid_arguments(self, engines):
         generator = LoadGenerator(seed=2)
         with pytest.raises(ValueError):
-            find_max_qps(engines, ServingConfig(batch_size=64), 0.0, generator)
+            CapacitySearch.for_server(
+                engines, ServingConfig(batch_size=64), 0.0, generator,
+            ).run()
         with pytest.raises(ValueError):
-            find_max_qps(
-                engines, ServingConfig(batch_size=64), 0.1, generator, num_queries=0
-            )
+            CapacitySearch.for_server(
+                engines, ServingConfig(batch_size=64), 0.1, generator, num_queries=0,
+            ).run()

@@ -8,6 +8,7 @@ from repro.execution.engine import build_engine_pair
 from repro.experiments.runner import SweepRunner, canonicalize, config_hash
 from repro.queries.generator import LoadGenerator
 from repro.queries.query import Query
+from repro.runtime.capacity import CapacitySearch
 from repro.serving.cluster import (
     ClusterServer,
     ClusterSimulator,
@@ -18,7 +19,6 @@ from repro.serving.cluster import (
     WeightedLeastOutstandingBalancer,
     available_balancers,
     estimate_fleet_upper_bound_qps,
-    find_cluster_max_qps,
     get_balancer,
     heterogeneous_fleet,
     homogeneous_fleet,
@@ -364,15 +364,11 @@ class TestFleetCapacity:
         target = sla_target("dlrm-rmc1", SLATier.MEDIUM)
         generator = LoadGenerator(seed=7)
         outcomes = {
-            n: find_cluster_max_qps(
-                homogeneous_fleet(engines, config, n),
-                "least-outstanding",
-                target.latency_s,
-                generator,
-                num_queries=150,
-                iterations=3,
+            n: CapacitySearch.for_fleet(
+                homogeneous_fleet(engines, config, n), "least-outstanding",
+                target.latency_s, generator, num_queries=150, iterations=3,
                 max_queries=1500,
-            )
+            ).run()
             for n in (1, 2)
         }
         assert outcomes[1].feasible and outcomes[2].feasible
@@ -387,14 +383,14 @@ class TestParallelCapacitySearch:
         target = sla_target("dlrm-rmc1", SLATier.MEDIUM)
         generator = LoadGenerator(seed=7)
         fleet = homogeneous_fleet(engines, config, 2)
-        serial = find_cluster_max_qps(
+        serial = CapacitySearch.for_fleet(
             fleet, "least-outstanding", target.latency_s, generator,
             **self.SEARCH_KWARGS,
-        )
-        parallel = find_cluster_max_qps(
-            fleet, "least-outstanding", target.latency_s, generator, jobs=2,
+        ).run()
+        parallel = CapacitySearch.for_fleet(
+            fleet, "least-outstanding", target.latency_s, generator,
             **self.SEARCH_KWARGS,
-        )
+        ).run(jobs=2)
         # Speculative parallel bisection walks the identical decision tree,
         # so the outcome matches the serial search exactly — not approximately.
         assert parallel.max_qps == serial.max_qps
@@ -403,33 +399,29 @@ class TestParallelCapacitySearch:
 
     def test_invalid_jobs_rejected(self, engines, config):
         with pytest.raises(ValueError, match="jobs"):
-            find_cluster_max_qps(
-                homogeneous_fleet(engines, config, 1),
-                "round-robin",
-                0.1,
-                LoadGenerator(seed=7),
-                jobs=0,
-                **self.SEARCH_KWARGS,
-            )
+            CapacitySearch.for_fleet(
+                homogeneous_fleet(engines, config, 1), "round-robin", 0.1,
+                LoadGenerator(seed=7), **self.SEARCH_KWARGS,
+            ).run(jobs=0)
 
     def test_warm_start_cache_replays_bit_identically(self, engines, config, tmp_path):
         target = sla_target("dlrm-rmc1", SLATier.MEDIUM)
         generator = LoadGenerator(seed=7)
         fleet = homogeneous_fleet(engines, config, 2)
-        serial = find_cluster_max_qps(
+        serial = CapacitySearch.for_fleet(
             fleet, "least-outstanding", target.latency_s, generator,
             **self.SEARCH_KWARGS,
-        )
-        cold = find_cluster_max_qps(
+        ).run()
+        cold = CapacitySearch.for_fleet(
             fleet, "least-outstanding", target.latency_s, generator,
-            warm_start_cache=tmp_path, **self.SEARCH_KWARGS,
-        )
+            **self.SEARCH_KWARGS,
+        ).run(warm_start_cache=tmp_path)
         entries = list(tmp_path.glob("capacity-*.json"))
         assert len(entries) == 1
-        warm = find_cluster_max_qps(
+        warm = CapacitySearch.for_fleet(
             fleet, "least-outstanding", target.latency_s, generator,
-            warm_start_cache=tmp_path, **self.SEARCH_KWARGS,
-        )
+            **self.SEARCH_KWARGS,
+        ).run(warm_start_cache=tmp_path)
         # The schema-versioned signature pins every decision input, so the
         # warm replay is exactly the cold serial search's outcome — not an
         # approximation.
@@ -442,7 +434,6 @@ class TestParallelCapacitySearch:
         self, engines, config
     ):
         from repro.queries.size_dist import ProductionQuerySizes
-        from repro.runtime.capacity import CapacitySearch
 
         fleet = homogeneous_fleet(engines, config, 2)
 
@@ -462,14 +453,11 @@ class TestParallelCapacitySearch:
 
     def test_warm_start_ignores_foreign_entries(self, engines, config, tmp_path):
         (tmp_path / "capacity-bogus.json").write_text("{not json")
-        outcome = find_cluster_max_qps(
-            homogeneous_fleet(engines, config, 1),
-            "round-robin",
-            sla_target("dlrm-rmc1", SLATier.MEDIUM).latency_s,
-            LoadGenerator(seed=7),
-            warm_start_cache=tmp_path,
+        outcome = CapacitySearch.for_fleet(
+            homogeneous_fleet(engines, config, 1), "round-robin",
+            sla_target("dlrm-rmc1", SLATier.MEDIUM).latency_s, LoadGenerator(seed=7),
             **self.SEARCH_KWARGS,
-        )
+        ).run(warm_start_cache=tmp_path)
         assert outcome.feasible
 
 
