@@ -2,8 +2,9 @@
 
 Generates a diurnally-modulated query trace (the Fig. 13 workload shape),
 feeds it event by event through the service's ingest pipeline — exactly as a
-TCP producer would — and lets the twin re-simulate each closed event-time
-window cumulatively for **two** fleet configurations side by side:
+TCP producer would — and lets the twin simulate each closed event-time
+window incrementally, reporting the stream so far, for **two** fleet
+configurations side by side:
 
 * **real** — a fleet provisioned for the traffic;
 * **what-if** — an operator's hypothetical config (here: deliberately
@@ -16,7 +17,8 @@ What to look for in the output:
   divergence an operator would want to see *before* rolling the config out;
 * the capacity-search evaluation counts: the first window pays the cold
   bisection for each config, every later window replays from the in-process
-  memo at 0 evaluations (the per-window cost is the re-simulation alone);
+  memo at 0 evaluations (the per-window cost is the window's own events
+  plus the report);
 * the final shadow verdict and the capacity cache's tier counters.
 
 Run with::

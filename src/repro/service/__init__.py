@@ -1,4 +1,4 @@
-"""Digital-twin serving service: streaming windowed re-simulation.
+"""Digital-twin serving service: streaming windowed simulation.
 
 Everything else in the repository answers capacity questions in batch — a
 driver generates a trace, runs the simulator, prints a figure.  This package
@@ -9,9 +9,10 @@ turns the same simulator into a *digital twin* of a live fleet:
   trivial);
 * :mod:`repro.service.windows` aggregates events into fixed event-time
   windows with a configurable watermark/lateness policy;
-* :mod:`repro.service.twin` re-simulates each closed window *cumulatively*
-  through the :class:`~repro.serving.cluster.ClusterSimulator` fast path and
-  predicts fleet capacity via the memoised
+* :mod:`repro.service.twin` feeds each closed window into one resumable
+  event loop per fleet (:meth:`~repro.serving.cluster.ClusterSimulator.stream`),
+  reports the cumulative measurement of the stream so far, and predicts
+  fleet capacity via the memoised
   :class:`~repro.runtime.capacity.CapacitySearch`;
 * :mod:`repro.service.shadow` maintains an operator-supplied "what-if" fleet
   configuration side by side with the real one, so a config change is

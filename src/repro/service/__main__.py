@@ -42,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
         description=(
-            "Digital-twin serving service: stream query events, re-simulate "
-            "each event-time window cumulatively, and publish capacity / "
+            "Digital-twin serving service: stream query events, simulate "
+            "each event-time window incrementally, and publish capacity / "
             "p95-vs-SLA verdicts for the real fleet config and an optional "
             "shadow what-if config."
         ),
@@ -136,8 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help=(
             "Load shedding: when one ingest batch closes more than this many "
-            "windows, absorb the oldest beyond the budget instead of "
-            "re-simulating them (0 disables shedding)."
+            "windows, absorb the oldest beyond the budget: their events are "
+            "simulated, but their reports and capacity searches are skipped "
+            "(0 disables shedding)."
         ),
     )
     parser.add_argument(
@@ -196,7 +197,7 @@ def build_pipeline(args: argparse.Namespace, sink=None) -> IngestPipeline:
         journal = WindowJournal(args.checkpoint_dir)
         restored = journal.load()
         if restored:
-            # Resume: adopt the journalled history (no re-simulation) and
+            # Resume: feed the journalled windows (no reports) and
             # seal the stream position so replayed events read as late.
             twin.restore(restored)
             windows.fast_forward(
@@ -330,7 +331,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if pipeline.shed_windows:
                     print(
                         f"load shedding: absorbed {pipeline.shed_windows} "
-                        f"backlogged windows without re-simulating",
+                        f"backlogged windows without reporting on them",
                         file=sys.stderr,
                     )
                 diverged = sum(

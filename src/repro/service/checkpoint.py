@@ -1,13 +1,13 @@
 """Crash-safe window checkpointing for the digital-twin service.
 
 The twin's only irreplaceable state is the sequence of closed windows it
-has observed — everything else (simulators, capacity predictions, rate
+has observed — everything else (event loops, capacity predictions, rate
 trackers) is a deterministic function of that sequence.  So the service
 journals exactly that: one JSON line per closed window, appended to
 ``windows.jsonl`` under the checkpoint directory *after* the window has
 been observed.  On restart the journal is replayed through
-:meth:`~repro.service.twin.DigitalTwin.restore` (history conservation, no
-re-simulation) and the
+:meth:`~repro.service.twin.DigitalTwin.restore` (each window's events fed
+once, no reports) and the
 :class:`~repro.service.windows.WindowManager` is fast-forwarded past the
 journalled stream position — the resumed service reports bit-identical
 cumulative measurements without reprocessing a single event.

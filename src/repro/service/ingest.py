@@ -1,7 +1,7 @@
 """Ingest loop for the digital-twin service: a trivial line protocol.
 
 The broker is deliberately not the substance of the service — the windowing
-and dual-config re-simulation are — so ingest is a newline-delimited event
+and dual-config simulation are — so ingest is a newline-delimited event
 protocol any producer can speak over TCP, stdin, or an in-process replay:
 
 * JSON object per line: ``{"query_id": 7, "arrival_time": 12.5, "size": 64}``
@@ -78,7 +78,7 @@ def parse_event(line: str) -> Optional[Query]:
 
 
 class IngestPipeline:
-    """Parse → window → re-simulate → publish, as one reusable object.
+    """Parse → window → simulate → publish, as one reusable object.
 
     Every transport (TCP connections, stdin, the example's in-process
     replay) feeds the same pipeline, so the service behaves identically no
@@ -89,9 +89,9 @@ class IngestPipeline:
     :class:`~repro.service.checkpoint.WindowJournal`) records every closed
     window *after* it is observed, so a crashed service resumes without
     reprocessing; ``shed_above`` bounds how many backlogged windows one
-    ingest batch fully re-simulates — when a stall clears and more windows
+    ingest batch fully reports on — when a stall clears and more windows
     than that close at once, the oldest beyond the budget are *absorbed*
-    (history conserved, simulation skipped, counted in
+    (events simulated, report and capacity search skipped, counted in
     :attr:`shed_windows`) so the service catches up instead of falling
     further behind.
     """
@@ -147,9 +147,9 @@ class IngestPipeline:
     def _observe_closed(self, closed: List[Window]) -> List[TwinWindowReport]:
         if self._shed_above and len(closed) > self._shed_above:
             # Load shedding: a backlog burst closed more windows than the
-            # budget allows re-simulating.  Absorb the oldest beyond it —
-            # their events stay in the cumulative history, so every later
-            # report is bit-identical to the unshed run — and fully observe
+            # budget allows reporting on.  Absorb the oldest beyond it —
+            # their events still advance the twin's event loops, so every
+            # later report is bit-identical to the unshed run — and observe
             # only the newest ``shed_above``.
             backlog = len(closed) - self._shed_above
             for window in closed[:backlog]:

@@ -121,7 +121,7 @@ def load_fleet_spec(path: Union[str, Path], name: str = "what-if") -> FleetSpec:
 class ConfigVerdict:
     """One fleet config's outcome for one closed window.
 
-    ``p95_latency_s`` and ``stable`` come from the cumulative re-simulation
+    ``p95_latency_s`` and ``stable`` come from the cumulative measurement
     of the stream so far; ``capacity_qps`` from the (memoised) capacity
     search; ``offered_qps`` is the window's observed arrival rate.
     """

@@ -1,17 +1,19 @@
-"""The digital twin: cumulative windowed re-simulation of a live fleet.
+"""The digital twin: incremental windowed simulation of a live fleet.
 
 :class:`DigitalTwin` is the service's core loop body.  Fed one closed
 :class:`~repro.service.windows.Window` at a time, it
 
-1. appends the window's events to the cumulative history (window 0 through
-   the window just closed — the OpenDT ``sim-worker`` discipline, so every
-   report describes the *whole stream so far*, not an isolated slice);
-2. re-simulates the cumulative stream through the
-   :class:`~repro.serving.cluster.ClusterSimulator` fast path, once per
-   configured fleet (real, and the shadow what-if when present).  Because
-   the simulator is a deterministic function of the event multiset, the
-   final window's cumulative measurement is **bit-identical** to a one-shot
-   batch run over the same events — asserted in
+1. feeds the window's events, sorted by arrival time, into one open-ended
+   :meth:`~repro.serving.cluster.ClusterSimulator.stream` per configured
+   fleet (real, and the shadow what-if when present).  Each stream is one
+   resumable event loop that lives as long as the twin, so a window costs
+   only its own events, not a replay of the history;
+2. reports each fleet from a fork of its stream, finished: the
+   measurement of the *whole stream so far* (window 0 through the window
+   just closed — the OpenDT ``sim-worker`` discipline).  Window indices
+   follow event time, so the windows' sorted events concatenate to the
+   sorted history, and every report is **bit-identical** to a one-shot
+   batch run over the same events — asserted window by window in
    ``tests/test_service_twin.py::TestCumulativeBitIdentity``;
 3. predicts each fleet's capacity with the unified
    :class:`~repro.runtime.capacity.CapacitySearch` against a shared
@@ -24,7 +26,7 @@
    :class:`~repro.service.shadow.ShadowVerdict`.
 
 Long-lived state (the worker pool, the capacity cache, the per-config
-simulators, the offered-rate tracker) is built once and reused across
+event loops, the offered-rate tracker) is built once and reused across
 windows — the whole point of running as a service instead of a batch CLI.
 
 >>> from repro.queries.generator import LoadGenerator
@@ -66,7 +68,7 @@ from repro.runtime.capacity import CapacitySearch, run_capacity_searches
 from repro.runtime.pool import WorkerPool
 from repro.serving.capacity import CapacityCache
 from repro.serving.cluster import ClusterSimulationResult, ClusterSimulator
-from repro.serving.simulator import _check_latency_stats
+from repro.serving.simulator import _arrival_key, _check_latency_stats
 from repro.service.shadow import (
     ConfigVerdict,
     FleetSpec,
@@ -167,16 +169,27 @@ class _FleetState:
             cpu=build_cpu_engine(spec.model, spec.platform), gpu=None
         )
         self.servers = spec.build_servers(self.engines)
-        # One simulator per config for the service's lifetime: kernels are
-        # rebuilt per run() and seeded balancers reset, so repeated runs are
-        # deterministic functions of the event multiset.
-        self.simulator = ClusterSimulator(
+        # One open-ended event loop for the service's lifetime: every
+        # window's events are fed once, and reports finish a fork of it.
+        self.stream = ClusterSimulator(
             self.servers, balancer=spec.policy, latency_stats=latency_stats
-        )
+        ).stream()
+        #: The latest finished fork, or None once more events were fed.
+        self.result: Optional[ClusterSimulationResult] = None
+
+    def feed(self, queries: List[Query]) -> None:
+        self.stream.feed(queries)
+        self.result = None
+
+    def measure(self) -> ClusterSimulationResult:
+        """The cumulative result of everything fed so far (memoised)."""
+        if self.result is None:
+            self.result = self.stream.fork().finish()
+        return self.result
 
 
 class DigitalTwin:
-    """Re-simulates a live stream window by window, real vs what-if.
+    """Simulates a live stream window by window, real vs what-if.
 
     Parameters
     ----------
@@ -186,7 +199,7 @@ class DigitalTwin:
         The p95 target both configs are held to.
     load_generator:
         Workload template for the capacity searches (arrival process shape,
-        query-size distribution, seed).  Window re-simulation uses the
+        query-size distribution, seed).  Window simulation uses the
         *observed* events; only the capacity prediction needs a generator.
     what_if:
         Optional shadow configuration evaluated side by side.
@@ -200,12 +213,13 @@ class DigitalTwin:
     search_num_queries / search_iterations / search_max_queries:
         Fidelity knobs forwarded to :class:`CapacitySearch.for_fleet`.
     latency_stats:
-        ``"exact"`` (default) buffers every latency sample, keeping the
-        twin's reports bit-identical to earlier releases; ``"sketch"``
-        threads the fixed-space quantile sketch through the fleet
-        simulators, the capacity searches, and the cross-window rollups, so
-        the twin's footprint stays O(1) in the events observed — the
-        million-query streaming configuration (see ``docs/performance.md``).
+        ``"exact"`` (default) or ``"sketch"``: the statistics tier of the
+        reports, the capacity searches and the cross-window rollups (see
+        ``docs/performance.md``).  Sketch-mode reports equal a one-shot
+        sketch run over the same events bit for bit.  Either way each
+        fleet's event loop keeps every measured latency with its arrival
+        ordinal, because the warmup cut moves as events arrive: 16 bytes
+        per query per fleet, besides the in-flight queries.
     """
 
     def __init__(
@@ -247,7 +261,8 @@ class DigitalTwin:
         self._fleets = [_FleetState(real, self._latency_stats)]
         if what_if is not None:
             self._fleets.append(_FleetState(what_if, self._latency_stats))
-        self._history: List[Query] = []
+        self._cumulative_queries = 0
+        self._last_window_index: Optional[int] = None
         self._windows_observed = 0
         # Long-lived across windows: the offered-rate tracker is queried
         # (median) and then recorded into again on every window — the
@@ -271,13 +286,13 @@ class DigitalTwin:
 
     @property
     def windows_observed(self) -> int:
-        """Number of windows re-simulated so far."""
+        """Number of windows fed so far (observed or absorbed)."""
         return self._windows_observed
 
     @property
     def cumulative_queries(self) -> int:
         """Events accumulated across all observed windows."""
-        return len(self._history)
+        return self._cumulative_queries
 
     @property
     def latency_stats(self) -> str:
@@ -296,25 +311,18 @@ class DigitalTwin:
     # ------------------------------------------------------------------ #
 
     def observe(self, window: Window) -> TwinWindowReport:
-        """Ingest one closed window: re-simulate cumulatively, re-predict.
+        """Ingest one closed window: simulate its events, report, re-predict.
 
-        Must be called in window order (the
-        :class:`~repro.service.windows.WindowManager` emits windows that
-        way); the cumulative history simply concatenates each window's
-        events, and the simulators sort by arrival time themselves.
+        Windows must come in increasing index order (the
+        :class:`~repro.service.windows.WindowManager` emits them that way);
+        a window whose index is not above the last one fed raises
+        :class:`ValueError`.
         """
-        if not window.queries:
-            raise ValueError(f"window {window.index} is empty; nothing to simulate")
-        self._history.extend(window.queries)
-        self._windows_observed += 1
-        offered_qps = window.mean_rate_qps
-        self._window_rates.add(offered_qps)
-        self._size_rollup.fold([float(q.size) for q in window.queries])
-
+        self._feed(window)
         capacities = self._predict_capacities()
         verdicts: List[ConfigVerdict] = []
         for state, capacity in zip(self._fleets, capacities):
-            measured = self._resimulate(state)
+            measured = state.measure()
             verdicts.append(
                 ConfigVerdict(
                     config=state.spec.name,
@@ -323,7 +331,7 @@ class DigitalTwin:
                     meets_sla=measured.meets_sla(self._sla_latency_s),
                     stable=measured.is_stable(self._sla_latency_s),
                     capacity_qps=capacity.max_qps,
-                    offered_qps=offered_qps,
+                    offered_qps=window.mean_rate_qps,
                     evaluations=capacity.evaluations,
                 )
             )
@@ -333,7 +341,7 @@ class DigitalTwin:
         shadow = compare_verdicts(real, what_if) if what_if is not None else None
         return TwinWindowReport(
             window=window,
-            cumulative_queries=len(self._history),
+            cumulative_queries=self._cumulative_queries,
             real=real,
             what_if=what_if,
             shadow=shadow,
@@ -341,22 +349,18 @@ class DigitalTwin:
         )
 
     def absorb(self, window: Window) -> None:
-        """Fold one closed window into the history without re-simulating.
+        """Feed one closed window without reporting on it.
 
-        The cheap sibling of :meth:`observe`: the window's events join the
-        cumulative history (and the rate tracker sees its offered rate),
-        but no simulation or capacity prediction runs and no report is
-        emitted.  Because every later :meth:`observe` re-simulates the
-        *whole* history, absorbing conserves bit-identity of all subsequent
-        cumulative measurements — which is what makes it safe for both
-        checkpoint resume (:meth:`restore`) and load shedding.
+        The cheap sibling of :meth:`observe`: the window's events are fed
+        to every fleet's event loop (and the rate tracker sees its offered
+        rate), but no report is finished or emitted and no capacity search
+        runs.  The events still advance the loops, so every
+        later measurement is bit-identical to one where the window was
+        observed — which is what makes absorbing safe for both checkpoint
+        resume (:meth:`restore`) and load shedding.  The same ordering rule
+        as :meth:`observe` applies.
         """
-        if not window.queries:
-            raise ValueError(f"window {window.index} is empty; nothing to absorb")
-        self._history.extend(window.queries)
-        self._windows_observed += 1
-        self._window_rates.add(window.mean_rate_qps)
-        self._size_rollup.fold([float(q.size) for q in window.queries])
+        self._feed(window)
 
     def restore(self, windows: List[Window]) -> None:
         """Adopt a journalled window sequence (crash recovery, in order)."""
@@ -364,15 +368,17 @@ class DigitalTwin:
             self.absorb(window)
 
     def last_cumulative_result(self, config: Optional[str] = None) -> ClusterSimulationResult:
-        """Re-run the cumulative simulation for one config (default: real).
+        """The cumulative result for one config (default: real).
 
-        A deterministic replay of what the most recent :meth:`observe`
-        measured — the bit-identity tests compare this against a one-shot
-        batch run over the same events.
+        What the most recent :meth:`observe` measured, or, after later
+        :meth:`absorb` calls, the same measurement over everything fed so
+        far — the bit-identity tests compare it against a one-shot batch
+        run over the same events.
         """
-        if not self._history:
+        state = self._state(config)
+        if not self._cumulative_queries:
             raise ValueError("no windows observed yet")
-        return self._resimulate(self._state(config))
+        return state.measure()
 
     def close(self) -> None:
         """Release twin-owned resources (the private cache directory)."""
@@ -398,9 +404,24 @@ class DigitalTwin:
             f"unknown config {config!r}; have {[s.spec.name for s in self._fleets]}"
         )
 
-    def _resimulate(self, state: _FleetState) -> ClusterSimulationResult:
-        """One cumulative pass over the history for one fleet config."""
-        return state.simulator.run(self._history)
+    def _feed(self, window: Window) -> None:
+        """Feed one window's events to every fleet and the window trackers."""
+        if not window.queries:
+            raise ValueError(f"window {window.index} is empty; nothing to feed")
+        last = self._last_window_index
+        if last is not None and window.index <= last:
+            raise ValueError(
+                f"window {window.index} arrived after window {last}; windows "
+                "must be fed in increasing index order"
+            )
+        queries = sorted(window.queries, key=_arrival_key)
+        for state in self._fleets:
+            state.feed(queries)
+        self._last_window_index = window.index
+        self._cumulative_queries += len(queries)
+        self._windows_observed += 1
+        self._window_rates.add(window.mean_rate_qps)
+        self._size_rollup.fold([float(q.size) for q in window.queries])
 
     def _predict_capacities(self):
         """Both fleets' capacity at the SLA, via the shared memoised search.
@@ -408,7 +429,7 @@ class DigitalTwin:
         The searches' inputs are window-independent (fleet, SLA, workload
         template), so window 0 runs them cold and every later window hits
         the cache's in-process memo — ``evaluations == 0`` — keeping the
-        per-window cost at the cumulative re-simulation alone.
+        per-window cost at the window's own simulation and report.
         """
         searches = [
             CapacitySearch.for_fleet(

@@ -14,8 +14,8 @@ the service happened to read it), and closes windows behind a watermark:
   stream, or service shutdown).
 
 Windows are emitted in index order, and every accepted event appears in
-exactly one emitted window — the conservation property the twin's cumulative
-re-simulation relies on for bit-identity with a one-shot batch run.
+exactly one emitted window — the conservation property the twin's
+incremental simulation relies on for bit-identity with a one-shot batch run.
 
 >>> from repro.queries.query import Query
 >>> manager = WindowManager(window_s=10.0)
@@ -112,8 +112,8 @@ class Window:
     """One closed event-time window and the queries that fell into it.
 
     ``queries`` preserves ingest order; consumers that need arrival order
-    (the simulators) sort themselves, so a mildly out-of-order stream still
-    re-simulates identically to its sorted batch equivalent.
+    (the twin) sort themselves, so a mildly out-of-order stream still
+    simulates identically to its sorted batch equivalent.
     """
 
     index: int

@@ -10,10 +10,11 @@ tail latency, per-server utilisation, and QPS-at-SLA capacity.
 
 Balancing decisions are made *online*, at each query's arrival instant,
 against the servers' live outstanding-work counters.  There is one event
-loop, :func:`~repro.serving.simulator.run_event_loop`: ``run`` sorts the
-queries and streams them through it, ``run_stream`` streams directly, and
-:class:`ServingSimulator` runs it with one server — so a cluster of one
-server reproduces the single-server simulator's measurements exactly.  A
+loop, :class:`~repro.serving.simulator.EventLoop`: ``run`` sorts the
+queries and streams them through it, ``run_stream`` streams directly,
+``stream`` keeps it open to feed in batches, and :class:`ServingSimulator`
+runs it with one server — so a cluster of one server reproduces the
+single-server simulator's measurements exactly.  A
 :class:`~repro.faults.FaultPlan` joins the loop as an optional event source
 (:class:`FaultInjector`: crashes, recoveries, stragglers, retries and
 hedges); without a plan the loop has no source to consult.
@@ -35,6 +36,7 @@ Five balancing policies ship by default:
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import random
@@ -63,6 +65,7 @@ from repro.serving.capacity import estimate_upper_bound_qps, offload_size_stats
 from repro.serving.simulator import (
     CertainAcceptance,
     CertainRejection,
+    EventLoop,
     SLACriteriaMixin,
     ServerKernel,
     ServerLoadSummary,
@@ -752,7 +755,7 @@ class ClusterSimulator:
     """Event-driven simulator for a fleet of inference servers.
 
     All servers share one event heap and one clock
-    (:func:`~repro.serving.simulator.run_event_loop`); the balancer routes
+    (:class:`~repro.serving.simulator.EventLoop`); the balancer routes
     each query at its arrival instant using the kernels' live
     outstanding-work counters, so balancing decisions see exactly the state
     a real balancer would.  With a single server every policy degenerates to
@@ -934,6 +937,46 @@ class ClusterSimulator:
         check_positive("num_queries", num_queries)
         return self._simulate(queries, num_queries, reject_above_sla_s, accept_within_sla_s)
 
+    def stream(self) -> EventLoop:
+        """An open-ended run to feed in time-sorted batches, without faults.
+
+        Returns an :class:`~repro.serving.simulator.EventLoop` with no
+        stated length: ``feed`` each batch (each sorted by arrival time and
+        no earlier than the last), ``fork().finish()`` for the
+        :class:`ClusterSimulationResult` of everything fed so far — equal
+        field for field to :meth:`run` over those queries — and keep
+        feeding the original.  The stream owns a copy of the balancer,
+        prepared and reset once, so :meth:`run` calls in between do not
+        disturb it.  Fault plans and per-server latency lists are not
+        supported.
+        """
+        if self._fault_plan is not None:
+            raise ValueError("stream does not support fault injection; use run()")
+        if self._collect_per_server:
+            raise ValueError(
+                "stream does not collect per-server latencies; use run()"
+            )
+        kernels = self._build_kernels()
+        balancer = copy.deepcopy(self._balancer)
+        balancer.prepare(self._servers)
+        balancer.reset(len(kernels))
+        return EventLoop(
+            kernels,
+            self._warmup_fraction,
+            choose=balancer.choose,
+            policy=self.policy,
+            latency_stats=self._latency_stats,
+            summarize=self._summarize,
+        )
+
+    def _build_kernels(self) -> List[ServerKernel]:
+        return build_kernels(
+            [
+                (server.engines, server.config, cores)
+                for server, cores in zip(self._servers, self._cores)
+            ]
+        )
+
     def _simulate(
         self,
         arrivals: Iterable[Query],
@@ -941,12 +984,7 @@ class ClusterSimulator:
         reject_above_sla_s: Optional[float],
         accept_within_sla_s: Optional[float],
     ) -> Union[ClusterSimulationResult, CertainRejection, CertainAcceptance]:
-        kernels = build_kernels(
-            [
-                (server.engines, server.config, cores)
-                for server, cores in zip(self._servers, self._cores)
-            ]
-        )
+        kernels = self._build_kernels()
         balancer = self._balancer
         balancer.prepare(self._servers)
         balancer.reset(len(kernels))
@@ -975,6 +1013,16 @@ class ClusterSimulator:
         )
         if not isinstance(outcome, dict):
             return outcome
+        return self._summarize(kernels, outcome, per_server_latencies, faults)
+
+    def _summarize(
+        self,
+        kernels: Sequence[ServerKernel],
+        outcome: Dict[str, Any],
+        per_server_latencies: Optional[List[List[float]]] = None,
+        faults: Optional[FaultInjector] = None,
+    ) -> ClusterSimulationResult:
+        """The fleet result of a finished event loop over ``kernels``."""
         duration = outcome["duration_s"]
         total_core_busy = sum(kernel.cpu_busy_time for kernel in kernels)
         total_cores = sum(kernel.num_cores for kernel in kernels)
@@ -983,7 +1031,7 @@ class ClusterSimulator:
             num_servers=len(kernels),
             fleet_cpu_utilization=min(1.0, total_core_busy / (total_cores * duration)),
             per_server=[
-                summarize_server(kernel, server.name, duration, num_queries)
+                summarize_server(kernel, server.name, duration, outcome["num_queries"])
                 for server, kernel in zip(self._servers, kernels)
             ],
             per_server_latencies=per_server_latencies,

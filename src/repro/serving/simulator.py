@@ -18,21 +18,26 @@ quantities the paper's evaluation figures are built from.
 
 The event mechanics of a single server live in :class:`ServerKernel`, a
 steppable object that owns the server's queues and accounting but not the
-event heap or the clock.  :func:`run_event_loop` is the one discrete-event
-loop that drives a set of kernels from a shared heap:
-:class:`ServingSimulator` runs it with one kernel and
-:class:`~repro.serving.cluster.ClusterSimulator` with a fleet (and, when a
-fault plan is set, a fault source), which is what makes a cluster with one
-server bit-identical to the single-server simulator.
+event heap or the clock.  :class:`EventLoop` is the one discrete-event loop
+that drives a set of kernels from a shared heap, resumably: it can be fed
+arrivals in sorted batches, forked, and finished.  :func:`run_event_loop`
+feeds it a whole stream and finishes it; :class:`ServingSimulator` runs
+that with one kernel and :class:`~repro.serving.cluster.ClusterSimulator`
+with a fleet (and, when a fault plan is set, a fault source), which is what
+makes a cluster with one server bit-identical to the single-server
+simulator.  ``ClusterSimulator.stream`` keeps an open-ended loop, which the
+digital twin feeds one window at a time.
 """
 
 from __future__ import annotations
 
+import copy
 import gc
 import heapq
 import itertools
 import math
 import operator
+from array import array
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -507,6 +512,27 @@ class ServerKernel:
             raise ValueError(f"service_scale must be > 0, got {scale}")
         self._service_scale = scale
 
+    def fork(self, events: List[tuple], counter: Iterator[int]) -> "ServerKernel":
+        """A copy of this kernel on another event heap (see :meth:`EventLoop.fork`).
+
+        Queues, in-flight query state and accounting are copied; engines,
+        configuration and service-time rows are shared.
+        """
+        clone = copy.copy(self)
+        clone._events = events
+        clone._counter = counter
+        clone._cpu_queue = deque(self._cpu_queue)
+        clone._gpu_queue = deque(self._gpu_queue)
+        clone._states = {
+            query_id: (
+                _QueryState(state.query, state.outstanding_requests)
+                if type(state) is _QueryState
+                else state
+            )
+            for query_id, state in self._states.items()
+        }
+        return clone
+
     def crash(self) -> List[Query]:
         """Fail the node: drop all queued and in-flight work.
 
@@ -765,38 +791,416 @@ def misrouted(policy: str, chosen: int, num_servers: int) -> ValueError:
     return ValueError(f"balancer {policy!r} chose server {chosen} of {num_servers}")
 
 
-def run_event_loop(
-    kernels: Sequence[ServerKernel],
-    arrivals: Iterable[Query],
-    num_queries: int,
-    warmup_fraction: float,
-    *,
-    choose: Callable[[Query, Sequence[ServerKernel]], int] = _only_server,
-    policy: str = "",
-    latency_stats: str = "exact",
-    per_server: Optional[List[List[float]]] = None,
-    reject_above_sla_s: Optional[float] = None,
-    accept_within_sla_s: Optional[float] = None,
-    faults: Optional[FaultInjector] = None,
-) -> Union[Dict[str, Any], CertainRejection, CertainAcceptance]:
-    """Serve a time-sorted arrival stream on ``kernels``: the one event loop.
+class EventLoop:
+    """The one discrete-event loop, as a resumable object.
 
-    ``arrivals`` is read one query ahead of the clock; each is routed by
-    ``choose`` at its arrival instant.  Completions on the kernels' shared
-    heap are popped while they are due no later than the next *external*
-    event — the next arrival or, with a ``faults`` source
+    The loop serves a time-sorted arrival stream on ``kernels`` (which share
+    one event heap).  :meth:`feed` advances it through a batch of arrivals:
+    each is routed by ``choose`` at its arrival instant, after every
+    completion due no later than it has been popped, and the loop stops
+    right after the batch's last arrival — completions due later wait on the
+    heap for the next batch.  :meth:`finish` drains the heap and computes
+    the run's measurements.  Feeding a stream in any number of sorted
+    batches therefore steps exactly the events one batch would, because
+    kernels are FIFO and non-preemptive (a completion time never depends on
+    later arrivals) and the balancer only sees earlier state.
+
+    Completions are popped while they are due no later than the next
+    *external* event — the next arrival or, with a ``faults`` source
     (:class:`~repro.serving.cluster.FaultInjector`), the next fault
     transition or retry — so a completion at time t frees its core before
-    anything else happens at t.  ``num_queries`` states the stream's length
-    up front (the warmup split and the certificates need it); a mismatch
-    raises once the stream ends.
+    anything else happens at t.
 
+    ``num_queries`` states the stream's length up front (the warmup split
+    and the certificates need it; a mismatch raises at :meth:`finish`).
     The first ``int(num_queries * warmup_fraction)`` arrivals consumed are
     warmup: the loop holds each one's id only until it completes, and never
     measures it, so query ids need not follow arrival order.  Measured
     latencies are recorded exactly (every sample retained) or into
     fixed-space sketches (``latency_stats="sketch"``), and appended to
     ``per_server[server_index]`` when those lists are given.
+    ``reject_above_sla_s`` / ``accept_within_sla_s`` arm the early exits
+    described at :func:`run_event_loop`.
+
+    With ``num_queries=None`` the loop is *open-ended*, and takes no fault
+    source, per-server lists or early exits.  Its warmup cut moves with the
+    count fed so far, so every completion is
+    recorded with its arrival ordinal (16 bytes per query in typed arrays)
+    and the cut is applied at :meth:`finish`, which yields exactly what a
+    one-shot run over the arrivals fed so far would.  Only an open-ended
+    loop can :meth:`fork`.  ``summarize(kernels, outcome)``, when given,
+    turns :meth:`finish`'s measurements into the caller's result type.
+    """
+
+    def __init__(
+        self,
+        kernels: Sequence[ServerKernel],
+        warmup_fraction: float,
+        num_queries: Optional[int] = None,
+        *,
+        choose: Callable[[Query, Sequence[ServerKernel]], int] = _only_server,
+        policy: str = "",
+        latency_stats: str = "exact",
+        per_server: Optional[List[List[float]]] = None,
+        reject_above_sla_s: Optional[float] = None,
+        accept_within_sla_s: Optional[float] = None,
+        faults: Optional[FaultInjector] = None,
+        summarize: Optional[Callable[[List[ServerKernel], Dict[str, Any]], Any]] = None,
+    ) -> None:
+        self.kernels = list(kernels)
+        self._events = self.kernels[0]._events
+        self._counter = self.kernels[0]._counter
+        self._num_queries = num_queries
+        self._warmup_fraction = warmup_fraction
+        self._choose = choose
+        self._policy = policy
+        self._sketch_mode = latency_stats == "sketch"
+        self._per_server = per_server
+        self._faults = faults
+        self._summarize = summarize
+
+        self._warmup_count = int((num_queries or 0) * warmup_fraction)
+        measured_total = (num_queries or 0) - self._warmup_count
+        self._measured_total = measured_total
+        self._reject_above_sla_s = reject_above_sla_s
+        self._reject_needed = certain_rejection_threshold(measured_total)
+        # Certain acceptance also certifies the late window, whose boundary is
+        # known up front only when every measured query completes.
+        self._accept_armed = accept_within_sla_s is not None and faults is None
+        self._accept_sla = accept_within_sla_s if self._accept_armed else _INFINITY
+        self._late_start = measured_total // 2
+        self._accept_allowed = certain_acceptance_threshold(measured_total)
+        self._accept_allowed_late = certain_acceptance_threshold(
+            measured_total - self._late_start
+        )
+
+        # Exact mode collects into a plain list that feeds the tracker in one
+        # vectorized pass; sketch mode flushes chunk-wise into fixed-space
+        # sketches so peak memory stays O(1) in the trace.  An open-ended
+        # loop keeps (arrival ordinal, latency) pairs until the cut is known.
+        self._arrival_ordinals: Optional[Dict[int, int]] = None
+        self._ordinals: Optional[array] = None
+        self._latencies: Union[List[float], array, None] = None
+        if num_queries is None:
+            self._arrival_ordinals = {}  # in-flight query id -> arrival ordinal
+            self._ordinals = array("q")
+            self._latencies = array("d")
+            self._record = self._latencies.append
+        elif self._sketch_mode:
+            self._tracker = PercentileTracker(mode="sketch")
+            self._late_tracker = PercentileTracker(mode="sketch")
+            self._record, self._flush = _sketch_recorder(
+                self._tracker, self._late_tracker, self._late_start
+            )
+        else:
+            self._latencies = []
+            self._record = self._latencies.append
+
+        # Until a fault fires, every node is up and no query is tracked, so a
+        # faulted run takes the same per-event path as a fault-free one.
+        self._next_fault = faults.next_time if faults is not None else _INFINITY
+        self._healthy = True  # every node up: arrivals go straight to their kernel
+        self._warmup: Set[int] = set()  # warmup queries in flight
+        self._measured = 0
+        self._consumed = 0
+        self._first_arrival: Optional[float] = None
+        self._last_arrival = self._last_completion = 0.0
+        self._over_sla = 0
+        self._accept_over = 0
+        self._accept_over_late = 0
+        self._accepted: Optional[Tuple[int, int]] = None  # (measured, over) when it fired
+
+    def feed(self, arrivals: Iterable[Query]) -> Optional[CertainRejection]:
+        """Serve a time-sorted batch of arrivals, stopping after the last one.
+
+        Returns a :class:`CertainRejection` if the armed rejection exit
+        fired (the loop is then spent), otherwise ``None``.
+        """
+        iterator = iter(arrivals)
+        pending = next(iterator, None)
+        if pending is None:
+            return None
+        if self._first_arrival is None:
+            first = pending.arrival_time
+            self._first_arrival = self._last_arrival = self._last_completion = first
+        return self._advance(pending, iterator)
+
+    def fork(self) -> "EventLoop":
+        """An independent copy of an open-ended loop, e.g. to :meth:`finish`.
+
+        Copies only what advancing mutates — the heap, each kernel's queues
+        and accounting, the in-flight ordinals and the recorded samples;
+        engines and latency tables stay shared.  The balancer is shared too:
+        a drain routes nothing.  The copy continues the heap's sequence
+        numbers, so its events tie-break exactly as the original's would.
+        """
+        if self._ordinals is None:
+            raise ValueError("only an open-ended event loop can fork")
+        clone = copy.copy(self)
+        clone._events = list(self._events)
+        clone._counter = itertools.count(next(self._counter))
+        clone.kernels = [
+            kernel.fork(clone._events, clone._counter) for kernel in self.kernels
+        ]
+        clone._arrival_ordinals = dict(self._arrival_ordinals)
+        clone._ordinals = array("q", self._ordinals)
+        clone._latencies = array("d", self._latencies)
+        clone._record = clone._latencies.append
+        return clone
+
+    def finish(self) -> Union[Dict[str, Any], Any, CertainRejection, CertainAcceptance]:
+        """Drain every remaining completion and return the run's measurements.
+
+        The measurements are the keyword arguments every result type shares
+        (or ``summarize``'s result); an early exit returns its certificate.
+        The loop is spent afterwards: :meth:`fork` first to keep feeding.
+        """
+        if self._first_arrival is None:
+            raise ValueError("cannot simulate an empty query stream")
+        early = self._advance(None, iter(()))
+        if early is not None:
+            return early
+        num_queries = self._num_queries
+        consumed = self._consumed
+        if num_queries is None:
+            num_queries = consumed
+        elif consumed != num_queries:
+            raise ValueError(f"num_queries={num_queries} but the stream yielded {consumed}")
+        first_arrival = self._first_arrival
+        last_arrival = self._last_arrival
+        last_completion = self._last_completion
+        arrival_span = max(last_arrival - first_arrival, 1e-9)
+        drain = max(0.0, last_completion - last_arrival)
+        if self._accepted is not None:
+            return CertainAcceptance(
+                sla_latency_s=self._accept_sla,
+                measured_queries=self._accepted[0],
+                over_sla_queries=self._accepted[1],
+                drain_s=drain,
+                arrival_span_s=arrival_span,
+            )
+
+        sketch_mode = self._sketch_mode
+        if self._ordinals is not None:
+            # Open-ended: cut the warmup for the final count, keeping the
+            # measured samples in completion order, then aggregate exactly
+            # as a one-shot run over the same arrivals would.
+            warmup_count = int(num_queries * self._warmup_fraction)
+            measured = np.frombuffer(self._latencies)[
+                np.frombuffer(self._ordinals, dtype=np.int64) >= warmup_count
+            ]
+            if sketch_mode:
+                tracker = PercentileTracker(mode="sketch")
+                late_tracker = PercentileTracker(mode="sketch")
+                record, flush = _sketch_recorder(
+                    tracker, late_tracker, (num_queries - warmup_count) // 2
+                )
+                for latency in measured.tolist():
+                    record(latency)
+                flush()
+            else:
+                tracker = PercentileTracker()
+                tracker.extend(measured)
+        elif sketch_mode:
+            self._flush()
+            tracker = self._tracker
+            late_tracker = self._late_tracker
+        else:
+            tracker = PercentileTracker()
+            tracker.extend(self._latencies)
+        if tracker.count == 0:
+            if self._reject_above_sla_s is not None:
+                # Every measured query was lost to faults: 100% of the offered
+                # population missed the SLA, so the verdict is certain.
+                faults = self._faults
+                return CertainRejection(
+                    sla_latency_s=self._reject_above_sla_s,
+                    measured_queries=0,
+                    over_sla_queries=faults.stats.failed_queries if faults is not None else 0,
+                )
+            raise ValueError(
+                "no queries completed outside the warmup window; lower "
+                "warmup_fraction (or the fault rates), or send more queries"
+            )
+        samples: List[float] = []
+        if sketch_mode:
+            p95_late = late_tracker.percentile(95) if late_tracker.raw_count else 0.0
+        else:
+            samples = tracker.samples()
+            p95_late = late_window_p95(samples)
+        duration = max(last_completion - first_arrival, 1e-9)
+        outcome = dict(
+            num_queries=num_queries,
+            measured_queries=tracker.count,
+            duration_s=duration,
+            p50_latency_s=tracker.p50(),
+            p95_latency_s=tracker.p95(),
+            p99_latency_s=tracker.p99(),
+            mean_latency_s=tracker.mean(),
+            achieved_qps=num_queries / duration,
+            offered_qps=num_queries / arrival_span,
+            p95_late_window_s=p95_late,
+            drain_s=drain,
+            arrival_span_s=arrival_span,
+            latencies_s=samples,
+        )
+        if self._summarize is not None:
+            return self._summarize(self.kernels, outcome)
+        return outcome
+
+    def _advance(
+        self, pending: Optional[Query], iterator: Iterator[Query]
+    ) -> Optional[CertainRejection]:
+        """Step the loop: through ``pending`` and ``iterator``, or, with
+        ``pending=None``, until nothing is left to happen.
+
+        The one place events leave the heap.  Loop state lives in locals
+        while stepping and is stored back when the batch (or the drain)
+        ends.
+        """
+        # Hot loop: bind everything to locals.
+        kernels = self.kernels
+        events = self._events
+        heappop = heapq.heappop
+        num_kernels = len(kernels)
+        choose = self._choose
+        record = self._record
+        per_server = self._per_server
+        faults = self._faults
+        tracked = faults.tracked if faults is not None else {}
+        absorb = faults.absorb_completion if faults is not None else None
+        arrival_ordinals = self._arrival_ordinals
+        record_ordinal = self._ordinals.append if self._ordinals is not None else None
+        warmup = self._warmup
+        warmup_count = self._warmup_count
+        measured_total = self._measured_total
+        reject_above = self._reject_above_sla_s
+        reject_sla = reject_above if reject_above is not None else _INFINITY
+        reject_needed = self._reject_needed
+        accept_armed = self._accept_armed
+        accept_sla = self._accept_sla
+        late_start = self._late_start
+        accept_allowed = self._accept_allowed
+        accept_allowed_late = self._accept_allowed_late
+        next_fault = self._next_fault
+        healthy = self._healthy
+        measured = self._measured
+        consumed = self._consumed
+        last_arrival = self._last_arrival
+        last_completion = self._last_completion
+        over_sla = self._over_sla
+        accept_over = self._accept_over
+        accept_over_late = self._accept_over_late
+        accepted = self._accepted
+        next_arrival = pending.arrival_time if pending is not None else _INFINITY
+        next_external = next_arrival if next_arrival < next_fault else next_fault
+        with pause_gc():
+            while True:
+                while events and events[0][0] <= next_external:
+                    now, kind, _, server_index, query_id = heappop(events)
+                    if kind == EVT_CPU_DONE:
+                        completed = kernels[server_index].on_cpu_done(query_id, now)
+                        if completed is None:
+                            continue
+                    else:  # EVT_GPU_DONE
+                        completed = kernels[server_index].on_gpu_done(query_id, now)
+                    if now > last_completion:
+                        last_completion = now
+                    if tracked and absorb(query_id):
+                        continue
+                    if query_id in warmup:
+                        warmup.remove(query_id)
+                        continue
+                    if accepted is not None:
+                        continue
+                    latency = now - completed.arrival_time
+                    record(latency)
+                    if arrival_ordinals is not None:
+                        record_ordinal(arrival_ordinals.pop(query_id))
+                    measured += 1
+                    if per_server is not None:
+                        per_server[server_index].append(latency)
+                    if latency > reject_sla:
+                        over_sla += 1
+                        if over_sla >= reject_needed:
+                            return CertainRejection(
+                                sla_latency_s=reject_sla,
+                                measured_queries=measured,
+                                over_sla_queries=over_sla,
+                            )
+                    if accept_armed:
+                        if latency > accept_sla:
+                            accept_over += 1
+                            if measured > late_start:
+                                accept_over_late += 1
+                        remaining = measured_total - measured
+                        if (
+                            accept_over + remaining <= accept_allowed
+                            and accept_over_late + remaining <= accept_allowed_late
+                        ):
+                            # Certified: stop recording, keep stepping so the
+                            # drain time (and the stream-length check) is exact.
+                            accepted = (measured, accept_over)
+                if next_fault <= next_arrival:  # always true once arrivals run out
+                    if pending is None and not events and (faults is None or faults.idle):
+                        break  # drained: later transitions cannot touch the run
+                    faults.step()
+                    next_fault = faults.next_time
+                    healthy = faults.healthy
+                    next_external = min(next_arrival, next_fault)
+                    continue
+                query = pending
+                arrival = query.arrival_time
+                if arrival < last_arrival:
+                    raise ValueError(
+                        "arrivals must come pre-sorted by time: query "
+                        f"{query.query_id} arrives at {arrival} after {last_arrival}"
+                    )
+                last_arrival = arrival
+                if consumed < warmup_count:
+                    warmup.add(query.query_id)
+                if arrival_ordinals is not None:
+                    arrival_ordinals[query.query_id] = consumed
+                consumed += 1
+                pending = next(iterator, None)
+                chosen = choose(query, kernels)
+                if not 0 <= chosen < num_kernels:
+                    raise misrouted(self._policy, chosen, num_kernels)
+                if healthy:
+                    kernels[chosen].submit(query, arrival)
+                else:
+                    faults.dispatch(query, chosen, arrival)
+                    next_fault = faults.next_time
+                if pending is None:
+                    break  # batch fed: later completions wait for the next one
+                next_arrival = pending.arrival_time
+                next_external = next_arrival if next_arrival < next_fault else next_fault
+
+        self._next_fault = next_fault
+        self._healthy = healthy
+        self._measured = measured
+        self._consumed = consumed
+        self._last_arrival = last_arrival
+        self._last_completion = last_completion
+        self._over_sla = over_sla
+        self._accept_over = accept_over
+        self._accept_over_late = accept_over_late
+        self._accepted = accepted
+        return None
+
+
+def run_event_loop(
+    kernels: Sequence[ServerKernel],
+    arrivals: Iterable[Query],
+    num_queries: int,
+    warmup_fraction: float,
+    **options: Any,
+) -> Union[Dict[str, Any], CertainRejection, CertainAcceptance]:
+    """Serve a time-sorted arrival stream of known length on ``kernels``.
+
+    One :class:`EventLoop` fed the whole stream, then finished; ``options``
+    are its keyword arguments.  ``arrivals`` is read one query ahead of the
+    clock, so a generator streams in constant memory.
 
     ``reject_above_sla_s`` returns a :class:`CertainRejection` as soon as the
     full run's p95 provably exceeds the target.  ``accept_within_sla_s``
@@ -807,184 +1211,9 @@ def run_event_loop(
     the fact.  Otherwise the run's measurements are returned as the keyword
     arguments every result type shares.
     """
-    iterator = iter(arrivals)
-    pending = next(iterator, None)
-    if pending is None:
-        raise ValueError("cannot simulate an empty query stream")
-
-    warmup_count = int(num_queries * warmup_fraction)
-    measured_total = num_queries - warmup_count
-    reject_sla = reject_above_sla_s if reject_above_sla_s is not None else _INFINITY
-    reject_needed = certain_rejection_threshold(measured_total)
-    over_sla = 0
-    # Certain acceptance also certifies the late window, whose boundary is
-    # known up front only when every measured query completes.
-    accept_armed = accept_within_sla_s is not None and faults is None
-    accept_sla = accept_within_sla_s if accept_armed else _INFINITY
-    late_start = measured_total // 2
-    accept_allowed = certain_acceptance_threshold(measured_total)
-    accept_allowed_late = certain_acceptance_threshold(measured_total - late_start)
-    accept_over = 0
-    accept_over_late = 0
-    accepted: Optional[Tuple[int, int]] = None  # (measured, over) when it fired
-
-    # Exact mode collects into a plain list that feeds the tracker in one
-    # vectorized pass; sketch mode flushes chunk-wise into fixed-space
-    # sketches so peak memory stays O(1) in the trace.
-    latencies: List[float] = []
-    sketch_mode = latency_stats == "sketch"
-    if sketch_mode:
-        tracker = PercentileTracker(mode="sketch")
-        late_tracker = PercentileTracker(mode="sketch")
-        record, flush_chunks = _sketch_recorder(tracker, late_tracker, late_start)
-    else:
-        record = latencies.append
-
-    # Hot loop: bind everything to locals.
-    events = kernels[0]._events
-    heappop = heapq.heappop
-    num_kernels = len(kernels)
-    # Until a fault fires, every node is up and no query is tracked, so a
-    # faulted run takes the same per-event path as a fault-free one.
-    tracked = faults.tracked if faults is not None else {}
-    absorb = faults.absorb_completion if faults is not None else None
-    next_fault = faults.next_time if faults is not None else _INFINITY
-    healthy = True  # every node up: arrivals go straight to their kernel
-    warmup: Set[int] = set()  # warmup queries in flight
-    measured = 0
-    consumed = 0
-    first_arrival = last_arrival = last_completion = pending.arrival_time
-    next_arrival = first_arrival
-    next_external = min(first_arrival, next_fault)
-    with pause_gc():
-        while True:
-            while events and events[0][0] <= next_external:
-                now, kind, _, server_index, query_id = heappop(events)
-                if kind == EVT_CPU_DONE:
-                    completed = kernels[server_index].on_cpu_done(query_id, now)
-                    if completed is None:
-                        continue
-                else:  # EVT_GPU_DONE
-                    completed = kernels[server_index].on_gpu_done(query_id, now)
-                if now > last_completion:
-                    last_completion = now
-                if tracked and absorb(query_id):
-                    continue
-                if query_id in warmup:
-                    warmup.remove(query_id)
-                    continue
-                if accepted is not None:
-                    continue
-                latency = now - completed.arrival_time
-                record(latency)
-                measured += 1
-                if per_server is not None:
-                    per_server[server_index].append(latency)
-                if latency > reject_sla:
-                    over_sla += 1
-                    if over_sla >= reject_needed:
-                        return CertainRejection(
-                            sla_latency_s=reject_sla,
-                            measured_queries=measured,
-                            over_sla_queries=over_sla,
-                        )
-                if accept_armed:
-                    if latency > accept_sla:
-                        accept_over += 1
-                        if measured > late_start:
-                            accept_over_late += 1
-                    remaining = measured_total - measured
-                    if (
-                        accept_over + remaining <= accept_allowed
-                        and accept_over_late + remaining <= accept_allowed_late
-                    ):
-                        # Certified: stop recording, keep stepping so the
-                        # drain time (and the stream-length check) is exact.
-                        accepted = (measured, accept_over)
-            if next_fault <= next_arrival:  # always true once arrivals run out
-                if pending is None and not events and (faults is None or faults.idle):
-                    break  # drained: later transitions cannot touch the run
-                faults.step()
-                next_fault = faults.next_time
-                healthy = faults.healthy
-                next_external = min(next_arrival, next_fault)
-                continue
-            query = pending
-            arrival = query.arrival_time
-            if arrival < last_arrival:
-                raise ValueError(
-                    "arrivals must come pre-sorted by time: query "
-                    f"{query.query_id} arrives at {arrival} after {last_arrival}"
-                )
-            last_arrival = arrival
-            if consumed < warmup_count:
-                warmup.add(query.query_id)
-            consumed += 1
-            pending = next(iterator, None)
-            next_arrival = pending.arrival_time if pending is not None else _INFINITY
-            chosen = choose(query, kernels)
-            if not 0 <= chosen < num_kernels:
-                raise misrouted(policy, chosen, num_kernels)
-            if healthy:
-                kernels[chosen].submit(query, arrival)
-            else:
-                faults.dispatch(query, chosen, arrival)
-                next_fault = faults.next_time
-            next_external = next_arrival if next_arrival < next_fault else next_fault
-
-    if consumed != num_queries:
-        raise ValueError(f"num_queries={num_queries} but the stream yielded {consumed}")
-    arrival_span = max(last_arrival - first_arrival, 1e-9)
-    drain = max(0.0, last_completion - last_arrival)
-    if accepted is not None:
-        return CertainAcceptance(
-            sla_latency_s=accept_sla,
-            measured_queries=accepted[0],
-            over_sla_queries=accepted[1],
-            drain_s=drain,
-            arrival_span_s=arrival_span,
-        )
-
-    if sketch_mode:
-        flush_chunks()
-        samples: List[float] = []
-    else:
-        tracker = PercentileTracker()
-        tracker.extend(latencies)
-    if tracker.count == 0:
-        if reject_above_sla_s is not None:
-            # Every measured query was lost to faults: 100% of the offered
-            # population missed the SLA, so the verdict is certain.
-            return CertainRejection(
-                sla_latency_s=reject_above_sla_s,
-                measured_queries=0,
-                over_sla_queries=faults.stats.failed_queries if faults is not None else 0,
-            )
-        raise ValueError(
-            "no queries completed outside the warmup window; lower "
-            "warmup_fraction (or the fault rates), or send more queries"
-        )
-    if sketch_mode:
-        p95_late = late_tracker.percentile(95) if late_tracker.raw_count else 0.0
-    else:
-        samples = tracker.samples()
-        p95_late = late_window_p95(samples)
-    duration = max(last_completion - first_arrival, 1e-9)
-    return dict(
-        num_queries=num_queries,
-        measured_queries=tracker.count,
-        duration_s=duration,
-        p50_latency_s=tracker.p50(),
-        p95_latency_s=tracker.p95(),
-        p99_latency_s=tracker.p99(),
-        mean_latency_s=tracker.mean(),
-        achieved_qps=num_queries / duration,
-        offered_qps=num_queries / arrival_span,
-        p95_late_window_s=p95_late,
-        drain_s=drain,
-        arrival_span_s=arrival_span,
-        latencies_s=samples,
-    )
+    loop = EventLoop(kernels, warmup_fraction, num_queries, **options)
+    rejected = loop.feed(arrivals)
+    return rejected if rejected is not None else loop.finish()
 
 
 class ServingSimulator:

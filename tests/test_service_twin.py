@@ -1,8 +1,10 @@
-"""Tests for the digital twin: cumulative re-simulation and shadow mode."""
+"""Tests for the digital twin: incremental simulation and shadow mode."""
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.queries.generator import LoadGenerator
 from repro.queries.trace import DiurnalPattern, generate_diurnal_trace
@@ -13,7 +15,8 @@ from repro.service.shadow import (
     load_fleet_spec,
 )
 from repro.service.twin import DigitalTwin, render_window_reports
-from repro.service.windows import WindowManager
+from repro.service.windows import Window, WindowManager
+from repro.serving.cluster import ClusterSimulator
 
 #: Low-fidelity search knobs: the capacity answer only needs to be
 #: deterministic for these tests, not paper-accurate.
@@ -57,7 +60,61 @@ def windowed_stream(num_queries=500, rate_qps=80.0, window_s=2.0, seed=7):
 
 
 class TestCumulativeBitIdentity:
-    """Windowed cumulative re-simulation == one-shot batch, bit for bit."""
+    """Every window's report == a one-shot batch run over the events so far."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        policy=st.sampled_from(["power-of-two", "random"]),
+        num_servers=st.integers(1, 3),
+        num_cores=st.integers(1, 2),
+        # Sizes reach 1000 items, so every batch size splits some queries.
+        batch_size=st.sampled_from([32, 128]),
+        # The top rates overload the small fleets: backlogs span windows.
+        rate_qps=st.sampled_from([40.0, 150.0, 600.0, 2000.0]),
+        num_queries=st.integers(30, 240),
+        window_s=st.sampled_from([0.25, 1.0, 3.0]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_every_window_matches_batch_over_events_so_far(
+        self, policy, num_servers, num_cores, batch_size, rate_qps,
+        num_queries, window_s, seed, data,
+    ):
+        spec = FleetSpec(
+            name="real", model="ncf", platform="broadwell", num_servers=num_servers,
+            batch_size=batch_size, num_cores=num_cores, policy=policy,
+        )
+        queries, windows = windowed_stream(
+            num_queries=num_queries, rate_qps=rate_qps, window_s=window_s, seed=seed
+        )
+        absorbing = data.draw(st.lists(st.booleans(), min_size=len(windows),
+                                       max_size=len(windows)))
+        history = []
+        with make_twin(real=spec) as twin:
+            for window, absorb in zip(windows, absorbing):
+                history.extend(window.queries)
+                if absorb:
+                    twin.absorb(window)
+                    report = None
+                else:
+                    report = twin.observe(window)
+                # Called after every window: a fork's drain that leaked into
+                # the live loop would show in every later window.
+                result = twin.last_cumulative_result()
+                batch = ClusterSimulator(
+                    spec.build_servers(), balancer=spec.policy
+                ).run(history)
+                assert result.latencies_s == batch.latencies_s
+                assert result.per_server == batch.per_server
+                assert result.drain_s == batch.drain_s
+                assert result.duration_s == batch.duration_s
+                assert result == batch
+                if report is not None:
+                    sla = twin.sla_latency_s
+                    assert report.cumulative_queries == len(history)
+                    assert report.real.p95_latency_s == batch.p95_latency_s
+                    assert report.real.meets_sla == batch.meets_sla(sla)
+                    assert report.real.stable == batch.is_stable(sla)
 
     def test_final_window_matches_one_shot_batch(self):
         queries, windows = windowed_stream()
@@ -67,8 +124,6 @@ class TestCumulativeBitIdentity:
                 twin.observe(window)
             windowed = twin.last_cumulative_result()
         batch_servers = REAL.build_servers()
-        from repro.serving.cluster import ClusterSimulator
-
         batch = ClusterSimulator(batch_servers, balancer=REAL.policy).run(queries)
         assert windowed.latencies_s == batch.latencies_s  # bit-identical
         assert windowed.p95_latency_s == batch.p95_latency_s
@@ -80,8 +135,6 @@ class TestCumulativeBitIdentity:
             for window in windows:
                 twin.observe(window)
             windowed = twin.last_cumulative_result("what-if")
-        from repro.serving.cluster import ClusterSimulator
-
         batch = ClusterSimulator(
             UNDER_PROVISIONED.build_servers(), balancer=UNDER_PROVISIONED.policy
         ).run(queries)
@@ -112,8 +165,6 @@ class TestCumulativeBitIdentity:
             for window in windows:
                 twin.observe(window)
             windowed = twin.last_cumulative_result()
-        from repro.serving.cluster import ClusterSimulator
-
         batch = ClusterSimulator(REAL.build_servers(), balancer=REAL.policy).run(
             queries
         )
@@ -256,11 +307,25 @@ class TestTwinReports:
 
 class TestTwinGuards:
     def test_empty_window_rejected(self):
-        from repro.service.windows import Window
-
         with make_twin() as twin:
             with pytest.raises(ValueError, match="empty"):
                 twin.observe(Window(index=0, start_s=0.0, end_s=1.0, queries=()))
+
+    @pytest.mark.parametrize("feed", ["observe", "absorb"])
+    def test_out_of_order_window_rejected(self, feed):
+        _, windows = windowed_stream(num_queries=400)
+        with make_twin() as twin:
+            latest = windows[1].index
+            getattr(twin, feed)(windows[1])
+            for stale in (windows[0], windows[1]):
+                with pytest.raises(ValueError) as excinfo:
+                    getattr(twin, feed)(stale)
+                message = str(excinfo.value)
+                assert f"window {stale.index} arrived after window {latest}" in message
+            # The refused windows fed nothing; in-order feeding carries on.
+            assert twin.cumulative_queries == len(windows[1].queries)
+            twin.observe(windows[2])
+            assert twin.windows_observed == 2
 
     def test_no_history_rejected(self):
         with make_twin() as twin:
@@ -335,6 +400,26 @@ class TestSketchStatisticsTier:
             assert exact_report.real.p95_latency_s == pytest.approx(
                 sketch_report.real.p95_latency_s, rel=1e-9
             )
+
+    def test_sketch_twin_equals_one_shot_sketch_run(self):
+        # Enough events that the sketches compact (past k = 400 samples),
+        # so only feeding the samples through the one-shot run's exact
+        # chunking keeps the reports bit-identical.
+        queries, windows = windowed_stream(num_queries=1500, rate_qps=150.0)
+        history = []
+        with make_twin(latency_stats="sketch") as twin:
+            for window in windows:
+                history.extend(window.queries)
+                report = twin.observe(window)
+                batch = ClusterSimulator(
+                    REAL.build_servers(), balancer=REAL.policy, latency_stats="sketch"
+                ).run(history)
+                result = twin.last_cumulative_result()
+                assert report.real.p95_latency_s == batch.p95_latency_s
+                for name in ("p50_latency_s", "p95_latency_s", "p99_latency_s",
+                             "mean_latency_s", "p95_late_window_s"):
+                    assert getattr(result, name) == getattr(batch, name), name
+        assert len(history) == len(queries)
 
     def test_size_rollup_accumulates_in_both_modes(self):
         queries, windows = windowed_stream(num_queries=300)
