@@ -65,11 +65,11 @@ class LoadGenerator:
         arrival_times = self._arrival.arrival_times(num_queries, arrival_rng, start_time)
         sizes = self._sizes.sample(num_queries, size_rng)
         # tolist() yields native Python floats/ints in one C pass, which is
-        # much cheaper than casting numpy scalars one by one.
-        return [
-            Query(idx, t, size)
-            for idx, (t, size) in enumerate(zip(arrival_times.tolist(), sizes.tolist()))
-        ]
+        # much cheaper than casting numpy scalars one by one; map() then
+        # builds the records without a per-query bytecode loop.
+        return list(
+            map(Query, range(len(arrival_times)), arrival_times.tolist(), sizes.tolist())
+        )
 
     def iter_queries(
         self, num_queries: int, start_time: float = 0.0, chunk_queries: int = 65536
@@ -97,10 +97,12 @@ class LoadGenerator:
         for times in self._arrival.arrival_time_chunks(
             num_queries, arrival_rng, start_time, chunk_queries
         ):
-            sizes = self._sizes.sample(int(times.size), size_rng)
-            for t, size in zip(times.tolist(), sizes.tolist()):
-                yield Query(query_id, t, size)
-                query_id += 1
+            count = int(times.size)
+            sizes = self._sizes.sample(count, size_rng)
+            yield from map(
+                Query, range(query_id, query_id + count), times.tolist(), sizes.tolist()
+            )
+            query_id += count
 
     def generate_for_duration(
         self, duration_s: float, start_time: float = 0.0, max_queries: int = 2_000_000

@@ -196,11 +196,9 @@ def generate_diurnal_trace(
         return QueryTrace([])
     arrival_times = np.concatenate(arrival_blocks).tolist()
     query_sizes = np.concatenate(size_blocks).tolist()
-    queries = [
-        Query(query_id=index, arrival_time=time, size=size)
-        for index, (time, size) in enumerate(zip(arrival_times, query_sizes))
-    ]
-    return QueryTrace(queries)
+    return QueryTrace(
+        list(map(Query, range(len(arrival_times)), arrival_times, query_sizes))
+    )
 
 
 def _diurnal_arrival_chunks(
@@ -317,9 +315,13 @@ def iter_diurnal_trace(
     :func:`diurnal_trace_chunks` for the schema-versioning guarantees.
     """
     query_id = 0
+    # The module-global lookup happens here, once per call, so a wrapper
+    # installed over ``diurnal_trace_chunks`` sees every chunk as it is drawn.
     for times, chunk_sizes in diurnal_trace_chunks(
         base_rate_qps, duration_s, pattern, sizes, seed, time_step_s
     ):
-        for time, size in zip(times.tolist(), chunk_sizes.tolist()):
-            yield Query(query_id=query_id, arrival_time=time, size=size)
-            query_id += 1
+        count = len(times)
+        yield from map(
+            Query, range(query_id, query_id + count), times.tolist(), chunk_sizes.tolist()
+        )
+        query_id += count

@@ -709,34 +709,35 @@ def late_window_p95(samples: Sequence[float]) -> float:
 
 
 def _sketch_recorder(tracker, late_tracker, late_start):
-    """Chunked ``record(latency)`` / ``flush()`` pair for sketch-mode runs.
+    """Chunked ``(chunk, flush)`` pair for sketch-mode runs.
 
-    Latencies buffer into a bounded chunk and flush in bulk (the tracker's
-    ndarray fast path).  A flush is forced exactly at the late-window
-    boundary, so no chunk ever straddles it: every chunk at or past
-    ``late_start`` measured samples feeds the late-window sketch too.
+    Callers record into ``chunk`` (its C-level ``append``, so no Python call
+    per sample).  ``flush()`` feeds the buffered chunk to the sketches in
+    bulk (the tracker's ndarray fast path) and returns the measured count
+    at which it must be called next: every :data:`_SKETCH_CHUNK` samples,
+    and exactly at the late-window start ``late_start``, so no chunk ever
+    straddles that boundary and every chunk at or past it feeds the
+    late-window sketch too.  On an empty chunk ``flush()`` only returns
+    that count, which is how callers get the first flush point.  Chunk
+    boundaries — hence the block-by-block running sum — depend only on the
+    sample count.
     """
     chunk: List[float] = []
-    chunk_append = chunk.append
-    state = [0]  # measured samples already flushed (chunk start index)
+    flushed = [0]  # measured samples already fed to the sketches
 
-    def flush() -> None:
-        if not chunk:
-            return
-        arr = np.asarray(chunk, dtype=np.float64)
-        tracker.extend(arr)
-        if state[0] >= late_start:
-            late_tracker.extend(arr)
-        state[0] += len(chunk)
-        chunk.clear()
+    def flush() -> int:
+        if chunk:
+            arr = np.asarray(chunk, dtype=np.float64)
+            tracker.extend(arr)
+            if flushed[0] >= late_start:
+                late_tracker.extend(arr)
+            flushed[0] += len(chunk)
+            chunk.clear()
+        start = flushed[0]
+        end = start + _SKETCH_CHUNK
+        return late_start if start < late_start < end else end
 
-    def record(latency: float) -> None:
-        chunk_append(latency)
-        filled = state[0] + len(chunk)
-        if filled == late_start or len(chunk) >= _SKETCH_CHUNK:
-            flush()
-
-    return record, flush
+    return chunk, flush
 
 
 @dataclass(frozen=True)
@@ -878,9 +879,13 @@ class EventLoop:
         # vectorized pass; sketch mode flushes chunk-wise into fixed-space
         # sketches so peak memory stays O(1) in the trace.  An open-ended
         # loop keeps (arrival ordinal, latency) pairs until the cut is known.
+        # Sketch mode calls ``_flush`` when ``_measured`` reaches ``_flush_at``
+        # (-1, never reached, in the other modes).
         self._arrival_ordinals: Optional[Dict[int, int]] = None
         self._ordinals: Optional[array] = None
         self._latencies: Union[List[float], array, None] = None
+        self._flush: Optional[Callable[[], int]] = None
+        self._flush_at = -1
         if num_queries is None:
             self._arrival_ordinals = {}  # in-flight query id -> arrival ordinal
             self._ordinals = array("q")
@@ -889,9 +894,11 @@ class EventLoop:
         elif self._sketch_mode:
             self._tracker = PercentileTracker(mode="sketch")
             self._late_tracker = PercentileTracker(mode="sketch")
-            self._record, self._flush = _sketch_recorder(
+            chunk, self._flush = _sketch_recorder(
                 self._tracker, self._late_tracker, self._late_start
             )
+            self._record = chunk.append
+            self._flush_at = self._flush()
         else:
             self._latencies = []
             self._record = self._latencies.append
@@ -990,14 +997,17 @@ class EventLoop:
                 np.frombuffer(self._ordinals, dtype=np.int64) >= warmup_count
             ]
             if sketch_mode:
+                # The same chunks a one-shot sketch run would flush.
                 tracker = PercentileTracker(mode="sketch")
                 late_tracker = PercentileTracker(mode="sketch")
-                record, flush = _sketch_recorder(
+                chunk, flush = _sketch_recorder(
                     tracker, late_tracker, (num_queries - warmup_count) // 2
                 )
-                for latency in measured.tolist():
-                    record(latency)
-                flush()
+                values = measured.tolist()
+                start, flush_at = 0, flush()
+                while start < len(values):
+                    chunk.extend(values[start:flush_at])
+                    start, flush_at = flush_at, flush()
             else:
                 tracker = PercentileTracker()
                 tracker.extend(measured)
@@ -1065,6 +1075,8 @@ class EventLoop:
         num_kernels = len(kernels)
         choose = self._choose
         record = self._record
+        flush = self._flush
+        flush_at = self._flush_at
         per_server = self._per_server
         faults = self._faults
         tracked = faults.tracked if faults is not None else {}
@@ -1118,6 +1130,8 @@ class EventLoop:
                     if arrival_ordinals is not None:
                         record_ordinal(arrival_ordinals.pop(query_id))
                     measured += 1
+                    if measured == flush_at:
+                        flush_at = flush()
                     if per_server is not None:
                         per_server[server_index].append(latency)
                     if latency > reject_sla:
@@ -1179,6 +1193,7 @@ class EventLoop:
         self._next_fault = next_fault
         self._healthy = healthy
         self._measured = measured
+        self._flush_at = flush_at
         self._consumed = consumed
         self._last_arrival = last_arrival
         self._last_completion = last_completion

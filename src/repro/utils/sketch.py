@@ -77,7 +77,7 @@ class QuantileSketch:
         property-tested rank error stays under :data:`RANK_ERROR_BOUND`.
     """
 
-    __slots__ = ("_k", "_levels", "_parity", "_cap0", "_count", "_sum", "_min", "_max")
+    __slots__ = ("_k", "_levels", "_parity", "_caps", "_count", "_sum", "_min", "_max")
 
     def __init__(self, k: int = DEFAULT_K) -> None:
         if k < 2 * _MIN_LEVEL_CAPACITY:
@@ -85,7 +85,8 @@ class QuantileSketch:
         self._k = k
         self._levels: List[List[float]] = [[]]
         self._parity: List[bool] = [False]
-        self._cap0 = k
+        # Per-level capacities; they change only when the level count does.
+        self._caps: List[int] = [k]
         self._count = 0
         self._sum = 0.0
         self._min = math.inf
@@ -105,7 +106,7 @@ class QuantileSketch:
             self._min = value
         if value > self._max:
             self._max = value
-        if len(self._levels[0]) >= self._cap0:
+        if len(self._levels[0]) >= self._caps[0]:
             self._compress()
 
     def extend(self, values: "Union[Iterable[float], np.ndarray]") -> None:
@@ -134,11 +135,11 @@ class QuantileSketch:
         pos = 0
         while pos < size:
             level0 = self._levels[0]
-            room = max(1, self._cap0 - len(level0))
+            room = max(1, self._caps[0] - len(level0))
             block = arr[pos : pos + room]
             level0.extend(block.tolist())
             pos += int(block.size)
-            if len(self._levels[0]) >= self._cap0:
+            if len(self._levels[0]) >= self._caps[0]:
                 self._compress()
 
     def merge(self, other: "QuantileSketch") -> None:
@@ -166,7 +167,7 @@ class QuantileSketch:
             self._parity.append(False)
         for level, items in enumerate(other._levels):
             self._levels[level].extend(items)
-        self._cap0 = self._capacity(0)
+        self._refresh_caps()
         self._compress()
 
     # ------------------------------------------------------------------ #
@@ -252,6 +253,9 @@ class QuantileSketch:
         depth = len(self._levels) - 1 - level
         return max(_MIN_LEVEL_CAPACITY, math.ceil(self._k * _CAPACITY_DECAY**depth))
 
+    def _refresh_caps(self) -> None:
+        self._caps = [self._capacity(level) for level in range(len(self._levels))]
+
     def _compress(self) -> None:
         """Compact every over-capacity level until all are within bounds.
 
@@ -260,8 +264,9 @@ class QuantileSketch:
         compaction strictly reduces the total retained item count.
         """
         level = 0
-        while level < len(self._levels):
-            if len(self._levels[level]) >= self._capacity(level):
+        levels = self._levels
+        while level < len(levels):
+            if len(levels[level]) >= self._caps[level]:
                 self._compact(level)
                 level = 0
             else:
@@ -274,7 +279,7 @@ class QuantileSketch:
         if level + 1 == len(self._levels):
             self._levels.append([])
             self._parity.append(False)
-            self._cap0 = self._capacity(0)
+            self._refresh_caps()
         leftover: List[float] = []
         if len(items) % 2:
             # An odd item cannot split into weight-2w survivors; the max

@@ -19,8 +19,8 @@ def check_positive(name: str, value: Number) -> Number:
 
 
 def check_non_negative(name: str, value: Number) -> Number:
-    """Return ``value`` if >= 0, else raise ``ValueError``."""
-    if value < 0:
+    """Return ``value`` if >= 0, else raise ``ValueError`` (NaN included)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

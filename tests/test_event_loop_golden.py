@@ -123,6 +123,11 @@ CASES: Dict[str, Callable[[], Any]] = {
     "stream-sketch": lambda: ClusterSimulator(
         _fleet(4), "least-outstanding", latency_stats="sketch"
     ).run_stream(iter(_queries(3200.0, 1500)), 1500),
+    # Long enough to cross the real sketch-flush chunk (32 768 samples)
+    # before and after the late-window start.
+    "stream-sketch-long": lambda: ClusterSimulator(
+        _fleet(4), "least-outstanding", latency_stats="sketch"
+    ).run_stream(iter(_queries(3200.0, 75000)), 75000),
     "stream-accept": lambda: ClusterSimulator(_fleet(4), "random").run_stream(
         iter(_queries(800.0, 1000, seed=5)),
         1000,
@@ -654,6 +659,69 @@ EXPECTED: Dict[str, Any] = {
                 "num_items": 84800,
                 "num_queries": 378,
                 "query_share": "0x1.020c49ba5e354p-2",
+                "type": "ServerLoadSummary",
+            },
+        ],
+        "per_server_latencies": None,
+        "policy": "least-outstanding",
+        "type": "ClusterSimulationResult",
+    },
+    "stream-sketch-long": {
+        "achieved_qps": "0x1.8f62608c3d18fp+11",
+        "arrival_span_s": "0x1.7789e9f5944cep+4",
+        "drain_s": "0x1.42bb1d0ec6000p-9",
+        "duration_s": "0x1.7793ffce7cc31p+4",
+        "fault_stats": None,
+        "fleet_cpu_utilization": "0x1.6ad66cf37c24ep-2",
+        "latencies_s": "0:e3b0c44298fc1c149afbf4c8",
+        "mean_latency_s": "0x1.3e667abdbec75p-9",
+        "measured_queries": 67500,
+        "num_queries": 75000,
+        "num_servers": 4,
+        "offered_qps": "0x1.8f6d1a55a2112p+11",
+        "p50_latency_s": "0x1.28928d9d8c000p-9",
+        "p95_late_window_s": "0x1.e22b277afc000p-9",
+        "p95_latency_s": "0x1.e22b277afc000p-9",
+        "p99_latency_s": "0x1.ec96540db0000p-9",
+        "per_server": [
+            {
+                "cpu_utilization": "0x1.6ba5f6f7ab437p-2",
+                "gpu_utilization": "0x0.0p+0",
+                "gpu_work_fraction": "0x0.0p+0",
+                "name": "server-0",
+                "num_items": 4115892,
+                "num_queries": 18704,
+                "query_share": "0x1.febe6fcb22611p-3",
+                "type": "ServerLoadSummary",
+            },
+            {
+                "cpu_utilization": "0x1.6d813c1d0575bp-2",
+                "gpu_utilization": "0x0.0p+0",
+                "gpu_work_fraction": "0x0.0p+0",
+                "name": "server-1",
+                "num_items": 4137748,
+                "num_queries": 18807,
+                "query_share": "0x1.00c73abc94706p-2",
+                "type": "ServerLoadSummary",
+            },
+            {
+                "cpu_utilization": "0x1.6975ca7a00132p-2",
+                "gpu_utilization": "0x0.0p+0",
+                "gpu_work_fraction": "0x0.0p+0",
+                "name": "server-2",
+                "num_items": 4084668,
+                "num_queries": 18845,
+                "query_share": "0x1.014c0c8fa210bp-2",
+                "type": "ServerLoadSummary",
+            },
+            {
+                "cpu_utilization": "0x1.68bcb63f3fc76p-2",
+                "gpu_utilization": "0x0.0p+0",
+                "gpu_work_fraction": "0x0.0p+0",
+                "name": "server-3",
+                "num_items": 4079935,
+                "num_queries": 18644,
+                "query_share": "0x1.fd1b019c709cep-3",
                 "type": "ServerLoadSummary",
             },
         ],

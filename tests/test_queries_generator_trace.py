@@ -1,6 +1,9 @@
 """Tests for the load generator and query traces."""
 
+import dataclasses
 import itertools
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,18 +23,71 @@ from repro.queries.trace import (
 )
 
 
+#: The frozen dataclass ``Query`` used to be; its ``repr`` is the contract.
+_DataclassQuery = dataclasses.make_dataclass(
+    "Query", [("query_id", int), ("arrival_time", float), ("size", int)], frozen=True
+)
+
+
 class TestQuery:
     def test_valid_query(self):
         query = Query(query_id=3, arrival_time=1.5, size=100)
         assert query.size == 100
 
+    def test_positional_and_keyword_construction_agree(self):
+        positional = Query(3, 1.5, 100)
+        keyword = Query(size=100, arrival_time=1.5, query_id=3)
+        assert (positional.query_id, positional.arrival_time, positional.size) == (
+            3,
+            1.5,
+            100,
+        )
+        assert positional == keyword
+
+    def test_equality_and_hash_follow_the_fields(self):
+        a = Query(7, 0.25, 16)
+        b = Query(7, 0.25, 16)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)  # reprolint: disable=RL001 -- in-process hash contract under test
+        assert len({a, b}) == 1
+        assert a != Query(8, 0.25, 16)
+        assert a != Query(7, 0.5, 16)
+        assert a != Query(7, 0.25, 32)
+
+    def test_unequal_to_a_plain_tuple(self):
+        query = Query(7, 0.25, 16)
+        assert query != (7, 0.25, 16)
+        assert (7, 0.25, 16) != query
+
+    @pytest.mark.parametrize(
+        "fields", [(0, 0.0, 1), (1, 2.5, 32), (12, 0.1, 7), (3, 1e-300, 1), (4, 12345.678, 99)]
+    )
+    def test_repr_matches_the_dataclass_format(self, fields):
+        assert repr(Query(*fields)) == repr(_DataclassQuery(*fields))
+
+    def test_repr_text(self):
+        assert repr(Query(1, 2.5, 32)) == "Query(query_id=1, arrival_time=2.5, size=32)"
+
+    def test_pickle_round_trip(self):
+        queries = [Query(0, 0.0, 1), Query(5, 3.75, 64)]
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(queries, protocol=protocol))
+            assert restored == queries
+            assert all(type(query) is Query for query in restored)
+
     def test_invalid_query(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="size must be > 0"):
             Query(query_id=0, arrival_time=0.0, size=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="query_id must be >= 0"):
             Query(query_id=-1, arrival_time=0.0, size=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="arrival_time must be >= 0"):
             Query(query_id=0, arrival_time=-1.0, size=1)
+
+    @pytest.mark.parametrize("arrival_time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_time_rejected(self, arrival_time):
+        with pytest.raises(ValueError, match="arrival_time must be"):
+            Query(0, arrival_time, 1)
 
 
 class TestLoadGenerator:

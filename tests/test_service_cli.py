@@ -104,6 +104,31 @@ class TestParseEvent:
         assert pipeline.feed_line("# fine") == []
         assert pipeline.malformed_lines == 1
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1,nan,3",
+            "1,NaN,3",
+            "1,inf,3",
+            "1,-inf,3",
+            "1,1e400,3",
+            '{"query_id": 1, "arrival_time": NaN, "size": 3}',
+            '{"query_id": 1, "arrival_time": Infinity, "size": 3}',
+            '{"query_id": 1, "arrival_time": 1e400, "size": 3}',
+        ],
+    )
+    def test_non_finite_timestamps_are_malformed_not_fatal(self, line):
+        with pytest.raises(ValueError, match="unparseable"):
+            parse_event(line)
+        pipeline = make_pipeline()
+        assert pipeline.feed_line("0,0.5,16") == []
+        assert pipeline.feed_line(line) == []
+        assert pipeline.malformed_lines == 1
+        # The pipeline keeps accepting events: this one closes window [0, 2).
+        assert len(pipeline.feed_line("2,5.0,16")) == 1
+        assert len(pipeline.finish()) == 1
+        assert pipeline.twin.cumulative_queries == 2
+
     def test_trace_round_trips_through_the_protocol(self):
         queries = LoadGenerator(seed=9).with_rate(50.0).generate(40)
         lines = [

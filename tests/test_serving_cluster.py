@@ -761,3 +761,108 @@ class TestSketchLatencyStats:
         fleet = homogeneous_fleet(engines, config, 2)
         with pytest.raises(ValueError, match="latency_stats"):
             ClusterSimulator(fleet, "round-robin", latency_stats="histogram")
+
+
+class TestSketchFlushSchedule:
+    """Sketch-mode runs flush their latency chunks on a fixed schedule.
+
+    Every ``_SKETCH_CHUNK`` measured samples, and exactly at the late-window
+    start.  The flush points decide which samples the late-window sketch
+    sees, and ``QuantileSketch.extend`` sums block by block, so they show in
+    ``p95_late_window_s`` and in the last ulp of the mean.  A small prime
+    chunk makes a short run flush many times, with the late-window start
+    off a chunk edge; a spy on the trackers pins the flushed block sizes.
+    """
+
+    CHUNK = 97
+
+    @pytest.fixture
+    def sketch_trackers(self, monkeypatch):
+        """Every sketch-mode tracker the event loop builds, logging blocks."""
+        from repro.serving import simulator
+        from repro.utils.stats import PercentileTracker
+
+        monkeypatch.setattr(simulator, "_SKETCH_CHUNK", self.CHUNK)
+        built = []
+
+        class LoggingTracker(PercentileTracker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.blocks = []
+                if self.mode == "sketch":
+                    built.append(self)
+
+            def extend(self, values):
+                self.blocks.append(len(values))
+                super().extend(values)
+
+        monkeypatch.setattr(simulator, "PercentileTracker", LoggingTracker)
+        return built
+
+    def reference(self, latencies):
+        """The documented schedule, fed from an exact run's samples."""
+        import numpy as np
+
+        from repro.utils.stats import PercentileTracker
+
+        total = len(latencies)
+        late_start = total // 2
+        cuts = [
+            *range(self.CHUNK, late_start, self.CHUNK),
+            late_start,
+            *range(late_start + self.CHUNK, total, self.CHUNK),
+            total,
+        ]
+        tracker = PercentileTracker(mode="sketch")
+        late = PercentileTracker(mode="sketch")
+        blocks, late_blocks = [], []
+        start = 0
+        for end in cuts:
+            block = np.asarray(latencies[start:end], dtype=np.float64)
+            tracker.extend(block)
+            blocks.append(end - start)
+            if start >= late_start:
+                late.extend(block)
+                late_blocks.append(end - start)
+            start = end
+        stats = {
+            "p50_latency_s": tracker.p50(),
+            "p95_latency_s": tracker.p95(),
+            "p99_latency_s": tracker.p99(),
+            "mean_latency_s": tracker.mean(),
+            "p95_late_window_s": late.percentile(95),
+        }
+        return stats, [blocks, late_blocks]
+
+    def assert_matches_reference(self, result, trackers, exact):
+        stats, blocks = self.reference(exact.latencies_s)
+        assert result.measured_queries == exact.measured_queries
+        assert [tracker.blocks for tracker in trackers] == blocks
+        assert {name: getattr(result, name).hex() for name in stats} == {
+            name: value.hex() for name, value in stats.items()
+        }
+
+    def test_run_stream_flushes_on_schedule(self, engines, config, sketch_trackers):
+        fleet = homogeneous_fleet(engines, config, 4)
+        queries = LoadGenerator(seed=11).with_rate(3200.0).generate(1500)
+        exact = ClusterSimulator(fleet, "least-outstanding").run(queries)
+        # 1350 measured samples: the late window starts at 675, mid-chunk.
+        assert exact.measured_queries == 1350
+        sketched = ClusterSimulator(
+            fleet, "least-outstanding", latency_stats="sketch"
+        ).run_stream(iter(queries), len(queries))
+        self.assert_matches_reference(sketched, sketch_trackers, exact)
+
+    def test_open_ended_stream_flushes_on_schedule(self, engines, config, sketch_trackers):
+        fleet = homogeneous_fleet(engines, config, 4)
+        queries = LoadGenerator(seed=11).with_rate(3200.0).generate(1500)
+        stream = ClusterSimulator(
+            fleet, "least-outstanding", latency_stats="sketch"
+        ).stream()
+        start = 0
+        for end in (500, 1100, 1500):  # late-window starts 225, 495, 675
+            stream.feed(queries[start:end])
+            start = end
+            exact = ClusterSimulator(fleet, "least-outstanding").run(queries[:end])
+            result = stream.fork().finish()
+            self.assert_matches_reference(result, sketch_trackers[-2:], exact)

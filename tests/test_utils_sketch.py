@@ -10,7 +10,7 @@ million-query traces.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.utils.sketch import DEFAULT_K, RANK_ERROR_BOUND, QuantileSketch
@@ -226,6 +226,73 @@ class TestMerge:
         sketch = QuantileSketch()
         with pytest.raises(ValueError, match="itself"):
             sketch.merge(sketch)
+
+
+class _UncachedSketch(QuantileSketch):
+    """The compaction loop without the capacity cache: every check
+    recomputes ``_capacity(level)``.  The reference for the cached one."""
+
+    __slots__ = ()
+
+    def _compress(self):
+        level = 0
+        while level < len(self._levels):
+            if len(self._levels[level]) >= self._capacity(level):
+                self._compact(level)
+                level = 0
+            else:
+                level += 1
+
+
+_VALUES = st.floats(-1e6, 1e6, allow_nan=False)
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _VALUES),
+        st.tuples(st.just("extend"), st.lists(_VALUES, max_size=120)),
+        st.tuples(st.just("merge"), st.lists(_VALUES, min_size=1, max_size=300)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestCapacityCache:
+    """The cached per-level capacities never go stale."""
+
+    @SETTINGS
+    @given(k=st.sampled_from([16, 24, 40]), operations=_OPERATIONS)
+    # A merge that brings more levels than the receiver has, then one that
+    # brings fewer: both must refresh every lower level's capacity.
+    @example(
+        k=16,
+        operations=[
+            ("add", 1.0),
+            ("merge", [float(v) for v in range(200)]),
+            ("merge", [0.5] * 20),
+            ("extend", [2.5] * 100),
+        ],
+    )
+    def test_cache_tracks_levels_and_changes_nothing(self, k, operations):
+        cached = QuantileSketch(k=k)
+        reference = _UncachedSketch(k=k)
+        for op, arg in operations:
+            for sketch in (cached, reference):
+                if op == "add":
+                    sketch.add(arg)
+                elif op == "extend":
+                    sketch.extend(arg)
+                else:
+                    other = QuantileSketch(k=k)
+                    other.extend(arg)
+                    sketch.merge(other)
+            assert cached._caps == [
+                cached._capacity(level) for level in range(len(cached._levels))
+            ]
+            assert cached._levels == reference._levels
+            assert cached.footprint() == reference.footprint()
+            if cached.count:
+                for pct in PCTS:
+                    assert cached.percentile(pct) == reference.percentile(pct)
 
 
 class TestFootprint:
