@@ -79,9 +79,8 @@ if str(_SRC) not in sys.path:
 from repro.experiments import run_experiment  # noqa: E402
 from repro.execution.engine import build_engine_pair  # noqa: E402
 from repro.queries.generator import LoadGenerator  # noqa: E402
-from repro.runtime.capacity import CapacitySearch  # noqa: E402
+from repro.runtime.capacity import CapacityCache, CapacitySearch  # noqa: E402
 from repro.runtime.pool import shared_pool  # noqa: E402
-from repro.serving.capacity import CapacityCache  # noqa: E402
 from repro.serving.cluster import homogeneous_fleet  # noqa: E402
 from repro.serving.simulator import ServingConfig  # noqa: E402
 from repro.serving.sla import SLATier, sla_target  # noqa: E402

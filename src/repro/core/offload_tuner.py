@@ -28,7 +28,7 @@ from repro.core.hill_climber import (
 from repro.execution.engine import EnginePair
 from repro.queries.generator import LoadGenerator
 from repro.queries.size_dist import MAX_QUERY_SIZE
-from repro.runtime.capacity import CapacitySearch, _parallel_budget
+from repro.runtime.capacity import CapacityCache, CapacitySearch, _parallel_budget
 from repro.runtime.pool import Future, TaskContext, WorkerPool, pool_scope
 from repro.serving.cluster import ClusterServer, available_balancers
 from repro.serving.simulator import ServingConfig, SimulationResult
@@ -59,12 +59,10 @@ def _build_tuner_state(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Per-worker tuner evaluator state (the parent builds the same shape).
 
     The warm-start cache is materialised here so each worker (and the
-    parent) holds one :class:`~repro.serving.capacity.CapacityCache`
+    parent) holds one :class:`~repro.runtime.capacity.CapacityCache`
     instance across all of its evaluations — the in-process memo needs
     instance continuity to pay off.
     """
-    from repro.serving.capacity import CapacityCache
-
     state = dict(payload)
     state["cache"] = (
         CapacityCache(payload["warm_start_cache"])

@@ -32,8 +32,7 @@ from repro.experiments.registry import register_experiment
 from repro.experiments.result import ExperimentResult
 from repro.faults import FaultPlan, RetryPolicy
 from repro.queries.generator import LoadGenerator
-from repro.runtime.capacity import CapacitySearch, run_capacity_searches
-from repro.serving.capacity import CapacityCache
+from repro.runtime.capacity import CapacityCache, CapacitySearch, run_capacity_searches
 from repro.serving.cluster import ClusterSimulator, homogeneous_fleet
 from repro.serving.simulator import ServingConfig
 from repro.serving.sla import SLATier, sla_target

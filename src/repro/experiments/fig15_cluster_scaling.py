@@ -25,8 +25,7 @@ from repro.execution.engine import build_engine_pair
 from repro.experiments.registry import register_experiment
 from repro.experiments.result import ExperimentResult
 from repro.queries.generator import LoadGenerator
-from repro.runtime.capacity import CapacitySearch, run_capacity_searches
-from repro.serving.capacity import CapacityCache
+from repro.runtime.capacity import CapacityCache, CapacitySearch, run_capacity_searches
 from repro.serving.cluster import ClusterServer, homogeneous_fleet
 from repro.serving.simulator import ServingConfig
 from repro.serving.sla import SLATier, sla_target

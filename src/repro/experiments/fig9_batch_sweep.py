@@ -45,8 +45,7 @@ def run(
     ``capacity_cache_dir`` replays previously recorded searches — both
     return results bit-identical to a cold serial run.
     """
-    from repro.runtime.capacity import CapacitySearch, run_capacity_searches
-    from repro.serving.capacity import CapacityCache
+    from repro.runtime.capacity import CapacityCache, CapacitySearch, run_capacity_searches
 
     result = ExperimentResult(
         experiment_id="figure-9",

@@ -35,13 +35,13 @@ from repro.execution.scaled_engine import ScaledCPUEngine
 from repro.queries.query import Query
 from repro.queries.size_dist import ProductionQuerySizes, QuerySizeDistribution
 from repro.queries.trace import DiurnalPattern, QueryTrace, generate_diurnal_trace
-from repro.serving.capacity import estimate_upper_bound_qps
 from repro.serving.cluster import (
     ClusterServer,
     ClusterSimulationResult,
     ClusterSimulator,
     LoadBalancer,
     ServerLoadSummary,
+    estimate_upper_bound_qps,
     heterogeneous_fleet,
 )
 from repro.serving.simulator import ServingConfig, SimulationResult, late_window_p95

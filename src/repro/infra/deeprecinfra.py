@@ -31,8 +31,7 @@ from repro.queries.size_dist import (
     QuerySizeDistribution,
     get_size_distribution,
 )
-from repro.runtime.capacity import CapacitySearch
-from repro.serving.capacity import CapacityResult
+from repro.runtime.capacity import CapacityResult, CapacitySearch
 from repro.serving.simulator import ServingConfig, ServingSimulator, SimulationResult
 from repro.serving.sla import SLATarget, SLATier, sla_target
 from repro.utils.validation import check_positive

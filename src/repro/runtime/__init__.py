@@ -9,9 +9,10 @@ routes through:
   it up.
 * :mod:`repro.runtime.capacity` — :class:`CapacitySearch`, the one
   single-server / fleet capacity search, with completion-driven speculative
-  bisection and schema-versioned warm-start replay, both decision-identical
-  to the cold serial search; :func:`run_capacity_searches` interleaves many
-  searches' evaluations over the one pool.
+  bisection (:class:`BisectionMachine`) and schema-versioned warm-start
+  replay (:class:`CapacityCache`), both decision-identical to the cold
+  serial search; :func:`run_capacity_searches` interleaves many searches'
+  evaluations over the one pool.
 * :mod:`repro.runtime.remote` — :class:`RemoteWorkerPool`, the same
   futures surface executed by a fleet of worker processes on other hosts
   (``python -m repro.runtime.remote worker``), with heartbeat liveness,
@@ -33,6 +34,17 @@ from repro.runtime.pool import (
     shared_pool,
 )
 
+#: Names served lazily from :mod:`repro.runtime.capacity`.
+_CAPACITY_NAMES = (
+    "BisectionMachine",
+    "CapacityCache",
+    "CapacityResult",
+    "CapacitySearch",
+    "CAPACITY_SCHEMA_VERSION",
+    "run_capacity_searches",
+    "speculative_rates",
+)
+
 __all__ = [
     "Future",
     "TaskContext",
@@ -43,9 +55,13 @@ __all__ = [
     "pool_forks",
     "pool_scope",
     "shared_pool",
+    "BisectionMachine",
+    "CapacityCache",
+    "CapacityResult",
     "CapacitySearch",
     "CAPACITY_SCHEMA_VERSION",
     "run_capacity_searches",
+    "speculative_rates",
     "RemoteWorkerPool",
 ]
 
@@ -55,7 +71,7 @@ def __getattr__(name):
     # `repro.runtime.pool` stays importable from anywhere (including the
     # serving modules themselves) without a cycle.  RemoteWorkerPool is
     # lazy for the same reason (its cache sync touches serving).
-    if name in ("CapacitySearch", "CAPACITY_SCHEMA_VERSION", "run_capacity_searches"):
+    if name in _CAPACITY_NAMES:
         from repro.runtime import capacity
 
         return getattr(capacity, name)

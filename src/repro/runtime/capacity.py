@@ -1,14 +1,18 @@
-"""The capacity search: one entry point for single-server and fleet QPS.
+"""The capacity search: one module for single-server and fleet QPS.
 
 The paper's headline figures all reduce to the same question — the largest
 offered load whose p95 latency stays inside the SLA — asked of either one
-server or a fleet.  :class:`CapacitySearch` answers both:
+server or a fleet.  :class:`CapacitySearch` answers both, and this module
+holds every piece of it: the bisection's decision tree
+(:class:`BisectionMachine`), the warm-start store (:class:`CapacityCache`,
+with its cross-host sync helpers), the search itself and its
+completion-driven executor.
 
 * ``CapacitySearch.for_server(...)`` and ``CapacitySearch.for_fleet(...)``
   describe the search; :meth:`CapacitySearch.run` executes it;
 * execution is **completion-driven**: the bisection's decision tree lives in
-  a :class:`~repro.serving.capacity.BisectionMachine`, and with ``jobs > 1``
-  up to ``jobs`` candidate rates stay in flight on the invocation's shared
+  a :class:`BisectionMachine`, and with ``jobs > 1`` up to ``jobs``
+  candidate rates stay in flight on the invocation's shared
   :class:`~repro.runtime.pool.WorkerPool` — each completion advances the
   tree immediately, invalidated speculation is cancelled/ignored, and the
   pipeline refills.  Evaluations are deterministic functions of the rate, so
@@ -17,9 +21,9 @@ server or a fleet.  :class:`CapacitySearch` answers both:
 * :func:`run_capacity_searches` drives *many* searches over the one pool
   concurrently — a sweep's searches interleave their evaluations, keeping
   the pool full even when a single bisection's lookahead cannot;
-* ``warm_start_cache`` consults a :class:`~repro.serving.capacity.CapacityCache`
-  under a schema-versioned signature covering the engines, fleet shape,
-  SLA, workload and trace seed, and search fidelity.  Because the signature
+* ``warm_start_cache`` consults a :class:`CapacityCache` under a
+  schema-versioned signature covering the engines, fleet shape, SLA,
+  workload and trace seed, and search fidelity.  Because the signature
   pins everything the decision tree depends on, a cache hit *is* the value
   the cold serial search would compute: the search verifies it with a single
   evaluation at the cached rate and returns — bit-identical to the cold run,
@@ -51,7 +55,7 @@ Re-running the identical search against a shared cache replays the answer
 (one verifying evaluation from disk, zero from the in-process memo):
 
 >>> import tempfile
->>> from repro.serving.capacity import CapacityCache
+>>> from repro.runtime.capacity import CapacityCache
 >>> with tempfile.TemporaryDirectory() as cache_dir:
 ...     cache = CapacityCache(cache_dir)
 ...     cold = search.run(warm_start_cache=cache)
@@ -63,10 +67,28 @@ Re-running the identical search against a shared cache replays the answer
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import json
+import math
+import numbers
 import os
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union, cast
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    cast,
+)
 
 from repro.execution.engine import EnginePair
 from repro.faults.plan import FaultPlan, RetryPolicy
@@ -78,15 +100,6 @@ from repro.runtime.pool import (
     as_completed,
     pool_scope,
 )
-from repro.serving.capacity import (
-    BisectionMachine,
-    CapacityCache,
-    CapacityResult,
-    estimate_upper_bound_qps,
-    measurement_queries,
-    offload_size_stats,
-    speculative_rates,
-)
 from repro.serving.cluster import (
     ClusterServer,
     ClusterSimulator,
@@ -95,13 +108,421 @@ from repro.serving.cluster import (
     warm_latency_tables,
 )
 from repro.serving.simulator import (
-    CertainAcceptance,
     CertainRejection,
     ServingConfig,
     ServingSimulator,
+    SimulationResult,
     pause_gc,
 )
 from repro.utils.validation import check_positive
+
+
+@dataclass(frozen=True)
+class CapacityResult:
+    """Outcome of one capacity search.
+
+    ``result`` is the simulation outcome at the best sustainable rate — a
+    :class:`SimulationResult` for single-server searches, or a
+    :class:`~repro.serving.cluster.ClusterSimulationResult` for fleet
+    searches (both expose the ``acceptable`` criterion the search uses).
+
+    ``evaluations`` counts the simulator evaluations performed on behalf of
+    this search: the rates the decision tree consumed plus any speculative
+    evaluations a parallel search dispatched (so it can exceed the serial
+    count), or 1 for a warm-start replay and 0 for an in-memory memo hit.
+    It is observability metadata — two results that differ only in
+    ``evaluations`` describe the same capacity.
+    """
+
+    max_qps: float
+    sla_latency_s: float
+    result: Optional[SimulationResult]
+    evaluations: int = 0
+
+    @property
+    def feasible(self) -> bool:
+        """False when even a near-zero load violates the SLA."""
+        return self.result is not None
+
+
+def measurement_queries(
+    rate_qps: float,
+    sla_latency_s: float,
+    min_queries: int,
+    max_queries: int,
+    sla_window_factor: float = 5.0,
+) -> int:
+    """Number of queries needed for a trustworthy tail-latency measurement.
+
+    The arrival window must span several SLA periods, otherwise an overloaded
+    configuration's queue does not have time to grow past the target and the
+    run looks (wrongly) healthy.  The count is clamped so that the very high
+    QPS operating points of embedding-dominated models stay affordable to
+    simulate.
+    """
+    check_positive("rate_qps", rate_qps)
+    needed = int(rate_qps * sla_window_factor * sla_latency_s)
+    return max(min_queries, min(max_queries, needed))
+
+
+class BisectionMachine:
+    """The capacity bisection's decision tree as an explicit state machine.
+
+    The serial search walks one path through a binary decision tree: every
+    evaluation's accept/reject verdict picks the next rate.  This class
+    factors that tree out of the execution loop — :meth:`next_rate` is the
+    rate the search needs now, :meth:`advance` consumes its verdict — so the
+    *same* decisions can be driven serially, speculatively (cloning the
+    machine down both branches enumerates every rate the next few verdicts
+    could require, see :func:`speculative_rates`), or completion-driven over
+    a pool of in-flight evaluations.
+
+    The tree: raise the initial ``upper_qps`` by ×1.6 (at most three times)
+    until it misses the SLA, probe ``upper / 64`` (and a near-zero trickle
+    rate if even that misses), then bisect ``iterations`` times, reporting
+    the last accepted rate.  The machine consumes exactly the rate sequence
+    of a plain serial bisection loop (property tested against one), so
+    however the evaluations are scheduled, the final bracket and result are
+    those of the serial search.
+    """
+
+    __slots__ = (
+        "phase",
+        "upper",
+        "lower",
+        "raise_attempts",
+        "best_rate",
+        "remaining",
+        "iterations",
+        "trickle_rate",
+        "max_qps",
+        "result_rate",
+    )
+
+    def __init__(self, upper_qps: float, iterations: int) -> None:
+        check_positive("upper_qps", upper_qps)
+        check_positive("iterations", iterations)
+        self.phase = "raise"
+        self.upper = upper_qps
+        self.lower = 0.0
+        self.raise_attempts = 0
+        self.best_rate: Optional[float] = None
+        self.remaining = 0
+        self.iterations = iterations
+        self.trickle_rate = 0.0
+        self.max_qps: Optional[float] = None
+        self.result_rate: Optional[float] = None
+
+    # ------------------------------------------------------------------ #
+
+    @property
+    def done(self) -> bool:
+        """True once the search has concluded (``max_qps`` is set)."""
+        return self.phase == "done"
+
+    def clone(self) -> "BisectionMachine":
+        """An independent copy (used to enumerate speculative branches)."""
+        copy = BisectionMachine.__new__(BisectionMachine)
+        for slot in BisectionMachine.__slots__:
+            setattr(copy, slot, getattr(self, slot))
+        return copy
+
+    def next_rate(self) -> Optional[float]:
+        """The offered load whose verdict the decision tree needs next."""
+        phase = self.phase
+        if phase in ("raise", "unbracketed"):
+            return self.upper
+        if phase == "lower":
+            return self.lower
+        if phase == "trickle":
+            return self.trickle_rate
+        if phase == "bisect":
+            return 0.5 * (self.lower + self.upper)
+        return None  # done
+
+    def advance(self, acceptable: bool) -> None:
+        """Consume the verdict of :meth:`next_rate`'s evaluation."""
+        phase = self.phase
+        if phase == "raise":
+            if acceptable:
+                self.raise_attempts += 1
+                self.upper *= 1.6
+                if self.raise_attempts >= 3:
+                    self.phase = "unbracketed"
+            else:
+                self.lower = self.upper / 64.0
+                self.phase = "lower"
+        elif phase == "unbracketed":
+            # Whatever this measurement says, the serial search reports the
+            # raised upper (its result is measured at that same rate).
+            self._finish(self.upper, self.upper)
+        elif phase == "lower":
+            if acceptable:
+                self.best_rate = self.lower
+                self._enter_bisect()
+            else:
+                self.trickle_rate = max(self.lower / 16.0, 1e-3)
+                self.phase = "trickle"
+        elif phase == "trickle":
+            if acceptable:
+                self.lower = self.trickle_rate
+                self.best_rate = self.trickle_rate
+                self._enter_bisect()
+            else:
+                self._finish(0.0, None)
+        elif phase == "bisect":
+            middle = 0.5 * (self.lower + self.upper)
+            if acceptable:
+                self.lower = middle
+                self.best_rate = middle
+            else:
+                self.upper = middle
+            self.remaining -= 1
+            if self.remaining <= 0:
+                self._finish(self.best_rate, self.best_rate)
+        else:
+            raise RuntimeError("cannot advance a finished bisection")
+
+    # ------------------------------------------------------------------ #
+
+    def _enter_bisect(self) -> None:
+        self.remaining = self.iterations
+        self.phase = "bisect"
+
+    def _finish(self, max_qps: Optional[float], result_rate: Optional[float]) -> None:
+        self.max_qps = max_qps
+        self.result_rate = result_rate
+        self.phase = "done"
+
+
+def speculative_rates(machine: BisectionMachine, limit: int) -> List[float]:
+    """Up to ``limit`` rates the machine's next few verdicts could require.
+
+    Breadth-first over the decision tree's branches: the first entry is
+    always the rate the machine needs *now*; later entries are rates that
+    become the needed one under some combination of pending verdicts, so a
+    parallel search keeps them in flight speculatively.  Shallower rates —
+    needed sooner, under fewer assumptions — come first, which is the order
+    a bounded pipeline should fill in.
+    """
+    if limit <= 0:
+        return []
+    rates: List[float] = []
+    seen: set = set()
+    frontier = [machine]
+    while frontier and len(rates) < limit:
+        next_frontier: List[BisectionMachine] = []
+        for state in frontier:
+            rate = state.next_rate()
+            if rate is None:
+                continue
+            if rate not in seen:
+                seen.add(rate)
+                rates.append(rate)
+                if len(rates) >= limit:
+                    break
+            for outcome in (False, True):
+                branch = state.clone()
+                branch.advance(outcome)
+                if not branch.done:
+                    next_frontier.append(branch)
+        frontier = next_frontier
+    return rates
+
+
+def _stored_capacity(raw: Any) -> float:
+    """``raw`` as a stored capacity: a finite positive real that is not a bool.
+
+    The one check every value read back from a cache file or synced from
+    another host passes before it can be replayed; anything else raises
+    ``ValueError`` and is counted as corrupt (or rejected) by the caller.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+        raise ValueError(f"a capacity must be a real number, got {raw!r}")
+    try:
+        value = float(raw)
+    except OverflowError:  # an int past the float range
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"a capacity must be finite and positive, got {value!r}")
+    return value
+
+
+class CapacityCache:
+    """Warm-start store for capacity searches: an on-disk tier plus a memo.
+
+    * **Replay-exact tier** (:meth:`load` / :meth:`store`): maps a canonical
+      search signature to the ``max_qps`` a previous search found.  Because
+      the signature pins every decision input, a hit replays the cold
+      search's answer after one verifying evaluation — bit-identical.
+    * **In-process memo** (:meth:`memo_load` / :meth:`memo_store`): full
+      :class:`CapacityResult` objects keyed by digest, so one
+      :class:`CapacityCache` instance shared across a sweep serves repeated
+      identical searches without re-verification — the stored result *is*
+      the earlier run's, trivially bit-identical.
+
+    Entries are one JSON file per signature, named by its SHA-256 digest —
+    shareable and prunable with ordinary file tools, like the sweep runner's
+    result cache.  ``stats`` counts hits and misses per tier so sweep
+    reports can surface cache behaviour.
+    """
+
+    def __init__(self, cache_dir: Union[str, Path]) -> None:
+        self._dir = Path(cache_dir)
+        self._memo: Dict[str, "CapacityResult"] = {}
+        self.stats: Dict[str, int] = {
+            "exact_hits": 0,
+            "exact_misses": 0,
+            "memo_hits": 0,
+            "stores": 0,
+            "corrupt_entries": 0,
+        }
+
+    @property
+    def cache_dir(self) -> Path:
+        """Directory holding the warm-start entries."""
+        return self._dir
+
+    @staticmethod
+    def digest(signature: Dict[str, Any]) -> str:
+        """Stable hex digest of a canonical (JSON-serialisable) signature."""
+        payload = json.dumps(signature, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def _path(self, signature: Dict[str, Any]) -> Path:
+        return self._dir / f"capacity-{self.digest(signature)}.json"
+
+    def load(self, signature: Dict[str, Any], count: bool = True) -> Optional[float]:
+        """Return the cached max QPS for ``signature``, or None.
+
+        ``count=False`` leaves the exact-tier counters untouched — used by
+        lookups that are not a search's warm start (merging entries synced
+        from another host checks for a local entry first).
+
+        A present-but-unreadable entry (truncated write, garbage JSON, a
+        foreign file shape, a capacity that is not a finite positive real)
+        is a plain miss — the search falls back to the cold path — but is
+        additionally tallied in ``stats["corrupt_entries"]`` so cache rot is
+        visible rather than silently masquerading as cold misses.
+        """
+        path = self._path(signature)
+        max_qps: Optional[float] = None
+        try:
+            text = path.read_text()
+        except OSError:
+            pass  # no entry: an ordinary miss
+        else:
+            try:
+                max_qps = _stored_capacity(json.loads(text)["max_qps"])
+            except (KeyError, TypeError, ValueError):  # JSONDecodeError included
+                self.stats["corrupt_entries"] += 1
+        if count:
+            self.stats["exact_misses" if max_qps is None else "exact_hits"] += 1
+        return max_qps
+
+    def store(self, signature: Dict[str, Any], max_qps: float) -> None:
+        """Record ``max_qps`` for ``signature`` (atomic write-then-rename)."""
+        self._dir.mkdir(parents=True, exist_ok=True)
+        path = self._path(signature)
+        entry = {"signature": signature, "max_qps": max_qps}
+        scratch = path.with_suffix(f".tmp-{os.getpid()}")
+        scratch.write_text(json.dumps(entry, sort_keys=True))
+        scratch.replace(path)
+        self.stats["stores"] += 1
+        for observer in list(_STORE_OBSERVERS):
+            observer(signature, max_qps)
+
+    # ------------------------------------------------------------------ #
+
+    def memo_load(self, signature: Dict[str, Any]) -> Optional["CapacityResult"]:
+        """This instance's previously returned result for ``signature``."""
+        result = self._memo.get(self.digest(signature))
+        if result is not None:
+            self.stats["memo_hits"] += 1
+        return result
+
+    def memo_store(self, signature: Dict[str, Any], result: "CapacityResult") -> None:
+        """Remember a finished search's full result for this process."""
+        self._memo[self.digest(signature)] = result
+
+
+# --------------------------------------------------------------------------- #
+# Cross-host cache syncing
+# --------------------------------------------------------------------------- #
+
+#: Callbacks notified on every :meth:`CapacityCache.store` in this process.
+#: The distributed executor's worker shim installs one around each task so
+#: the warm-start entries a remote search produced can piggy-back home to
+#: the coordinator together with the task's result.
+_STORE_OBSERVERS: List[Callable[[Dict[str, Any], float], None]] = []
+
+
+@contextmanager
+def observe_cache_stores() -> Iterator[List[Tuple[Dict[str, Any], float]]]:
+    """Collect every ``CapacityCache.store`` performed while active.
+
+    Yields a list that accumulates ``(signature, max_qps)`` pairs in store
+    order, across *all* cache instances in this process.  Observers nest:
+    each collector sees the stores of everything inside its own block.
+    """
+    recorded: List[Tuple[Dict[str, Any], float]] = []
+
+    def _record(signature: Dict[str, Any], max_qps: float) -> None:
+        recorded.append((signature, max_qps))
+
+    _STORE_OBSERVERS.append(_record)
+    try:
+        yield recorded
+    finally:
+        _STORE_OBSERVERS.remove(_record)
+
+
+def apply_synced_entries(
+    cache: CapacityCache, entries: Iterable[Any]
+) -> Dict[str, int]:
+    """Merge warm-start entries recorded on another host into ``cache``.
+
+    Remote workers ship back the ``(signature, max_qps)`` pairs their tasks
+    stored (collected via :func:`observe_cache_stores`); the coordinator
+    folds them into its own cache here.  The wire is not trusted to deliver
+    well-formed pairs, so every entry is validated defensively:
+
+    * **rejected** — wrong shape, a non-dict or non-JSON-serialisable
+      signature, or a capacity that is not a finite positive real (a bool
+      included);
+    * **conflicts** — an entry already present locally with a *different*
+      value: the existing (first-writer) value is kept, so a replayed sweep
+      never sees its warm-start answers flap under late arrivals;
+    * **applied** — everything else is stored through the cache's ordinary
+      atomic write-then-rename path.
+
+    Returns the per-disposition counts.
+    """
+    counts = {"applied": 0, "conflicts": 0, "rejected": 0}
+    for entry in entries:
+        try:
+            signature, raw_qps = entry
+            max_qps = _stored_capacity(raw_qps)
+            if not isinstance(signature, dict):
+                raise TypeError("signature must be a dict")
+            CapacityCache.digest(signature)  # must be JSON-serialisable
+            existing = cache.load(signature, count=False)
+        except (TypeError, ValueError):
+            counts["rejected"] += 1
+            continue
+        if existing is not None:
+            if existing != max_qps:
+                counts["conflicts"] += 1
+            continue
+        cache.store(signature, max_qps)
+        counts["applied"] += 1
+    return counts
+
+
+# --------------------------------------------------------------------------- #
+# Search signatures
+# --------------------------------------------------------------------------- #
+
 
 #: Version of the warm-start signature schema.  Folded into every signature,
 #: so entries written under a different schema can never be replayed; bump it
@@ -110,10 +531,6 @@ from repro.utils.validation import check_positive
 #: signatures — with one server every policy is pass-through and the run is
 #: event-identical, so policy variants of the same search now share entries.)
 CAPACITY_SCHEMA_VERSION = 3
-
-#: Sentinel for "signature not computed yet" (None is a valid signature
-#: outcome, so it cannot double as the marker).
-_UNCOMPUTED = object()
 
 
 def _memo_key(signature: Dict[str, Any], search: "CapacitySearch") -> Dict[str, Any]:
@@ -185,66 +602,46 @@ def _server_signature(server: ClusterServer) -> Dict[str, Any]:
 
 
 # --------------------------------------------------------------------------- #
-# Worker-side evaluation (also the serial path, via TaskContext.build)
+# Evaluation: the serial path in the parent, and pool workers
 # --------------------------------------------------------------------------- #
 
 
-def _evaluator_state(
-    simulator: Any,
-    sla_latency_s: float,
-    num_queries: int,
-    max_queries: int,
-    load_generator: LoadGenerator,
-    accept_early: bool = False,
-) -> Dict[str, Any]:
-    """The state dict :func:`_evaluate_rate` consumes — defined in one place
-    so the serial/replay path (seeded with the parent's simulator) and the
-    pool-worker path (:func:`_build_evaluator`) can never drift apart."""
-    return {
-        "simulator": simulator,
-        "sla_latency_s": sla_latency_s,
-        "num_queries": num_queries,
-        "max_queries": max_queries,
-        "load_generator": load_generator,
-        "accept_early": accept_early,
-    }
+def _build_simulator(search: "CapacitySearch") -> Any:
+    """The simulator that evaluates ``search``'s candidate rates.
 
-
-def _build_evaluator(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Construct the simulator and stream parameters one evaluator needs.
-
-    Runs once per pool worker (cached by context token); the serial path
-    seeds the same state shape with the parent's validated simulator, so
-    both paths evaluate rates through identical state.
+    The one place a search's inputs become a simulator: the search's
+    constructor calls it once (failing fast on an invalid fleet, in the
+    parent) for the serial and replay paths, and every pool worker calls it
+    through the search's :class:`TaskContext` (:func:`_build_evaluator`) to
+    build its own deterministic copy.
     """
-    if payload["kind"] == "fleet":
-        simulator: Any = ClusterSimulator(
-            payload["servers"],
-            balancer=payload["balancer"],
-            warmup_fraction=payload["warmup_fraction"],
-            balancer_seed=payload["balancer_seed"],
-            fault_plan=payload.get("fault_plan"),
-            retry_policy=payload.get("retry_policy"),
-            latency_stats=payload.get("latency_stats", "exact"),
+    if search._kind == "fleet":
+        assert search._balancer is not None  # for_fleet requires one
+        return ClusterSimulator(
+            search._fleet(),
+            balancer=search._balancer,
+            warmup_fraction=search._warmup_fraction,
+            balancer_seed=search._balancer_seed,
+            fault_plan=search._fault_plan,
+            retry_policy=search._retry_policy,
+            latency_stats=search._latency_stats,
         )
-    else:
-        simulator = ServingSimulator(
-            payload["engines"],
-            payload["config"],
-            latency_stats=payload.get("latency_stats", "exact"),
-        )
-    return _evaluator_state(
-        simulator,
-        payload["sla_latency_s"],
-        payload["num_queries"],
-        payload["max_queries"],
-        payload["load_generator"],
-        payload.get("accept_early", False),
+    assert search._engines is not None and search._config is not None
+    return ServingSimulator(
+        search._engines, search._config, latency_stats=search._latency_stats
     )
 
 
-def _evaluate_rate(state: Dict[str, Any], rate_qps: float, reject: bool = True) -> Any:
-    """Run the simulator at one offered load and return its result.
+def _build_evaluator(search: "CapacitySearch") -> "CapacitySearch":
+    """Pool-worker side of a search's context: a search unpickled without
+    its parent's simulator (see ``CapacitySearch.__getstate__``) gets its
+    own, once per worker."""
+    search._simulator = _build_simulator(search)
+    return search
+
+
+def _evaluate_rate(search: "CapacitySearch", rate_qps: float, reject: bool = True) -> Any:
+    """Run the search's simulator at one offered load and return its result.
 
     By default the SLA target arms the simulators' exact early-rejection
     exit: a run whose p95 provably cannot meet the target stops immediately
@@ -256,25 +653,13 @@ def _evaluate_rate(state: Dict[str, Any], rate_qps: float, reject: bool = True) 
     number.  ``reject=False`` forces a run to completion — used when a
     search must *report* the measurement at a rejected rate (the
     unbracketed exit), where the early-exit stub has no statistics.
-
-    With the search's opt-in ``accept_early``, the same call also arms the
-    dual certain-acceptance exit, so accepted probes stop at their
-    certificate and return a
-    :class:`~repro.serving.simulator.CertainAcceptance` stub
-    (verdict-identical again).  The search re-runs the single evaluation it
-    reports through :meth:`_SearchExecution._full_result`, so reported
-    results stay bit-identical to the accept-off search.
     """
-    generator = state["load_generator"].with_rate(rate_qps)
-    sla = state["sla_latency_s"]
-    count = measurement_queries(rate_qps, sla, state["num_queries"], state["max_queries"])
+    generator = search._load_generator.with_rate(rate_qps)
+    sla = search._sla_latency_s
+    count = measurement_queries(rate_qps, sla, search._num_queries, search._max_queries)
     with pause_gc():  # query generation is allocation-heavy, cycle-free
-        return state["simulator"].run(
-            generator.generate(count),
-            reject_above_sla_s=sla if reject else None,
-            accept_within_sla_s=(
-                sla if reject and state.get("accept_early") else None
-            ),
+        return search._simulator.run(
+            generator.generate(count), reject_above_sla_s=sla if reject else None
         )
 
 
@@ -310,7 +695,6 @@ class CapacitySearch:
         balancer_seed: int = 0,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        accept_early: bool = False,
         latency_stats: str = "exact",
     ) -> None:
         check_positive("sla_latency_s", sla_latency_s)
@@ -321,13 +705,6 @@ class CapacitySearch:
         if fault_plan is not None and kind != "fleet":
             raise ValueError("fault injection is only supported for fleet searches")
         self._kind = kind
-        # accept_early arms the certain-acceptance exit on probe
-        # evaluations.  Verdicts are identical to full runs, so the
-        # bisection takes the same decisions and the reported result (one
-        # re-run full evaluation) is bit-identical — which is also why the
-        # flag stays *out* of the warm-start signature: both settings
-        # compute the same answer and may share cache entries.
-        self._accept_early = accept_early
         self._latency_stats = latency_stats
         self._sla_latency_s = sla_latency_s
         self._load_generator = load_generator
@@ -343,26 +720,17 @@ class CapacitySearch:
         self._balancer_seed = balancer_seed
         self._fault_plan = fault_plan
         self._retry_policy = retry_policy
-        self._signature_memo: Any = _UNCOMPUTED
         # Fail fast on an invalid fleet/config — in the parent, not mid-run
         # inside a worker.  The validated simulator is kept and reused as
         # the serial/replay evaluator, so a serial search builds it once.
-        if kind == "fleet":
-            assert self._servers is not None and balancer is not None
-            self._local_simulator: Any = ClusterSimulator(
-                self._servers,
-                balancer=balancer,
-                warmup_fraction=warmup_fraction,
-                balancer_seed=balancer_seed,
-                fault_plan=fault_plan,
-                retry_policy=retry_policy,
-                latency_stats=latency_stats,
-            )
-        else:
-            assert engines is not None and config is not None
-            self._local_simulator = ServingSimulator(
-                engines, config, latency_stats=latency_stats
-            )
+        self._simulator = _build_simulator(self)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Pool workers build their own simulator (_build_evaluator), so the
+        # pickled search carries only the inputs.
+        state = dict(self.__dict__)
+        del state["_simulator"]
+        return state
 
     # ------------------------------------------------------------------ #
 
@@ -378,17 +746,15 @@ class CapacitySearch:
         iterations: int = 7,
         headroom: float = 1.3,
         max_queries: int = 8000,
-        accept_early: bool = False,
         latency_stats: str = "exact",
     ) -> "CapacitySearch":
         """A single-server search.
 
-        ``accept_early`` opts probe evaluations into the certain-acceptance
-        exit (same answer, less simulated work); ``latency_stats="sketch"``
-        runs every evaluation with fixed-space latency statistics for
-        million-query fidelity settings (approximate p95s — the measured
-        capacity may differ from the exact mode's within the sketch's
-        rank-error bound, so the two modes never share cache entries).
+        ``latency_stats="sketch"`` runs every evaluation with fixed-space
+        latency statistics for million-query fidelity settings (approximate
+        p95s — the measured capacity may differ from the exact mode's within
+        the sketch's rank-error bound, so the two modes never share cache
+        entries).
         """
         return cls(
             kind="server",
@@ -400,7 +766,6 @@ class CapacitySearch:
             iterations=iterations,
             headroom=headroom,
             max_queries=max_queries,
-            accept_early=accept_early,
             latency_stats=latency_stats,
         )
 
@@ -420,7 +785,6 @@ class CapacitySearch:
         balancer_seed: int = 0,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        accept_early: bool = False,
         latency_stats: str = "exact",
     ) -> "CapacitySearch":
         """A fleet search.
@@ -431,11 +795,9 @@ class CapacitySearch:
         full).  With ``jobs > 1`` servers and balancer must be picklable.
         ``fault_plan`` / ``retry_policy`` make every candidate-rate
         evaluation run fault-injected, so the search measures capacity
-        *under* the plan's crashes and stragglers.  ``accept_early`` /
-        ``latency_stats`` as in :meth:`for_server` (fault-injected runs
-        ignore the acceptance arming — see
-        :meth:`~repro.serving.cluster.ClusterSimulator.run` — and reject
-        sketch mode outright).
+        *under* the plan's crashes and stragglers.  ``latency_stats`` as in
+        :meth:`for_server` (fault-injected runs reject sketch mode
+        outright).
         """
         return cls(
             kind="fleet",
@@ -451,7 +813,6 @@ class CapacitySearch:
             balancer_seed=balancer_seed,
             fault_plan=fault_plan,
             retry_policy=retry_policy,
-            accept_early=accept_early,
             latency_stats=latency_stats,
         )
 
@@ -478,17 +839,7 @@ class CapacitySearch:
 
     def upper_bound_qps(self) -> float:
         """Optimistic analytic throughput bound bracketing the bisection."""
-        if self._kind == "fleet":
-            assert self._servers is not None
-            return estimate_fleet_upper_bound_qps(self._servers, self._load_generator)
-        assert self._engines is not None and self._config is not None
-        sizes = self._load_generator.sizes
-        large_fraction, mean_large = offload_size_stats(
-            sizes, self._config.offload_threshold
-        )
-        return estimate_upper_bound_qps(
-            self._engines, self._config, sizes.mean(), large_fraction, mean_large
-        )
+        return estimate_fleet_upper_bound_qps(self._fleet(), self._load_generator)
 
     def signature(self) -> Optional[Dict[str, Any]]:
         """Schema-versioned canonical description of this search, or None.
@@ -497,17 +848,15 @@ class CapacitySearch:
         fleet shape (engines, speed factors, scheduling configs), balancing
         policy and seed, SLA, workload components and trace seed, and the
         search fidelity knobs.  Returns None when any component cannot be
-        described canonically (e.g. a custom balancer instance or a size
-        distribution with unserialisable state), in which case warm-start
-        caching is silently skipped.  Computed once per search (the inputs
-        are frozen at construction) and memoised.
+        described canonically (e.g. a balancer instance on a multi-server
+        fleet, or a size distribution with unserialisable state), in which
+        case warm-start caching and batch dedupe are silently skipped.
+        Computed once per search (the inputs are frozen at construction).
         """
-        if self._signature_memo is not _UNCOMPUTED:
-            return self._signature_memo
-        self._signature_memo = self._compute_signature()
-        return self._signature_memo
+        return self._signature
 
-    def _compute_signature(self) -> Optional[Dict[str, Any]]:
+    @functools.cached_property
+    def _signature(self) -> Optional[Dict[str, Any]]:
         fleet = self._fleet()
         # With a single server every balancing policy degenerates to
         # pass-through and the run is event-identical (the balancer can only
@@ -515,13 +864,17 @@ class CapacitySearch:
         # out: policy variants of the same one-server search share a cache
         # entry instead of recomputing identical answers.
         single = len(fleet) == 1
+        if not single and isinstance(self._balancer, LoadBalancer):
+            # An instance's decisions depend on state its name does not
+            # carry (e.g. a seeded random stream), so it cannot be signed.
+            return None
         try:
             signature: Dict[str, Any] = {
                 "kind": "capacity-search",
                 "schema": CAPACITY_SCHEMA_VERSION,
                 "search": self._kind,
                 "servers": [_server_signature(s) for s in fleet],
-                "policy": None if single else self._policy_name(),
+                "policy": None if single else self._balancer,
                 "sla_latency_s": self._sla_latency_s,
                 "arrival": _component_signature(self._load_generator.arrival),
                 "sizes": _component_signature(self._load_generator.sizes),
@@ -545,8 +898,7 @@ class CapacitySearch:
             # on a different capacity than exact ones — they must not share
             # cache entries.  Folded in only when non-default, so exact
             # signatures (and their digests) stay byte-identical to older
-            # builds.  accept_early is deliberately absent: it computes the
-            # identical answer (see __init__).
+            # builds.
             if self._latency_stats != "exact":
                 signature["latency_stats"] = self._latency_stats
             json.dumps(signature, sort_keys=True)  # probe serialisability
@@ -556,48 +908,11 @@ class CapacitySearch:
 
     # ------------------------------------------------------------------ #
 
-    def _payload(self) -> Dict[str, Any]:
-        shared = {
-            "sla_latency_s": self._sla_latency_s,
-            "num_queries": self._num_queries,
-            "max_queries": self._max_queries,
-            "load_generator": self._load_generator,
-            "accept_early": self._accept_early,
-            "latency_stats": self._latency_stats,
-        }
-        if self._kind == "fleet":
-            return {
-                "kind": "fleet",
-                "servers": self._servers,
-                "balancer": self._balancer,
-                "warmup_fraction": self._warmup_fraction,
-                "balancer_seed": self._balancer_seed,
-                "fault_plan": self._fault_plan,
-                "retry_policy": self._retry_policy,
-                **shared,
-            }
-        return {
-            "kind": "server",
-            "engines": self._engines,
-            "config": self._config,
-            **shared,
-        }
-
     def _context(self) -> TaskContext:
-        """Evaluator context: serial/replay paths reuse the parent's validated
-        simulator; pool workers build their own (deterministic) copy."""
-        return TaskContext(
-            _build_evaluator,
-            self._payload(),
-            value=_evaluator_state(
-                self._local_simulator,
-                self._sla_latency_s,
-                self._num_queries,
-                self._max_queries,
-                self._load_generator,
-                self._accept_early,
-            ),
-        )
+        """Evaluator context: serial/replay paths evaluate through this
+        search and its validated simulator; pool workers unpickle the search
+        and build their own (deterministic) simulator."""
+        return TaskContext(_build_evaluator, self, value=self)
 
     def default_upper_qps(self) -> float:
         """The cold search's initial bracket top (headroom × analytic bound)."""
@@ -619,10 +934,10 @@ class CapacitySearch:
         cores; inside a pool worker the search runs serially).  The returned
         result is identical to the serial search's in all cases.
 
-        ``warm_start_cache`` (a :class:`~repro.serving.capacity.CapacityCache`
-        or a directory path) replays a previously recorded identical search
-        after one verifying evaluation at the cached rate, and records this
-        search's outcome for future runs.
+        ``warm_start_cache`` (a :class:`CapacityCache` or a directory path)
+        replays a previously recorded identical search after one verifying
+        evaluation at the cached rate, and records this search's outcome for
+        future runs.
         """
         return run_capacity_searches(
             [self], jobs=jobs, warm_start_cache=warm_start_cache, pool=pool
@@ -669,6 +984,10 @@ class _SearchExecution:
     the results that have landed, and the futures still in flight.  The
     same object drives the serial path (inline, zero speculation) and the
     parallel path; only the scheduling around it differs.
+
+    A replay — of a warm-start entry, or of a batch leader's answer passed
+    in as ``replay_rate`` — is one verifying evaluation at the replayed
+    rate; a rejected verification falls back to the cold search.
     """
 
     __slots__ = (
@@ -686,19 +1005,31 @@ class _SearchExecution:
         "result",
     )
 
-    def __init__(self, search: CapacitySearch, cache: Optional[CapacityCache]) -> None:
+    def __init__(
+        self,
+        search: CapacitySearch,
+        cache: Optional[CapacityCache],
+        replay_rate: Optional[float] = None,
+    ) -> None:
         self.search = search
         self.sla = search.sla_latency_s
         self.cache = cache
         self.signature = search.signature() if cache is not None else None
         self.context = search._context()
         self.machine: Optional[BisectionMachine] = None
-        self.replay_rate: Optional[float] = None
+        self.replay_rate = replay_rate
         self.results: Dict[float, Any] = {}
         self.pending: Dict[float, Future] = {}
         self.evaluations = 0
         self.cancelled = 0
         self.result: Optional[CapacityResult] = None
+        if replay_rate is not None:
+            # A batch follower: its leader just computed the answer, so
+            # there is nothing to look up, and an infeasible leader needs no
+            # verification — the follower is infeasible too.
+            if replay_rate <= 0:
+                self._finish(0.0, None)
+            return
         if cache is not None and self.signature is not None:
             memo = cache.memo_load(_memo_key(self.signature, search))
             if memo is not None:
@@ -739,18 +1070,13 @@ class _SearchExecution:
                 if replay is None:
                     return
                 if replay.acceptable(self.sla):
-                    # The entry being replayed is already on disk; only the
-                    # in-process memo needs populating.  With accept_early
-                    # the verifying run may be a stub — _full_result re-runs
-                    # it so the reported result carries full statistics.
-                    self._finish(
-                        self.replay_rate, self._full_result(self.replay_rate),
-                        store=False,
-                    )
+                    self._finish(self.replay_rate, replay)
                     return
-                # An entry the simulator no longer sustains is stale (e.g. a
-                # foreign file dropped into the directory): search cold.
+                # An answer the simulator no longer sustains is stale (e.g. a
+                # foreign file dropped into the directory): search cold, from
+                # nothing, exactly as a solo cold search would.
                 self.replay_rate = None
+                self.results.clear()
                 self._build_machine()
                 continue
             assert self.machine is not None  # no replay pending, so it was built
@@ -772,25 +1098,22 @@ class _SearchExecution:
     def _full_result(self, rate: float) -> Any:
         """The complete simulation result backing ``CapacityResult.result``.
 
-        Without ``accept_early``, accepted evaluations always ran to
-        completion, so this is normally the recorded outcome.  The two
-        exceptions are early-exit stubs: the unbracketed exit may report a
-        *rejected* rate whose recorded outcome is a
-        :class:`CertainRejection`, and with ``accept_early`` the reported
-        accepted rate's outcome is a :class:`CertainAcceptance`.  Either
-        way the serial contract attaches the full measurement at that rate:
-        re-run that single evaluation without the early exits (a
-        deterministic function of the rate, so bit-identical to what the
-        exit-free search returned).
+        Accepted evaluations always run to completion, so this is normally
+        the recorded outcome.  The exception is the unbracketed exit, which
+        may report a *rejected* rate whose recorded outcome is a
+        :class:`CertainRejection` stub; the serial contract attaches the
+        full measurement at that rate, so that one evaluation is re-run
+        without the early exit (a deterministic function of the rate, so
+        bit-identical to what the exit-free search returned).
         """
         outcome = self.results[rate]
-        if isinstance(outcome, (CertainRejection, CertainAcceptance)):
-            outcome = _evaluate_rate(self.context.build(), rate, reject=False)
+        if isinstance(outcome, CertainRejection):
+            outcome = _evaluate_rate(self.search, rate, reject=False)
             self.results[rate] = outcome
             self.evaluations += 1
         return outcome
 
-    def _finish(self, max_qps: float, outcome: Any, store: bool = True) -> None:
+    def _finish(self, max_qps: float, outcome: Any) -> None:
         self.result = CapacityResult(
             max_qps=max_qps,
             sla_latency_s=self.sla,
@@ -798,7 +1121,10 @@ class _SearchExecution:
             evaluations=self.evaluations,
         )
         if self.cache is not None and self.signature is not None:
-            if store and max_qps > 0:
+            # Only a bisection's answer is new to the disk tier: a replayed
+            # one is already there (or is a batch leader's, stored under the
+            # same signature), so a replay populates only the memo.
+            if self.machine is not None and max_qps > 0:
                 self.cache.store(self.signature, max_qps)
             self.cache.memo_store(_memo_key(self.signature, self.search), self.result)
 
@@ -806,11 +1132,9 @@ class _SearchExecution:
 
     def run_serial(self) -> None:
         """Drive this search to completion inline (the exact serial search)."""
-        state = self.context.build()
         while self.result is None:
-            rates = self.needed_rates(1)
-            rate = rates[0]
-            self.results[rate] = _evaluate_rate(state, rate)
+            rate = self.needed_rates(1)[0]
+            self.results[rate] = _evaluate_rate(self.search, rate)
             self.evaluations += 1
             self.absorb()
 
@@ -872,86 +1196,36 @@ def run_capacity_searches(
             for index, search in enumerate(searches)
             if index not in followers
         }
-        pending_executions = [
-            execution for execution in executions.values() if execution.result is None
-        ]
-        if budget > 1 and worker_pool.parallelism > 1 and pending_executions:
-            # Pre-fill the engines' latency tables so freshly forked workers
-            # inherit warm tables instead of each rebuilding them lazily.
-            for execution in pending_executions:
-                warm_latency_tables(
-                    execution.search._fleet(),
-                    getattr(execution.search._load_generator.sizes, "max_size", None),
-                )
-            _drive_completion(list(executions.values()), worker_pool, budget)
-        else:
-            for execution in pending_executions:
-                execution.run_serial()
-
-        results: List[Optional[CapacityResult]] = [None] * len(searches)
-        for index, execution in executions.items():
-            results[index] = execution.result
-        for index, leader_index in followers.items():
-            leader_result = results[leader_index]
-            assert leader_result is not None  # leaders run before followers replay
-            results[index] = _replay_for_follower(searches[index], leader_result, cache)
-    assert all(result is not None for result in results)
-    return cast(List[CapacityResult], results)
+        _execute(list(executions.values()), worker_pool, budget)
+        replays = {
+            index: _SearchExecution(
+                searches[index],
+                cache,
+                replay_rate=cast(CapacityResult, executions[leader].result).max_qps,
+            )
+            for index, leader in followers.items()
+        }
+        _execute(list(replays.values()), worker_pool, budget)
+    executions.update(replays)
+    return [cast(CapacityResult, executions[index].result) for index in range(len(searches))]
 
 
-def _replay_for_follower(
-    search: CapacitySearch,
-    leader: CapacityResult,
-    cache: Optional[CapacityCache],
-) -> CapacityResult:
-    """A duplicate search's result, replayed from its leader's answer.
-
-    Exactly the replay-exact tier's contract, without the disk round trip:
-    one verifying evaluation through the follower's own simulator rebuilds
-    the (deterministic, correctly-labelled) result at the leader's
-    capacity.  An infeasible leader is infeasible for the follower too.
-    The pathological case of a failed verification — possible only if the
-    two searches were not actually identical — falls back to running the
-    follower cold.
-    """
-    if leader.max_qps <= 0 or leader.result is None:
-        return CapacityResult(
-            max_qps=0.0,
-            sla_latency_s=search.sla_latency_s,
-            result=None,
-            evaluations=0,
-        )
-    state = search._context().build()
-    replay = _evaluate_rate(state, leader.max_qps)
-    if replay.acceptable(search.sla_latency_s):
-        evaluations = 1
-        if isinstance(replay, CertainAcceptance):
-            # accept_early stubbed the verifying run; the stored result
-            # must carry full statistics, so re-run it exit-free.
-            replay = _evaluate_rate(state, leader.max_qps, reject=False)
-            evaluations = 2
-        result = CapacityResult(
-            max_qps=leader.max_qps,
-            sla_latency_s=search.sla_latency_s,
-            result=replay,
-            evaluations=evaluations,
-        )
-        signature = search.signature()
-        if cache is not None and signature is not None:
-            cache.memo_store(_memo_key(signature, search), result)
-        return result
-    return _run_follower_cold(search, cache)
-
-
-def _run_follower_cold(
-    search: CapacitySearch, cache: Optional[CapacityCache]
-) -> CapacityResult:
-    """Safety net: run a follower as its own serial search."""
-    execution = _SearchExecution(search, cache)
-    if execution.result is None:
-        execution.run_serial()
-    assert execution.result is not None  # run_serial only returns with a result
-    return execution.result
+def _execute(executions: List[_SearchExecution], pool: WorkerPool, budget: int) -> None:
+    """Drive every unfinished execution to completion: over the pool when
+    the budget allows more than one evaluation in flight, else inline."""
+    pending = [execution for execution in executions if execution.result is None]
+    if budget > 1 and pool.parallelism > 1 and pending:
+        # Pre-fill the engines' latency tables so freshly forked workers
+        # inherit warm tables instead of each rebuilding them lazily.
+        for execution in pending:
+            warm_latency_tables(
+                execution.search._fleet(),
+                getattr(execution.search._load_generator.sizes, "max_size", None),
+            )
+        _drive_completion(pending, pool, budget)
+    else:
+        for execution in pending:
+            execution.run_serial()
 
 
 def _drive_completion(

@@ -29,11 +29,11 @@ socket operation carries an explicit timeout, and a coordinator that loses
 *all* of its workers degrades to local inline execution — recorded in
 ``stats["local_fallbacks"]`` — rather than hanging.
 
-Workers additionally piggy-back the :class:`~repro.serving.capacity.
+Workers additionally piggy-back the :class:`~repro.runtime.capacity.
 CapacityCache` entries their tasks stored onto each result frame, so a
 fleet of machines shares one warm-start cache without a network
 filesystem; corrupt or conflicting entries are tolerated and counted
-(:func:`repro.serving.capacity.apply_synced_entries`).
+(:func:`repro.runtime.capacity.apply_synced_entries`).
 
 Because the same deterministic task functions run wherever the task lands
 — remote host, reassigned host, or coordinator fallback — a sweep drained
@@ -82,7 +82,7 @@ from repro.runtime.pool import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.serving.capacity import CapacityCache
+    from repro.runtime.capacity import CapacityCache
 
 #: Bumped when the wire format changes; hello/welcome frames carry it and a
 #: mismatch ends the handshake instead of corrupting a run later.
@@ -229,7 +229,7 @@ def _run_remote_task(
     that is how a fleet shares one warm-start cache without a network
     filesystem.
     """
-    from repro.serving.capacity import observe_cache_stores
+    from repro.runtime.capacity import observe_cache_stores
 
     spec = pickle.loads(spec_bytes)
     kind = spec[0]
@@ -512,7 +512,7 @@ class RemoteWorkerPool(WorkerPool):
     ``stats["local_fallbacks"]`` — so a fleet-wide outage degrades a
     distributed sweep to a slow correct run, never a hang.
 
-    ``cache_sync`` (a :class:`~repro.serving.capacity.CapacityCache` or a
+    ``cache_sync`` (a :class:`~repro.runtime.capacity.CapacityCache` or a
     cache directory path) merges the warm-start entries each result frame
     piggy-backs home; conflicting or corrupt entries are kept out and
     counted rather than trusted.
@@ -601,7 +601,7 @@ class RemoteWorkerPool(WorkerPool):
         if cache_sync is None:
             return None
         if isinstance(cache_sync, (str, os.PathLike)):
-            from repro.serving.capacity import CapacityCache
+            from repro.runtime.capacity import CapacityCache
 
             return CapacityCache(cache_sync)
         return cache_sync
@@ -729,7 +729,7 @@ class RemoteWorkerPool(WorkerPool):
     def _apply_cache_entries(self, entries: Iterable[Any]) -> None:
         if self._cache is None:
             return
-        from repro.serving.capacity import apply_synced_entries
+        from repro.runtime.capacity import apply_synced_entries
 
         merged = apply_synced_entries(self._cache, entries)
         with self._lock:

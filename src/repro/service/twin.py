@@ -17,7 +17,7 @@
    ``tests/test_service_twin.py::TestCumulativeBitIdentity``;
 3. predicts each fleet's capacity with the unified
    :class:`~repro.runtime.capacity.CapacitySearch` against a shared
-   :class:`~repro.serving.capacity.CapacityCache`.  The search's inputs are
+   :class:`~repro.runtime.capacity.CapacityCache`.  The search's inputs are
    window-independent, so the first window pays the cold bisection and every
    later window replays through the in-process memo at ~0 evaluations (one
    verifying evaluation when warm-starting from disk across restarts);
@@ -64,9 +64,8 @@ from repro.execution.engine import EnginePair, build_cpu_engine
 from repro.experiments.result import ExperimentResult
 from repro.queries.generator import LoadGenerator
 from repro.queries.query import Query
-from repro.runtime.capacity import CapacitySearch, run_capacity_searches
+from repro.runtime.capacity import CapacityCache, CapacitySearch, run_capacity_searches
 from repro.runtime.pool import WorkerPool
-from repro.serving.capacity import CapacityCache
 from repro.serving.cluster import ClusterSimulationResult, ClusterSimulator
 from repro.serving.simulator import _arrival_key, _check_latency_stats
 from repro.service.shadow import (

@@ -1,12 +1,8 @@
-"""At-scale serving: SLA targets, query splitting, event-driven simulation, capacity search."""
+"""At-scale serving: SLA targets, query splitting, event-driven simulation.
 
-from repro.serving.capacity import (
-    BisectionMachine,
-    CapacityCache,
-    CapacityResult,
-    estimate_upper_bound_qps,
-    speculative_rates,
-)
+The capacity search built on these simulators lives in :mod:`repro.runtime.capacity`.
+"""
+
 from repro.serving.cluster import (
     ClusterServer,
     ClusterSimulationResult,
@@ -20,6 +16,7 @@ from repro.serving.cluster import (
     WeightedLeastOutstandingBalancer,
     available_balancers,
     estimate_fleet_upper_bound_qps,
+    estimate_upper_bound_qps,
     get_balancer,
     heterogeneous_fleet,
     homogeneous_fleet,
@@ -35,11 +32,6 @@ from repro.serving.simulator import (
 from repro.serving.sla import SLATarget, SLATier, TIER_MULTIPLIERS, sla_target, sla_targets
 
 __all__ = [
-    "BisectionMachine",
-    "CapacityCache",
-    "CapacityResult",
-    "estimate_upper_bound_qps",
-    "speculative_rates",
     "ClusterServer",
     "ClusterSimulationResult",
     "ClusterSimulator",
@@ -52,6 +44,7 @@ __all__ = [
     "WeightedLeastOutstandingBalancer",
     "available_balancers",
     "estimate_fleet_upper_bound_qps",
+    "estimate_upper_bound_qps",
     "get_balancer",
     "heterogeneous_fleet",
     "homogeneous_fleet",

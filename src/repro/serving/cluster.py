@@ -61,7 +61,7 @@ from repro.faults.plan import (
 )
 from repro.queries.generator import LoadGenerator
 from repro.queries.query import Query
-from repro.serving.capacity import estimate_upper_bound_qps, offload_size_stats
+from repro.queries.size_dist import QuerySizeDistribution
 from repro.serving.simulator import (
     CertainAcceptance,
     CertainRejection,
@@ -1043,6 +1043,57 @@ class ClusterSimulator:
 # --------------------------------------------------------------------------- #
 # Fleet capacity
 # --------------------------------------------------------------------------- #
+
+
+def estimate_upper_bound_qps(
+    engines: EnginePair,
+    config: ServingConfig,
+    mean_query_size: float,
+    large_query_fraction: float = 0.0,
+    mean_large_query_size: float = 0.0,
+) -> float:
+    """Optimistic throughput bound used to bracket the bisection search.
+
+    The CPU bound assumes all cores stay busy at the configured batch size;
+    the accelerator bound (when offloading is enabled) assumes it continuously
+    processes queries of the average offloaded size.
+    """
+    check_positive("mean_query_size", mean_query_size)
+    cores = config.num_cores if config.num_cores else engines.cpu.platform.num_cores
+    batch = config.batch_size
+    core_items_per_s = batch / engines.cpu.request_latency_s(batch, cores)
+    cpu_items_per_s = cores * core_items_per_s
+
+    gpu_items_per_s = 0.0
+    if (
+        config.offload_threshold is not None
+        and engines.has_accelerator
+        and large_query_fraction > 0.0
+        and mean_large_query_size > 0.0
+    ):
+        gpu_items_per_s = mean_large_query_size / engines.gpu.query_latency_s(
+            int(mean_large_query_size)
+        )
+
+    total_items_per_s = cpu_items_per_s + gpu_items_per_s
+    return total_items_per_s / mean_query_size
+
+
+def offload_size_stats(
+    sizes: QuerySizeDistribution, threshold: Optional[int]
+) -> tuple:
+    """(fraction, mean size) of queries above an offload threshold.
+
+    Returns ``(0.0, 0.0)`` when offloading is disabled.  Used to feed the
+    accelerator term of :func:`estimate_upper_bound_qps`.
+    """
+    if threshold is None:
+        return 0.0, 0.0
+    samples = sizes.sample(4000, rng=11)
+    above = samples[samples > threshold]
+    large_fraction = len(above) / len(samples)
+    mean_large = float(above.mean()) if len(above) else 0.0
+    return large_fraction, mean_large
 
 
 def estimate_fleet_upper_bound_qps(

@@ -1,7 +1,7 @@
 """Serial reference bisection: the oracle for :class:`BisectionMachine`.
 
 The capacity search runs its bisection as an explicit decision machine
-(:class:`repro.serving.capacity.BisectionMachine`) so the same decisions
+(:class:`repro.runtime.capacity.BisectionMachine`) so the same decisions
 can be driven serially, speculatively, or completion-driven.  This module
 keeps the plain loop that machine was factored out of — deliberately
 simple, no state machine and no scheduling — so tests can check that the
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.serving.capacity import CapacityResult
+from repro.runtime.capacity import CapacityResult
 from repro.utils.validation import check_positive
 
 

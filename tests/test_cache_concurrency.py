@@ -14,7 +14,7 @@ import multiprocessing
 import sys
 import time
 
-from repro.serving.capacity import CapacityCache
+from repro.runtime.capacity import CapacityCache
 
 _KEYS = list(range(12))
 

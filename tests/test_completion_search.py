@@ -12,10 +12,12 @@ Three layers of coverage:
   in random order from a background thread still reproduces the serial
   search's decisions, for any in-flight budget and number of concurrent
   searches.
-* **Warm-start tiers and early exits** (real simulators): the in-process
-  memo replays without evaluations; single-server fleets share cache
-  entries across balancing policies; the certain-rejection and
-  certain-acceptance exits are verdict-identical to the full run.
+* **Warm-start tiers, batch followers and early exits** (real
+  simulators): the in-process memo replays without evaluations;
+  single-server fleets share cache entries across balancing policies; a
+  batch's duplicate searches replay their leader's answer; the
+  certain-rejection and certain-acceptance exits are verdict-identical to
+  the full run.
 """
 
 import random
@@ -25,17 +27,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.runtime.capacity as runtime_capacity
 from reference_bisect import bisect_max_qps
 from repro.execution.engine import build_engine_pair
 from repro.queries.generator import LoadGenerator
 from repro.runtime.capacity import (
+    BisectionMachine,
+    CapacityCache,
     CapacitySearch,
     _drive_completion,
     _SearchExecution,
     run_capacity_searches,
+    speculative_rates,
 )
 from repro.runtime.pool import Future, WorkerPool
-from repro.serving.capacity import BisectionMachine, CapacityCache, speculative_rates
 from repro.serving.cluster import ClusterSimulator, homogeneous_fleet
 from repro.serving.simulator import (
     CertainAcceptance,
@@ -328,6 +333,59 @@ class TestBatchDedupe:
         assert second_follower.result.policy == "round-robin"
         assert first_follower.result.latencies_s == leader.result.latencies_s
 
+    def test_infeasible_leader_gives_infeasible_followers_unevaluated(
+        self, engines, config
+    ):
+        # A microsecond p95 target no rate can meet: the leader's search
+        # ends infeasible, and its followers inherit that verdict without
+        # a single evaluation of their own.
+        generator = LoadGenerator(seed=7)
+        fleet = homogeneous_fleet(engines, config, 1)
+        searches = [
+            CapacitySearch.for_fleet(fleet, policy, 1e-6, generator, **SEARCH_KWARGS)
+            for policy in ("least-outstanding", "power-of-two", "round-robin")
+        ]
+        leader, *followers = run_capacity_searches(searches)
+        assert leader.max_qps == 0.0 and leader.result is None
+        for follower in followers:
+            assert follower.max_qps == 0.0
+            assert follower.result is None
+            assert follower.evaluations == 0
+
+    def test_rejected_verification_falls_back_to_cold_search(
+        self, engines, config, monkeypatch
+    ):
+        # A follower whose verifying evaluation at the leader's rate is
+        # rejected (possible only if the two searches were not actually
+        # identical) searches cold, from nothing: its answer is a solo cold
+        # run's, plus the one rejected verification in its count.
+        generator = LoadGenerator(seed=7)
+        fleet = homogeneous_fleet(engines, config, 1)
+
+        def search(policy):
+            return CapacitySearch.for_fleet(fleet, policy, 0.1, generator, **SEARCH_KWARGS)
+
+        solo = search("power-of-two").run()
+        leader_search, follower_search = search("least-outstanding"), search("power-of-two")
+        evaluate = runtime_capacity._evaluate_rate
+        forced = []
+
+        def reject_verification(target, rate, reject=True):
+            if target is follower_search and not forced:
+                forced.append(rate)
+                return CertainRejection(
+                    sla_latency_s=0.1, measured_queries=10, over_sla_queries=10
+                )
+            return evaluate(target, rate, reject)
+
+        monkeypatch.setattr(runtime_capacity, "_evaluate_rate", reject_verification)
+        leader, follower = run_capacity_searches([leader_search, follower_search])
+        assert forced == [leader.max_qps]
+        assert follower.max_qps == solo.max_qps
+        assert follower.result.latencies_s == solo.result.latencies_s
+        assert follower.result.policy == "power-of-two"
+        assert follower.evaluations == solo.evaluations + 1
+
 
 class TestUnbracketedExitResult:
     def test_rejected_unbracketed_measurement_reports_full_result(
@@ -473,20 +531,3 @@ class TestCertainAcceptance:
         fast = simulator.run(queries, accept_within_sla_s=sla)
         assert not isinstance(fast, (CertainAcceptance, CertainRejection))
         assert fast.latencies_s == full.latencies_s
-
-    def test_accept_early_search_reports_identical_results(self, engines, config):
-        # accept_early shortens accepted probe evaluations; the reported
-        # capacity and its backing full result must not move by a bit
-        # (which is also why the cache signature omits the flag).
-        generator = LoadGenerator(seed=7)
-        base = CapacitySearch.for_server(
-            engines, config, 0.1, generator, **SEARCH_KWARGS
-        ).run()
-        early = CapacitySearch.for_server(
-            engines, config, 0.1, generator, accept_early=True, **SEARCH_KWARGS
-        ).run()
-        assert early.max_qps == base.max_qps
-        assert early.result is not None and base.result is not None
-        assert not isinstance(early.result, (CertainAcceptance, CertainRejection))
-        assert early.result.p95_latency_s == base.result.p95_latency_s
-        assert early.result.latencies_s == base.result.latencies_s

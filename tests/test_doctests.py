@@ -1,10 +1,10 @@
 """Tier-1 wiring for the documented runnable examples (doctests).
 
 The runtime and service modules carry ``>>>`` examples in their module
-docstrings — the documentation layer's executable half.  This test runs the
-same selection CI's docs-check step runs with ``pytest --doctest-modules``,
-so the examples are part of the ordinary test suite and cannot rot: an API
-change that breaks a documented example fails tier-1, not just the docs job.
+docstrings — the documentation layer's executable half.  This file is the
+one list of documented modules: tier-1 runs it with the rest of the suite
+and CI's docs-check step runs it on its own, so the examples cannot rot —
+an API change that breaks a documented example fails both.
 """
 
 import doctest
@@ -21,7 +21,7 @@ import repro.service.twin
 import repro.service.windows
 
 #: The documented-module selection.  Every module here must carry at least
-#: one runnable example; keep in sync with the docs-check CI step.
+#: one runnable example.
 DOCUMENTED_MODULES = [
     repro.runtime.pool,
     repro.runtime.capacity,

@@ -11,10 +11,14 @@ import pytest
 
 from repro.execution.engine import build_engine_pair
 from repro.queries.generator import LoadGenerator
-from repro.runtime.capacity import CAPACITY_SCHEMA_VERSION, CapacitySearch
+from repro.runtime.capacity import (
+    CAPACITY_SCHEMA_VERSION,
+    CapacityCache,
+    CapacitySearch,
+    run_capacity_searches,
+)
 from repro.runtime.pool import WorkerPool, pool_forks
-from repro.serving.capacity import CapacityCache
-from repro.serving.cluster import homogeneous_fleet
+from repro.serving.cluster import PowerOfTwoBalancer, RandomBalancer, homogeneous_fleet
 from repro.serving.simulator import ServingConfig
 
 SEARCH_KWARGS = dict(num_queries=100, iterations=3, max_queries=1000)
@@ -145,27 +149,38 @@ class TestCorruptCacheEntries:
             engines, config, 0.1, generator, **SEARCH_KWARGS,
         ).run(warm_start_cache=tmp_path)
         (entry,) = tmp_path.glob("capacity-*.json")
-        entry.write_text("{ not json at all")
-        cache = CapacityCache(tmp_path)
-        recovered = CapacitySearch.for_server(
-            engines, config, 0.1, generator, **SEARCH_KWARGS,
-        ).run(warm_start_cache=cache)
-        assert recovered.max_qps == serial.max_qps
-        assert recovered.result.latencies_s == serial.result.latencies_s
-        assert cache.stats["corrupt_entries"] >= 1
-        assert cache.stats["exact_hits"] == 0
+        for text in (
+            "{ not json at all",
+            '{"max_qps": Infinity}',  # overflowed the measurement size
+            '{"max_qps": "1e999"}',
+            '{"max_qps": true}',  # replayed 1.0 qps as the capacity
+            '{"max_qps": NaN}',
+            '{"max_qps": -5.0}',
+        ):
+            entry.write_text(text)
+            cache = CapacityCache(tmp_path)
+            recovered = CapacitySearch.for_server(
+                engines, config, 0.1, generator, **SEARCH_KWARGS,
+            ).run(warm_start_cache=cache)
+            assert recovered.max_qps == serial.max_qps, text
+            assert recovered.result.latencies_s == serial.result.latencies_s
+            assert cache.stats["corrupt_entries"] == 1, text
+            assert cache.stats["exact_hits"] == 0
 
     def test_wrong_shape_entry_counts_as_corrupt(self, tmp_path):
-        cache = CapacityCache(tmp_path)
         signature = {"kind": "server", "num_queries": 100}
         path = tmp_path / f"capacity-{CapacityCache.digest(signature)}.json"
-        path.write_text(json.dumps({"max_qps": "not-a-number"}))
-        assert cache.load(signature) is None
-        assert cache.stats == {
-            **{key: 0 for key in cache.stats},
-            "exact_misses": 1,
-            "corrupt_entries": 1,
-        }
+        # Anything but a finite positive real (a bool included) is corrupt.
+        for max_qps in ("not-a-number", float("inf"), "1e999", True, float("nan"),
+                        -5.0, 0, 10**400):
+            cache = CapacityCache(tmp_path)
+            path.write_text(json.dumps({"max_qps": max_qps}))
+            assert cache.load(signature) is None
+            assert cache.stats == {
+                **{key: 0 for key in cache.stats},
+                "exact_misses": 1,
+                "corrupt_entries": 1,
+            }, max_qps
 
     def test_missing_entry_is_a_plain_miss_not_corruption(self, tmp_path):
         cache = CapacityCache(tmp_path)
@@ -326,3 +341,60 @@ class TestCacheKeyGolden:
         }
         assert CAPACITY_SCHEMA_VERSION == 3
         assert digests == self.GOLDEN_DIGESTS
+
+
+class TestSeededBalancerInstances:
+    """A balancer instance's seed is state its name does not carry.
+
+    On a multi-server fleet, seeded instances of one policy must neither
+    share a warm-start entry nor be deduped onto each other in a batch:
+    every seed's answer is its own solo cold run's.
+    """
+
+    SEEDS = (1, 2, 3, 4, 5)
+    #: A tighter SLA and finer bisection than SEARCH_KWARGS, so that the
+    #: seeds' capacities actually differ on this fleet.
+    SLA_S = 0.05
+    FIDELITY = dict(num_queries=400, iterations=4, max_queries=2000)
+
+    @classmethod
+    def _searches(cls, engines, config, balancer_cls):
+        fleet = homogeneous_fleet(engines, config, 4)
+        return [
+            CapacitySearch.for_fleet(
+                fleet, balancer_cls(seed=seed), cls.SLA_S, LoadGenerator(seed=7),
+                **cls.FIDELITY,
+            )
+            for seed in cls.SEEDS
+        ]
+
+    @pytest.mark.parametrize("balancer_cls", [PowerOfTwoBalancer, RandomBalancer])
+    def test_per_seed_results_equal_solo_cold_runs(
+        self, engines, config, tmp_path, balancer_cls
+    ):
+        searches = self._searches(engines, config, balancer_cls)
+        assert all(search.signature() is None for search in searches)
+        solo = [search.run().max_qps for search in searches]
+        assert len(set(solo)) > 1  # the seeds genuinely differ
+        cache = CapacityCache(tmp_path)
+        shared = [
+            search.run(warm_start_cache=cache).max_qps
+            for search in self._searches(engines, config, balancer_cls)
+        ]
+        batch = run_capacity_searches(
+            self._searches(engines, config, balancer_cls), warm_start_cache=cache
+        )
+        assert shared == solo
+        assert [result.max_qps for result in batch] == solo
+
+    def test_single_server_instances_stay_cacheable(self, engines, config):
+        fleet = homogeneous_fleet(engines, config, 1)
+        signatures = [
+            CapacitySearch.for_fleet(
+                fleet, PowerOfTwoBalancer(seed=seed), 0.1, LoadGenerator(seed=7),
+                **SEARCH_KWARGS,
+            ).signature()
+            for seed in self.SEEDS
+        ]
+        assert signatures[0] is not None
+        assert all(signature == signatures[0] for signature in signatures)

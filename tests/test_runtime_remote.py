@@ -36,8 +36,11 @@ import pytest
 from repro.execution.engine import build_engine_pair
 from repro.queries.generator import LoadGenerator
 from repro.runtime.capacity import (
+    CapacityCache,
     CapacitySearch,
     _parallel_budget,
+    apply_synced_entries,
+    observe_cache_stores,
     run_capacity_searches,
 )
 from repro.runtime.pool import (
@@ -55,11 +58,6 @@ from repro.runtime.remote import (
     _FrameReader,
     parse_worker_addresses,
     send_frame,
-)
-from repro.serving.capacity import (
-    CapacityCache,
-    apply_synced_entries,
-    observe_cache_stores,
 )
 from repro.serving.cluster import homogeneous_fleet
 from repro.serving.simulator import ServingConfig
@@ -552,11 +550,14 @@ class TestCacheSync:
             ({"k": 2}, -5.0),  # non-positive capacity
             (["not", "dict"], 3.0),  # non-dict signature
             ({"k": 3}, float("nan")),  # non-finite capacity
+            ({"k": 4}, float("inf")),  # non-finite capacity
+            ({"k": 5}, "1e999"),  # not a real number
+            ({"k": 6}, True),  # a bool is not a capacity
         ]
         assert apply_synced_entries(cache, entries) == {
             "applied": 1,
             "conflicts": 1,
-            "rejected": 4,
+            "rejected": 7,
         }
         # First-writer wins; re-applying the same value is a silent no-op.
         assert cache.load({"k": 1}, count=False) == 10.0

@@ -4,8 +4,8 @@ import pytest
 
 from repro.execution.engine import build_engine_pair
 from repro.queries.generator import LoadGenerator
-from repro.runtime.capacity import CapacitySearch
-from repro.serving.capacity import estimate_upper_bound_qps, measurement_queries
+from repro.runtime.capacity import CapacitySearch, measurement_queries
+from repro.serving.cluster import estimate_upper_bound_qps
 from repro.serving.simulator import ServingConfig
 
 
