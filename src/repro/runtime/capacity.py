@@ -434,16 +434,17 @@ class CapacityCache:
 
     # ------------------------------------------------------------------ #
 
-    def memo_load(self, signature: Dict[str, Any]) -> Optional["CapacityResult"]:
-        """This instance's previously returned result for ``signature``."""
-        result = self._memo.get(self.digest(signature))
+    def memo_load(self, key: str) -> Optional["CapacityResult"]:
+        """This instance's previously returned result under ``key`` (a
+        :meth:`digest`, as a search's memo digest is)."""
+        result = self._memo.get(key)
         if result is not None:
             self.stats["memo_hits"] += 1
         return result
 
-    def memo_store(self, signature: Dict[str, Any], result: "CapacityResult") -> None:
+    def memo_store(self, key: str, result: "CapacityResult") -> None:
         """Remember a finished search's full result for this process."""
-        self._memo[self.digest(signature)] = result
+        self._memo[key] = result
 
 
 # --------------------------------------------------------------------------- #
@@ -531,24 +532,6 @@ def apply_synced_entries(
 #: signatures — with one server every policy is pass-through and the run is
 #: event-identical, so policy variants of the same search now share entries.)
 CAPACITY_SCHEMA_VERSION = 3
-
-
-def _memo_key(signature: Dict[str, Any], search: "CapacitySearch") -> Dict[str, Any]:
-    """In-process memo key: the signature *plus* presentation-only fields.
-
-    Single-server fleets normalise the balancing policy out of the shared
-    signature (any policy computes the identical run), which is safe for
-    the replay tier — its verifying evaluation runs under the search's own
-    policy and rebuilds the correctly-labelled result.  The memo tier
-    returns a stored result object verbatim, so it must not cross policies:
-    a least-outstanding result replayed for a power-of-two search would
-    carry the wrong policy label even though every measured number matches.
-    """
-    return {
-        "signature": signature,
-        "memo_policy": search._policy_name(),
-        "memo_balancer_seed": search._balancer_seed,
-    }
 
 
 def _component_signature(component: Any) -> Dict[str, Any]:
@@ -906,6 +889,37 @@ class CapacitySearch:
             return None
         return signature
 
+    @functools.cached_property
+    def _digest(self) -> Optional[str]:
+        """The signature's :meth:`CapacityCache.digest` (None when unsigned)."""
+        signature = self._signature
+        return None if signature is None else CapacityCache.digest(signature)
+
+    @functools.cached_property
+    def _memo_digest(self) -> Optional[str]:
+        """The in-process memo key: the signature *plus* presentation-only
+        fields, digested.
+
+        Single-server fleets normalise the balancing policy out of the
+        shared signature (any policy computes the identical run), which is
+        safe for the replay tier — its verifying evaluation runs under the
+        search's own policy and rebuilds the correctly-labelled result.  The
+        memo tier returns a stored result object verbatim, so it must not
+        cross policies: a least-outstanding result replayed for a
+        power-of-two search would carry the wrong policy label even though
+        every measured number matches.
+        """
+        signature = self._signature
+        if signature is None:
+            return None
+        return CapacityCache.digest(
+            {
+                "signature": signature,
+                "memo_policy": self._policy_name(),
+                "memo_balancer_seed": self._balancer_seed,
+            }
+        )
+
     # ------------------------------------------------------------------ #
 
     def _context(self) -> TaskContext:
@@ -1031,7 +1045,7 @@ class _SearchExecution:
                 self._finish(0.0, None)
             return
         if cache is not None and self.signature is not None:
-            memo = cache.memo_load(_memo_key(self.signature, search))
+            memo = cache.memo_load(cast(str, search._memo_digest))
             if memo is not None:
                 # This process already ran the identical search against this
                 # cache instance: its full result replays without any
@@ -1126,7 +1140,7 @@ class _SearchExecution:
             # same signature), so a replay populates only the memo.
             if self.machine is not None and max_qps > 0:
                 self.cache.store(self.signature, max_qps)
-            self.cache.memo_store(_memo_key(self.signature, self.search), self.result)
+            self.cache.memo_store(cast(str, self.search._memo_digest), self.result)
 
     # ------------------------------------------------------------------ #
 
@@ -1180,10 +1194,9 @@ def run_capacity_searches(
     followers: Dict[int, int] = {}
     if len(searches) > 1:
         for index, search in enumerate(searches):
-            signature = search.signature()
-            if signature is None:
+            digest = search._digest
+            if digest is None:
                 continue
-            digest = CapacityCache.digest(signature)
             if digest in leaders:
                 followers[index] = leaders[digest]
             else:

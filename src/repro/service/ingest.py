@@ -5,6 +5,8 @@ and dual-config simulation are — so ingest is a newline-delimited event
 protocol any producer can speak over TCP, stdin, or an in-process replay:
 
 * JSON object per line: ``{"query_id": 7, "arrival_time": 12.5, "size": 64}``
+  (ids and sizes are JSON integers; floats and booleans are malformed, as
+  their text is in the CSV form)
 * or bare CSV per line: ``7,12.5,64``
 * blank lines and ``#`` comments are ignored.
 
@@ -60,11 +62,19 @@ def parse_event(line: str) -> Optional[Query]:
     try:
         if text.startswith("{"):
             payload = json.loads(text)
-            return Query(
-                query_id=int(payload["query_id"]),
-                arrival_time=float(payload["arrival_time"]),
-                size=int(payload["size"]),
-            )
+            query_id = payload["query_id"]
+            arrival_time = payload["arrival_time"]
+            size = payload["size"]
+            if type(query_id) is int and type(size) is int and type(arrival_time) is float:
+                return Query(query_id, arrival_time, size)
+            # JSON values must mean what the CSV form's text would: ids and
+            # sizes are integers (a float such as 2.7 is not truncated), and
+            # no field is a boolean.
+            if isinstance(query_id, (bool, float)) or isinstance(size, (bool, float)):
+                raise TypeError("query_id and size must be integers")
+            if isinstance(arrival_time, bool):
+                raise TypeError("arrival_time must be a number")
+            return Query(int(query_id), float(arrival_time), int(size))
         fields = text.split(",")
         if len(fields) == 3:
             return Query(
@@ -72,7 +82,7 @@ def parse_event(line: str) -> Optional[Query]:
                 arrival_time=float(fields[1]),
                 size=int(fields[2]),
             )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError):
+    except (KeyError, TypeError, ValueError, OverflowError):  # JSONDecodeError included
         pass
     raise ValueError(f"unparseable event line: {text!r}")
 

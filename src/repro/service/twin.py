@@ -260,6 +260,9 @@ class DigitalTwin:
         self._fleets = [_FleetState(real, self._latency_stats)]
         if what_if is not None:
             self._fleets.append(_FleetState(what_if, self._latency_stats))
+        # One capacity search per fleet, built on the first observed window
+        # (absorb-only runs never need them) and reused for every later one.
+        self._searches: Optional[List[CapacitySearch]] = None
         self._cumulative_queries = 0
         self._last_window_index: Optional[int] = None
         self._windows_observed = 0
@@ -428,23 +431,26 @@ class DigitalTwin:
         The searches' inputs are window-independent (fleet, SLA, workload
         template), so window 0 runs them cold and every later window hits
         the cache's in-process memo — ``evaluations == 0`` — keeping the
-        per-window cost at the window's own simulation and report.
+        per-window cost at the window's own simulation and report.  The
+        searches themselves are built once, so a memo hit costs a lookup of
+        each search's cached digest.
         """
-        searches = [
-            CapacitySearch.for_fleet(
-                state.servers,
-                state.spec.policy,
-                self._sla_latency_s,
-                self._load_generator,
-                latency_stats=self._latency_stats,
-                **self._search_fidelity,
-            )
-            for state in self._fleets
-        ]
+        if self._searches is None:
+            self._searches = [
+                CapacitySearch.for_fleet(
+                    state.servers,
+                    state.spec.policy,
+                    self._sla_latency_s,
+                    self._load_generator,
+                    latency_stats=self._latency_stats,
+                    **self._search_fidelity,
+                )
+                for state in self._fleets
+            ]
         # Both configs' searches drain one shared pool concurrently (the
         # cross-search driver), exactly like a batch sweep would.
         return run_capacity_searches(
-            searches,
+            self._searches,
             jobs=self._jobs,
             warm_start_cache=self._capacity_cache,
             pool=self._pool,

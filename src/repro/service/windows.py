@@ -163,6 +163,9 @@ class WindowManager:
         self._open: Dict[int, List[Query]] = {}
         self._max_event_time = -math.inf
         self._closed_through = -1  # highest window index already emitted
+        # End of the earliest open window (window ends grow with the index):
+        # until the watermark reaches it, no event can close anything.
+        self._next_close_s = math.inf
         self._accepted = 0
         self._late = 0
 
@@ -226,10 +229,19 @@ class WindowManager:
         if index <= self._closed_through:
             self._late += 1
             return []
-        self._open.setdefault(index, []).append(query)
+        events = self._open.get(index)
+        if events is None:
+            self._open[index] = [query]
+            end = self.window_bounds(index)[1]
+            if end < self._next_close_s:
+                self._next_close_s = end
+        else:
+            events.append(query)
         self._accepted += 1
         if query.arrival_time > self._max_event_time:
             self._max_event_time = query.arrival_time
+        if self._next_close_s > self.watermark_s:
+            return []
         return self._close_ripe()
 
     def extend(self, queries: Iterable[Query]) -> List[Window]:
@@ -242,6 +254,7 @@ class WindowManager:
     def flush(self) -> List[Window]:
         """Close every remaining open window (end of stream), in order."""
         closed = [self._emit(index) for index in sorted(self._open)]
+        self._next_close_s = math.inf
         if closed:
             self._closed_through = max(self._closed_through, closed[-1].index)
         return closed
@@ -277,6 +290,9 @@ class WindowManager:
             if self.window_bounds(index)[1] <= watermark
         )
         closed = [self._emit(index) for index in ripe]
+        self._next_close_s = min(
+            (self.window_bounds(index)[1] for index in self._open), default=math.inf
+        )
         if ripe:
             # Empty windows between emitted ones never materialise (no
             # events, nothing to simulate), but anything at or below the

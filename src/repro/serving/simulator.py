@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.execution.engine import EnginePair
 from repro.queries.query import Query
-from repro.utils.stats import PercentileTracker
+from repro.utils.stats import PercentileTracker, percentile_of_sorted
 from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:
@@ -702,10 +702,12 @@ class ServerKernel:
         )
 
 
-def late_window_p95(samples: Sequence[float]) -> float:
+def late_window_p95(samples: "Union[Sequence[float], np.ndarray]") -> float:
     """p95 of the second (completion-ordered) half of the measured latencies."""
     late_window = samples[len(samples) // 2 :]
-    return float(np.percentile(late_window, 95)) if len(late_window) else 0.0
+    if not len(late_window):
+        return 0.0
+    return percentile_of_sorted(np.sort(np.asarray(late_window, dtype=np.float64)), 95)
 
 
 def _sketch_recorder(tracker, late_tracker, late_start):
@@ -1008,16 +1010,15 @@ class EventLoop:
                 while start < len(values):
                     chunk.extend(values[start:flush_at])
                     start, flush_at = flush_at, flush()
-            else:
-                tracker = PercentileTracker()
-                tracker.extend(measured)
         elif sketch_mode:
             self._flush()
             tracker = self._tracker
             late_tracker = self._late_tracker
         else:
+            measured = np.array(self._latencies, dtype=np.float64)
+        if not sketch_mode:
             tracker = PercentileTracker()
-            tracker.extend(self._latencies)
+            tracker.extend(measured)
         if tracker.count == 0:
             if self._reject_above_sla_s is not None:
                 # Every measured query was lost to faults: 100% of the offered
@@ -1036,8 +1037,8 @@ class EventLoop:
         if sketch_mode:
             p95_late = late_tracker.percentile(95) if late_tracker.raw_count else 0.0
         else:
-            samples = tracker.samples()
-            p95_late = late_window_p95(samples)
+            samples = measured.tolist()
+            p95_late = late_window_p95(measured)
         duration = max(last_completion - first_arrival, 1e-9)
         outcome = dict(
             num_queries=num_queries,

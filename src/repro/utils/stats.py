@@ -29,11 +29,48 @@ def percentile(samples: "Union[Sequence[float], np.ndarray]", pct: float) -> flo
     zero queries is meaningless (silently returning 0 would hide load-generator
     bugs).
     """
-    if len(samples) == 0:
+    _check_percentile_args(len(samples), pct)
+    return float(np.percentile(np.asarray(samples, dtype=float), pct))
+
+
+def percentile_of_sorted(sorted_samples: np.ndarray, pct: float) -> float:
+    """``numpy.percentile(sorted_samples, pct)`` by index, bit for bit.
+
+    ``sorted_samples`` must be an ascending float64 array, NaNs last (as
+    ``np.sort`` leaves them).  numpy's default ``linear`` method then
+    reduces to two element reads and one interpolation, which this helper
+    does directly instead of paying ``np.percentile``'s ~70 µs of dispatch
+    per call.  Each step follows numpy's own arithmetic, including its
+    edge cases (an index at or past the last element, infinities, NaN), so
+    the result is identical to the last bit.
+    """
+    n = sorted_samples.shape[0]
+    _check_percentile_args(n, pct)
+    last = sorted_samples.item(n - 1)
+    if last != last:  # a NaN sorts last, and numpy then returns it
+        return last
+    virtual = (n - 1) * (pct / 100)
+    if virtual >= n - 1:
+        # numpy clamps both neighbours to the last element, yet takes the
+        # weight against index -1.
+        below = above = last
+        gamma = virtual + 1
+    else:
+        index = math.floor(virtual)
+        below = sorted_samples.item(index)
+        above = sorted_samples.item(index + 1)
+        gamma = virtual - index
+    diff = above - below
+    if gamma >= 0.5:
+        return above - diff * (1 - gamma)
+    return below + diff * gamma
+
+
+def _check_percentile_args(count: int, pct: float) -> None:
+    if count == 0:
         raise ValueError("cannot take a percentile of an empty sample set")
     if not 0.0 <= pct <= 100.0:
         raise ValueError(f"pct must be in [0, 100], got {pct}")
-    return float(np.percentile(np.asarray(samples, dtype=float), pct))
 
 
 def geometric_mean(values: Sequence[float]) -> float:
@@ -262,7 +299,7 @@ class PercentileTracker:
         """
         if self._sketch is not None:
             return self._sketch.percentile(pct)
-        return percentile(self._post_warmup_sorted(), pct)
+        return percentile_of_sorted(self._post_warmup_sorted(), pct)
 
     def p50(self) -> float:
         """Median latency."""

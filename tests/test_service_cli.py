@@ -115,6 +115,7 @@ class TestParseEvent:
             '{"query_id": 1, "arrival_time": NaN, "size": 3}',
             '{"query_id": 1, "arrival_time": Infinity, "size": 3}',
             '{"query_id": 1, "arrival_time": 1e400, "size": 3}',
+            '{"query_id": 1, "arrival_time": 1' + "0" * 400 + ', "size": 3}',
         ],
     )
     def test_non_finite_timestamps_are_malformed_not_fatal(self, line):
@@ -128,6 +129,31 @@ class TestParseEvent:
         assert len(pipeline.feed_line("2,5.0,16")) == 1
         assert len(pipeline.finish()) == 1
         assert pipeline.twin.cumulative_queries == 2
+
+    @pytest.mark.parametrize(
+        "json_line, csv_line",
+        [
+            ('{"query_id": 1, "arrival_time": 0.5, "size": 2.7}', "1,0.5,2.7"),
+            ('{"query_id": 1, "arrival_time": 0.5, "size": 2.0}', "1,0.5,2.0"),
+            ('{"query_id": 1.5, "arrival_time": 0.5, "size": 2}', "1.5,0.5,2"),
+            ('{"query_id": true, "arrival_time": 0.5, "size": 2}', "true,0.5,2"),
+            ('{"query_id": 1, "arrival_time": true, "size": 2}', "1,true,2"),
+            ('{"query_id": 1, "arrival_time": 0.5, "size": true}', "1,0.5,true"),
+        ],
+    )
+    def test_json_rejects_what_csv_rejects(self, json_line, csv_line):
+        # Not truncated (2.7 -> 2) or read as a number (true -> 1).
+        for line in (json_line, csv_line):
+            with pytest.raises(ValueError, match="unparseable"):
+                parse_event(line)
+        pipeline = make_pipeline()
+        assert pipeline.feed_line(json_line) == []
+        assert pipeline.malformed_lines == 1
+        assert pipeline.windows.accepted_events == 0
+
+    def test_json_integral_timestamp_is_accepted(self):
+        line = '{"query_id": 3, "arrival_time": 2, "size": 8}'
+        assert parse_event(line) == parse_event("3,2,8") == Query(3, 2.0, 8)
 
     def test_trace_round_trips_through_the_protocol(self):
         queries = LoadGenerator(seed=9).with_rate(50.0).generate(40)

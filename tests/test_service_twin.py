@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.queries.generator import LoadGenerator
 from repro.queries.trace import DiurnalPattern, generate_diurnal_trace
+from repro.runtime.capacity import CapacitySearch
 from repro.service.shadow import (
     ConfigVerdict,
     FleetSpec,
@@ -184,6 +185,26 @@ class TestCapacityMemoEconomics:
             assert report.what_if.evaluations == 0
         assert stats["stores"] == 2  # one cold search per config
         assert stats["memo_hits"] == 2 * (len(reports) - 1)
+
+    def test_one_search_per_fleet_per_twin(self, monkeypatch):
+        built = []
+        for_fleet = CapacitySearch.for_fleet.__func__
+
+        def spy(cls, *args, **kwargs):
+            search = for_fleet(cls, *args, **kwargs)
+            built.append(search)
+            return search
+
+        monkeypatch.setattr(CapacitySearch, "for_fleet", classmethod(spy))
+        _, windows = windowed_stream(num_queries=300, window_s=0.5)
+        assert len(windows) > 3
+        with make_twin(what_if=UNDER_PROVISIONED) as twin:
+            twin.absorb(windows[0])
+            assert built == []  # absorbing runs no search, so builds none
+            for window in windows[1:]:
+                twin.observe(window)
+        assert len(built) == 2
+        assert len({id(search) for search in built}) == 2
 
     def test_capacity_prediction_stable_across_windows(self):
         _, windows = windowed_stream(num_queries=400)

@@ -177,6 +177,93 @@ class TestWindowingProperties:
         assert got == want
 
 
+class ScanEveryEvent:
+    """Reference windowing: after every accepted event, scan all open
+    windows for ones the watermark has passed."""
+
+    def __init__(self, window_s, allowed_lateness_s):
+        self.bounds = WindowManager(window_s).window_bounds
+        self.window_s = window_s
+        self.lateness_s = allowed_lateness_s
+        self.open = {}
+        self.max_event_time = -math.inf
+        self.closed_through = -1
+        self.late = 0
+
+    def add(self, query):
+        index = int(query.arrival_time // self.window_s)
+        if index <= self.closed_through:
+            self.late += 1
+            return []
+        self.open.setdefault(index, []).append(query)
+        self.max_event_time = max(self.max_event_time, query.arrival_time)
+        watermark = self.max_event_time - self.lateness_s
+        return self._emit(i for i in self.open if self.bounds(i)[1] <= watermark)
+
+    def flush(self):
+        return self._emit(self.open)
+
+    def fast_forward(self, closed_through, max_event_time_s):
+        self.closed_through = max(self.closed_through, closed_through)
+        self.max_event_time = max(self.max_event_time, max_event_time_s)
+
+    def _emit(self, indices):
+        closed = [
+            (index, *self.bounds(index), tuple(self.open.pop(index)))
+            for index in sorted(indices)
+        ]
+        if closed:
+            self.closed_through = max(self.closed_through, closed[-1][0])
+        return closed
+
+
+def as_tuples(windows):
+    return [(w.index, w.start_s, w.end_s, w.queries) for w in windows]
+
+
+class TestCloseCheckMatchesFullScan:
+    """The O(1) close check emits exactly what a per-event scan emits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.floats(0.0, 200.0, allow_nan=False, width=32),
+                st.just("flush"),
+            ),
+            max_size=80,
+        ),
+        window_s=st.floats(0.5, 30.0, allow_nan=False),
+        lateness_s=st.one_of(st.just(0.0), st.floats(0.0, 60.0, allow_nan=False)),
+        resume=st.one_of(
+            st.none(),
+            st.tuples(st.integers(-1, 6), st.floats(0.0, 200.0, allow_nan=False)),
+        ),
+    )
+    def test_out_of_order_stream_with_flushes(self, ops, window_s, lateness_s, resume):
+        manager = WindowManager(window_s=window_s, allowed_lateness_s=lateness_s)
+        reference = ScanEveryEvent(window_s, lateness_s)
+        scans = []
+        close_ripe = manager._close_ripe
+        manager._close_ripe = lambda: scans.append(1) or close_ripe()
+        if resume is not None:
+            manager.fast_forward(*resume)
+            reference.fast_forward(*resume)
+        for query_id, op in enumerate(ops):
+            if op == "flush":
+                got, want = manager.flush(), reference.flush()
+            else:
+                query = Query(query_id, op, 16)
+                scans.clear()
+                got, want = manager.add(query), reference.add(query)
+                # The open windows are scanned only when one is due to close.
+                assert len(scans) == bool(want)
+            assert as_tuples(got) == want
+            assert manager.open_windows == sorted(reference.open)
+            assert manager.late_events == reference.late
+        assert as_tuples(manager.flush()) == reference.flush()
+
+
 class TestWindowDataclass:
     def test_window_is_immutable(self):
         window = Window(index=0, start_s=0.0, end_s=5.0, queries=(Query(0, 1.0, 8),))

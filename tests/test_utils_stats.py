@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.serving.simulator import late_window_p95
 from repro.utils.stats import (
     PercentileTracker,
     StreamingStats,
@@ -12,6 +15,7 @@ from repro.utils.stats import (
     geometric_mean,
     max_relative_cdf_gap,
     percentile,
+    percentile_of_sorted,
 )
 
 
@@ -37,6 +41,61 @@ class TestPercentile:
             percentile([1.0], 101)
         with pytest.raises(ValueError):
             percentile([1.0], -1)
+
+
+def same_bits(got, want):
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def numpy_percentile(samples, pct):
+    with np.errstate(invalid="ignore"):  # numpy warns on inf - inf
+        return np.percentile(samples, pct)
+
+
+#: Samples with ties (few distinct values), infinities and huge magnitudes.
+SAMPLE_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5, -math.inf, math.inf]),
+    st.floats(-1e300, 1e300, allow_nan=False),
+)
+PCTS = st.one_of(st.sampled_from([0.0, 50.0, 95.0, 99.0, 100.0]), st.floats(0.0, 100.0))
+
+
+class TestPercentileOfSorted:
+    """The index-based helper equals ``np.percentile`` to the last bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(SAMPLE_VALUES, min_size=1, max_size=40), pct=PCTS)
+    def test_bit_identical_to_numpy(self, values, pct):
+        ordered = np.sort(np.asarray(values, dtype=np.float64))
+        assert same_bits(percentile_of_sorted(ordered, pct), numpy_percentile(ordered, pct))
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=SAMPLE_VALUES, pct=PCTS)
+    def test_single_sample(self, value, pct):
+        ordered = np.array([value])
+        assert same_bits(percentile_of_sorted(ordered, pct), numpy_percentile(ordered, pct))
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(SAMPLE_VALUES, min_size=0, max_size=20), pct=PCTS)
+    def test_nan_input_returns_nan_like_numpy(self, values, pct):
+        ordered = np.sort(np.asarray(values + [math.nan], dtype=np.float64))
+        got = percentile_of_sorted(ordered, pct)
+        assert math.isnan(got)
+        assert same_bits(got, numpy_percentile(ordered, pct))
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(SAMPLE_VALUES, min_size=0, max_size=40))
+    def test_late_window_p95_matches_numpy(self, values):
+        late = values[len(values) // 2 :]
+        want = float(numpy_percentile(late, 95)) if late else 0.0
+        assert same_bits(late_window_p95(values), want)
+        assert same_bits(late_window_p95(np.asarray(values, dtype=np.float64)), want)
+
+    def test_validates_like_percentile(self):
+        with pytest.raises(ValueError, match="empty"):
+            percentile_of_sorted(np.array([]), 50)
+        with pytest.raises(ValueError, match="pct"):
+            percentile_of_sorted(np.array([1.0]), 100.5)
 
 
 class TestGeometricMean:
