@@ -46,7 +46,7 @@ from repro.serving.cluster import (
 )
 from repro.serving.simulator import ServingConfig, SimulationResult, late_window_p95
 from repro.utils.rng import RngFactory
-from repro.utils.stats import max_relative_cdf_gap
+from repro.utils.stats import max_relative_cdf_gap, percentile_of_sorted
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -215,9 +215,10 @@ class DatacenterCluster:
         """
         if latencies:
             samples = np.asarray(latencies)
-            p50 = float(np.percentile(samples, 50))
-            p95 = float(np.percentile(samples, 95))
-            p99 = float(np.percentile(samples, 99))
+            ordered = np.sort(samples)
+            p50 = percentile_of_sorted(ordered, 50)
+            p95 = percentile_of_sorted(ordered, 95)
+            p99 = percentile_of_sorted(ordered, 99)
             mean = float(samples.mean())
         else:
             p50 = p95 = p99 = mean = 0.0

@@ -607,12 +607,9 @@ def _build_simulator(search: "CapacitySearch") -> Any:
             balancer_seed=search._balancer_seed,
             fault_plan=search._fault_plan,
             retry_policy=search._retry_policy,
-            latency_stats=search._latency_stats,
         )
     assert search._engines is not None and search._config is not None
-    return ServingSimulator(
-        search._engines, search._config, latency_stats=search._latency_stats
-    )
+    return ServingSimulator(search._engines, search._config)
 
 
 def _build_evaluator(search: "CapacitySearch") -> "CapacitySearch":
@@ -678,7 +675,6 @@ class CapacitySearch:
         balancer_seed: int = 0,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        latency_stats: str = "exact",
     ) -> None:
         check_positive("sla_latency_s", sla_latency_s)
         check_positive("num_queries", num_queries)
@@ -688,7 +684,6 @@ class CapacitySearch:
         if fault_plan is not None and kind != "fleet":
             raise ValueError("fault injection is only supported for fleet searches")
         self._kind = kind
-        self._latency_stats = latency_stats
         self._sla_latency_s = sla_latency_s
         self._load_generator = load_generator
         self._num_queries = num_queries
@@ -729,16 +724,8 @@ class CapacitySearch:
         iterations: int = 7,
         headroom: float = 1.3,
         max_queries: int = 8000,
-        latency_stats: str = "exact",
     ) -> "CapacitySearch":
-        """A single-server search.
-
-        ``latency_stats="sketch"`` runs every evaluation with fixed-space
-        latency statistics for million-query fidelity settings (approximate
-        p95s — the measured capacity may differ from the exact mode's within
-        the sketch's rank-error bound, so the two modes never share cache
-        entries).
-        """
+        """A single-server search."""
         return cls(
             kind="server",
             engines=engines,
@@ -749,7 +736,6 @@ class CapacitySearch:
             iterations=iterations,
             headroom=headroom,
             max_queries=max_queries,
-            latency_stats=latency_stats,
         )
 
     @classmethod
@@ -768,7 +754,6 @@ class CapacitySearch:
         balancer_seed: int = 0,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        latency_stats: str = "exact",
     ) -> "CapacitySearch":
         """A fleet search.
 
@@ -778,9 +763,7 @@ class CapacitySearch:
         full).  With ``jobs > 1`` servers and balancer must be picklable.
         ``fault_plan`` / ``retry_policy`` make every candidate-rate
         evaluation run fault-injected, so the search measures capacity
-        *under* the plan's crashes and stragglers.  ``latency_stats`` as in
-        :meth:`for_server` (fault-injected runs reject sketch mode
-        outright).
+        *under* the plan's crashes and stragglers.
         """
         return cls(
             kind="fleet",
@@ -796,7 +779,6 @@ class CapacitySearch:
             balancer_seed=balancer_seed,
             fault_plan=fault_plan,
             retry_policy=retry_policy,
-            latency_stats=latency_stats,
         )
 
     # ------------------------------------------------------------------ #
@@ -877,13 +859,6 @@ class CapacitySearch:
                     "plan": self._fault_plan.to_dict(),
                     "retry": (self._retry_policy or RetryPolicy()).to_dict(),
                 }
-            # Sketch-mode p95s are approximate, so sketch searches can land
-            # on a different capacity than exact ones — they must not share
-            # cache entries.  Folded in only when non-default, so exact
-            # signatures (and their digests) stay byte-identical to older
-            # builds.
-            if self._latency_stats != "exact":
-                signature["latency_stats"] = self._latency_stats
             json.dumps(signature, sort_keys=True)  # probe serialisability
         except (TypeError, ValueError, AttributeError):
             return None

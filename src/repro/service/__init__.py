@@ -32,7 +32,7 @@ from repro.service.shadow import (
     load_fleet_spec,
 )
 from repro.service.twin import DigitalTwin, TwinWindowReport
-from repro.service.windows import Window, WindowManager, WindowRollup
+from repro.service.windows import Window, WindowManager
 
 __all__ = [
     "ConfigVerdict",
@@ -43,7 +43,6 @@ __all__ = [
     "TwinWindowReport",
     "Window",
     "WindowManager",
-    "WindowRollup",
     "compare_verdicts",
     "load_fleet_spec",
     "parse_event",

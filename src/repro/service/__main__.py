@@ -142,17 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--latency-stats",
-        default="exact",
-        choices=("exact", "sketch"),
-        help=(
-            "Statistics tier: 'exact' buffers every latency sample "
-            "(bit-identical reports, the default); 'sketch' streams into "
-            "fixed-space quantile sketches so memory stays O(1) in events "
-            "observed (million-query streams; see docs/performance.md)."
-        ),
-    )
-    parser.add_argument(
         "--seed", type=int, default=0, help="Capacity-search workload seed."
     )
     parser.add_argument(
@@ -189,7 +178,6 @@ def build_pipeline(args: argparse.Namespace, sink=None) -> IngestPipeline:
         what_if=what_if,
         jobs=args.jobs,
         capacity_cache_dir=args.capacity_cache_dir or None,
-        latency_stats=getattr(args, "latency_stats", "exact"),
     )
     windows = WindowManager(args.window_s, allowed_lateness_s=args.lateness_s)
     journal: Optional[WindowJournal] = None

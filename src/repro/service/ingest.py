@@ -130,7 +130,8 @@ class IngestPipeline:
 
     def feed(self, query: Query) -> List[TwinWindowReport]:
         """Ingest one already-parsed event."""
-        return self._observe_closed(self.windows.add(query))
+        closed = self.windows.add(query)
+        return self._observe_closed(closed) if closed else []
 
     def feed_line(self, line: str) -> List[TwinWindowReport]:
         """Ingest one protocol line (malformed lines are counted, not fatal)."""

@@ -58,7 +58,7 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, List, Optional, Union
 
 from repro.execution.engine import EnginePair, build_cpu_engine
 from repro.experiments.result import ExperimentResult
@@ -67,14 +67,14 @@ from repro.queries.query import Query
 from repro.runtime.capacity import CapacityCache, CapacitySearch, run_capacity_searches
 from repro.runtime.pool import WorkerPool
 from repro.serving.cluster import ClusterSimulationResult, ClusterSimulator
-from repro.serving.simulator import _arrival_key, _check_latency_stats
+from repro.serving.simulator import _arrival_key
 from repro.service.shadow import (
     ConfigVerdict,
     FleetSpec,
     ShadowVerdict,
     compare_verdicts,
 )
-from repro.service.windows import Window, WindowRollup
+from repro.service.windows import Window
 from repro.utils.stats import PercentileTracker
 from repro.utils.validation import check_positive
 
@@ -162,7 +162,7 @@ class TwinWindowReport:
 class _FleetState:
     """One configured fleet's long-lived twin state (built once, reused)."""
 
-    def __init__(self, spec: FleetSpec, latency_stats: str = "exact") -> None:
+    def __init__(self, spec: FleetSpec) -> None:
         self.spec = spec
         self.engines = EnginePair(
             cpu=build_cpu_engine(spec.model, spec.platform), gpu=None
@@ -170,9 +170,7 @@ class _FleetState:
         self.servers = spec.build_servers(self.engines)
         # One open-ended event loop for the service's lifetime: every
         # window's events are fed once, and reports finish a fork of it.
-        self.stream = ClusterSimulator(
-            self.servers, balancer=spec.policy, latency_stats=latency_stats
-        ).stream()
+        self.stream = ClusterSimulator(self.servers, balancer=spec.policy).stream()
         #: The latest finished fork, or None once more events were fed.
         self.result: Optional[ClusterSimulationResult] = None
 
@@ -211,14 +209,11 @@ class DigitalTwin:
         persistent to warm-start across service restarts.
     search_num_queries / search_iterations / search_max_queries:
         Fidelity knobs forwarded to :class:`CapacitySearch.for_fleet`.
-    latency_stats:
-        ``"exact"`` (default) or ``"sketch"``: the statistics tier of the
-        reports, the capacity searches and the cross-window rollups (see
-        ``docs/performance.md``).  Sketch-mode reports equal a one-shot
-        sketch run over the same events bit for bit.  Either way each
-        fleet's event loop keeps every measured latency with its arrival
-        ordinal, because the warmup cut moves as events arrive: 16 bytes
-        per query per fleet, besides the in-flight queries.
+
+    Statistics are exact: each fleet's event loop keeps every measured
+    latency with its arrival ordinal, because the warmup cut moves as
+    events arrive, so memory grows by 16 bytes per query per fleet, besides
+    the in-flight queries (see ``docs/performance.md``).
     """
 
     def __init__(
@@ -234,7 +229,6 @@ class DigitalTwin:
         search_num_queries: int = 400,
         search_iterations: int = 6,
         search_max_queries: int = 4000,
-        latency_stats: str = "exact",
     ) -> None:
         check_positive("sla_latency_s", sla_latency_s)
         if what_if is not None and what_if.name == real.name:
@@ -251,15 +245,14 @@ class DigitalTwin:
             self._tempdir = tempfile.TemporaryDirectory(prefix="twin-capacity-")
             capacity_cache_dir = self._tempdir.name
         self._capacity_cache = CapacityCache(capacity_cache_dir)
-        self._latency_stats = _check_latency_stats(latency_stats)
         self._search_fidelity = {
             "num_queries": search_num_queries,
             "iterations": search_iterations,
             "max_queries": search_max_queries,
         }
-        self._fleets = [_FleetState(real, self._latency_stats)]
+        self._fleets = [_FleetState(real)]
         if what_if is not None:
-            self._fleets.append(_FleetState(what_if, self._latency_stats))
+            self._fleets.append(_FleetState(what_if))
         # One capacity search per fleet, built on the first observed window
         # (absorb-only runs never need them) and reused for every later one.
         self._searches: Optional[List[CapacitySearch]] = None
@@ -269,10 +262,7 @@ class DigitalTwin:
         # Long-lived across windows: the offered-rate tracker is queried
         # (median) and then recorded into again on every window — the
         # record-after-percentile pattern tests/test_utils_stats.py pins.
-        # In sketch mode it and the size rollup merge fixed-space sketches
-        # per window instead of concatenating samples.
-        self._window_rates = PercentileTracker(mode=self._latency_stats)
-        self._size_rollup = WindowRollup(self._latency_stats)
+        self._window_rates = PercentileTracker()
 
     # ------------------------------------------------------------------ #
 
@@ -295,16 +285,6 @@ class DigitalTwin:
     def cumulative_queries(self) -> int:
         """Events accumulated across all observed windows."""
         return self._cumulative_queries
-
-    @property
-    def latency_stats(self) -> str:
-        """``"exact"`` or ``"sketch"`` — the configured statistics tier."""
-        return self._latency_stats
-
-    @property
-    def size_rollup(self) -> WindowRollup:
-        """Cross-window query-size distribution (sketch-merged in sketch mode)."""
-        return self._size_rollup
 
     def specs(self) -> List[FleetSpec]:
         """The configured fleet specs (real first, then the what-if)."""
@@ -423,7 +403,6 @@ class DigitalTwin:
         self._cumulative_queries += len(queries)
         self._windows_observed += 1
         self._window_rates.add(window.mean_rate_qps)
-        self._size_rollup.fold([float(q.size) for q in window.queries])
 
     def _predict_capacities(self):
         """Both fleets' capacity at the SLA, via the shared memoised search.
@@ -442,7 +421,6 @@ class DigitalTwin:
                     state.spec.policy,
                     self._sla_latency_s,
                     self._load_generator,
-                    latency_stats=self._latency_stats,
                     **self._search_fidelity,
                 )
                 for state in self._fleets

@@ -35,76 +35,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple, Union
-
-import numpy as np
+from typing import Dict, Iterable, List, Tuple
 
 from repro.queries.query import Query
-from repro.utils.stats import PercentileTracker
 from repro.utils.validation import check_non_negative, check_positive
-
-
-class WindowRollup:
-    """Cross-window sample rollup with mode-dependent merge semantics.
-
-    Long-running services accumulate per-window sample distributions (query
-    sizes, offered rates, window latencies) into a stream-lifetime summary.
-    Each :meth:`fold` builds one per-window
-    :class:`~repro.utils.stats.PercentileTracker` and merges it into the
-    cumulative tracker: in the default ``"exact"`` mode the merge
-    concatenates samples (bit-identical to one flat buffer, footprint grows
-    with the stream); with ``latency_stats="sketch"`` the merge combines
-    fixed-space quantile sketches instead, so the rollup's footprint stays
-    O(1) in the number of events — the same knob the simulators take,
-    threaded through the service layer.
-
-    >>> rollup = WindowRollup()
-    >>> rollup.fold([16.0, 32.0])
-    >>> rollup.fold([64.0, 128.0])
-    >>> (rollup.windows_folded, rollup.count, rollup.percentile(50))
-    (2, 4, 48.0)
-    """
-
-    def __init__(self, latency_stats: str = "exact") -> None:
-        self._cumulative = PercentileTracker(mode=latency_stats)
-        self._windows = 0
-
-    @property
-    def latency_stats(self) -> str:
-        """``"exact"`` or ``"sketch"`` — the configured merge semantics."""
-        return self._cumulative.mode
-
-    @property
-    def windows_folded(self) -> int:
-        """Number of windows merged so far."""
-        return self._windows
-
-    @property
-    def count(self) -> int:
-        """Total samples across all folded windows (exact in both modes)."""
-        return self._cumulative.count
-
-    def fold(self, samples: Union[Iterable[float], np.ndarray]) -> None:
-        """Merge one window's samples into the cumulative rollup."""
-        window = PercentileTracker(mode=self._cumulative.mode)
-        window.extend(np.asarray(samples, dtype=np.float64))
-        self._cumulative.merge(window)
-        self._windows += 1
-
-    def percentile(self, pct: float) -> float:
-        """Cumulative ``pct``-th percentile (sketch-bounded in sketch mode)."""
-        return self._cumulative.percentile(pct)
-
-    def footprint(self) -> int:
-        """Floats retained: all samples in exact mode, O(1) in sketch mode."""
-        return self._cumulative.footprint()
-
-    def __repr__(self) -> str:
-        return (
-            f"WindowRollup(latency_stats={self.latency_stats!r}, "
-            f"windows={self._windows}, count={self.count}, "
-            f"footprint={self.footprint()})"
-        )
 
 
 @dataclass(frozen=True)

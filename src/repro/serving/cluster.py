@@ -63,7 +63,6 @@ from repro.queries.generator import LoadGenerator
 from repro.queries.query import Query
 from repro.queries.size_dist import QuerySizeDistribution
 from repro.serving.simulator import (
-    CertainAcceptance,
     CertainRejection,
     EventLoop,
     SLACriteriaMixin,
@@ -72,7 +71,6 @@ from repro.serving.simulator import (
     ServingConfig,
     _INFINITY,
     _arrival_key,
-    _check_latency_stats,
     build_kernels,
     misrouted,
     resolve_num_cores,
@@ -750,6 +748,8 @@ class FaultInjector:
 # The cluster simulator
 # --------------------------------------------------------------------------- #
 
+_LATENCY_STATS_MODES = ("exact", "sketch")
+
 
 class ClusterSimulator:
     """Event-driven simulator for a fleet of inference servers.
@@ -761,6 +761,17 @@ class ClusterSimulator:
     a real balancer would.  With a single server every policy degenerates to
     pass-through and the run is event-for-event identical to
     :class:`ServingSimulator`.
+
+    ``latency_stats`` is the one place the statistics tier is chosen:
+    ``"exact"`` (default) retains every measured latency, bit-identical
+    statistics and memory linear in the trace; ``"sketch"`` streams them
+    into fixed-space quantile sketches
+    (:class:`~repro.utils.sketch.QuantileSketch`), with percentiles within
+    the sketch's rank-error bound, ``latencies_s`` left empty, and peak
+    memory O(1) in the trace for a one-shot :meth:`run_stream`.  Sketch
+    mode retains nothing, so it rejects every consumer that must retain:
+    per-server latency lists, fault plans and the open-ended
+    :meth:`stream`.
     """
 
     def __init__(
@@ -807,8 +818,13 @@ class ClusterSimulator:
             fault_plan = None
         self._fault_plan = fault_plan
         self._retry_policy = retry_policy or RetryPolicy()
-        self._latency_stats = _check_latency_stats(latency_stats)
-        if self._latency_stats == "sketch":
+        if latency_stats not in _LATENCY_STATS_MODES:
+            raise ValueError(
+                f"latency_stats must be one of {_LATENCY_STATS_MODES}, "
+                f"got {latency_stats!r}"
+            )
+        self._latency_stats = latency_stats
+        if latency_stats == "sketch":
             # Sketch mode trades retained samples for fixed space; both of
             # these consumers exist to *retain* per-sample data, so the
             # combination is a contradiction, rejected up front.
@@ -861,8 +877,7 @@ class ClusterSimulator:
         self,
         queries: Sequence[Query],
         reject_above_sla_s: Optional[float] = None,
-        accept_within_sla_s: Optional[float] = None,
-    ) -> Union[ClusterSimulationResult, CertainRejection, CertainAcceptance]:
+    ) -> Union[ClusterSimulationResult, CertainRejection]:
         """Serve ``queries`` across the fleet and return fleet measurements.
 
         ``queries`` are sorted by arrival time and streamed through the
@@ -874,18 +889,6 @@ class ClusterSimulator:
         (bit-identically) otherwise.  Capacity searches use it to cut short
         overloaded probe evaluations whose results are discarded anyway.
 
-        ``accept_within_sla_s`` arms the dual early-acceptance exit: once
-        neither the full run's p95 nor its late-window p95 can end up over
-        the target, recording stops, the event loop runs on to the last
-        completion (balancer included), and a
-        :class:`~repro.serving.simulator.CertainAcceptance` carrying the
-        exact measured drain time is returned instead of full statistics.
-        Fault-injected runs ignore it: queries lost to faults shrink the
-        measured population after the fact, so a certificate computed from
-        the zero-failure total would not be sound there — and the
-        fault-aware SLA verdict additionally folds failures back in as
-        misses, which no completion-count certificate can anticipate.
-
         With a non-empty :class:`~repro.faults.FaultPlan`, a
         :class:`FaultInjector` joins the loop as an event source: servers
         crash (losing in-flight work, handled per the
@@ -896,15 +899,14 @@ class ClusterSimulator:
         fault source at all (``tests/test_faults.py``).
         """
         ordered = sorted(queries, key=_arrival_key)
-        return self._simulate(ordered, len(ordered), reject_above_sla_s, accept_within_sla_s)
+        return self._simulate(ordered, len(ordered), reject_above_sla_s)
 
     def run_stream(
         self,
         queries: Iterable[Query],
         num_queries: int,
         reject_above_sla_s: Optional[float] = None,
-        accept_within_sla_s: Optional[float] = None,
-    ) -> Union[ClusterSimulationResult, CertainRejection, CertainAcceptance]:
+    ) -> Union[ClusterSimulationResult, CertainRejection]:
         """Serve a streamed query iterable without materialising the trace.
 
         The constant-memory companion to :meth:`run` for million-query
@@ -919,7 +921,7 @@ class ClusterSimulator:
         * arrivals come **pre-sorted** by arrival time (the generator
           paths already emit them sorted);
         * ``num_queries`` states the stream's exact length up front (the
-          warmup count and the early-exit certificates need the total
+          warmup count and the early-rejection certificate need the total
           before the stream ends); a mismatch raises at the end.
 
         Query ids are free: the warmup window is the first
@@ -927,15 +929,14 @@ class ClusterSimulator:
         gives the same result as :meth:`run` on the same queries.  Fault
         plans are not supported — faulted runs retain samples for their SLA
         verdict and are figure-sized; use :meth:`run`.
-        ``reject_above_sla_s`` / ``accept_within_sla_s`` arm the same exact
-        early exits as :meth:`run`.
+        ``reject_above_sla_s`` arms the same exact early exit as :meth:`run`.
         """
         if self._fault_plan is not None:
             raise ValueError(
                 "run_stream does not support fault injection; use run()"
             )
         check_positive("num_queries", num_queries)
-        return self._simulate(queries, num_queries, reject_above_sla_s, accept_within_sla_s)
+        return self._simulate(queries, num_queries, reject_above_sla_s)
 
     def stream(self) -> EventLoop:
         """An open-ended run to feed in time-sorted batches, without faults.
@@ -947,11 +948,17 @@ class ClusterSimulator:
         field for field to :meth:`run` over those queries — and keep
         feeding the original.  The stream owns a copy of the balancer,
         prepared and reset once, so :meth:`run` calls in between do not
-        disturb it.  Fault plans and per-server latency lists are not
-        supported.
+        disturb it.  Fault plans, per-server latency lists and sketch mode
+        are not supported: the loop retains every measured latency with its
+        arrival ordinal, because the warmup cut moves as arrivals are fed.
         """
         if self._fault_plan is not None:
             raise ValueError("stream does not support fault injection; use run()")
+        if self._latency_stats == "sketch":
+            raise ValueError(
+                "stream does not support latency_stats='sketch': an open-ended "
+                "run retains every latency; use run_stream()"
+            )
         if self._collect_per_server:
             raise ValueError(
                 "stream does not collect per-server latencies; use run()"
@@ -965,7 +972,6 @@ class ClusterSimulator:
             self._warmup_fraction,
             choose=balancer.choose,
             policy=self.policy,
-            latency_stats=self._latency_stats,
             summarize=self._summarize,
         )
 
@@ -982,8 +988,7 @@ class ClusterSimulator:
         arrivals: Iterable[Query],
         num_queries: int,
         reject_above_sla_s: Optional[float],
-        accept_within_sla_s: Optional[float],
-    ) -> Union[ClusterSimulationResult, CertainRejection, CertainAcceptance]:
+    ) -> Union[ClusterSimulationResult, CertainRejection]:
         kernels = self._build_kernels()
         balancer = self._balancer
         balancer.prepare(self._servers)
@@ -1008,7 +1013,6 @@ class ClusterSimulator:
             latency_stats=self._latency_stats,
             per_server=per_server_latencies,
             reject_above_sla_s=reject_above_sla_s,
-            accept_within_sla_s=accept_within_sla_s,
             faults=faults,
         )
         if not isinstance(outcome, dict):

@@ -198,44 +198,10 @@ class CertainRejection:
         return False
 
 
-@dataclass(frozen=True)
+# Nothing returns this stub: perfbench/tracing.py still checks isinstance
+# against it, so it goes with the benchmark-only change of ROADMAP item 5.
 class CertainAcceptance:
-    """Early-exit outcome of a run whose SLA acceptance became certain mid-run.
-
-    The dual of :class:`CertainRejection`: returned when a simulation is
-    given an ``accept_within_sla_s`` target and so few measured latencies
-    exceed it — with so few left to measure — that the complete run's p95
-    (and the late-window p95 the stability check uses) provably stay within
-    the target no matter how the remaining queries fare
-    (:func:`certain_acceptance_threshold`).  The event loop still drains to
-    the last completion without recording, so ``drain_s`` is the exact
-    drain time and the stability verdict matches the full run's; only the
-    aggregate statistics were never computed, so this object carries the
-    evidence, not a p95.  Like the rejection stub, the verdict is relative
-    to the armed target: capacity searches use it for accepted probe
-    evaluations whose result objects are discarded, and re-run the one
-    evaluation whose full statistics they report.
-    """
-
-    sla_latency_s: float
-    measured_queries: int
-    over_sla_queries: int
-    drain_s: float
-    arrival_span_s: float
-
-    def meets_sla(self, sla_latency_s: float) -> bool:
-        """True: the full run's p95 provably stays within the armed target."""
-        return True
-
-    def is_stable(self, sla_latency_s: float) -> bool:
-        """Exact: the late-window p95 was certified when the exit fired, and
-        the drain time was measured by draining the event loop."""
-        drain_budget = max(2.0 * sla_latency_s, 0.25 * self.arrival_span_s)
-        return self.drain_s <= drain_budget
-
-    def acceptable(self, sla_latency_s: float) -> bool:
-        """Exactly the completed run's ``acceptable`` for the armed target."""
-        return self.meets_sla(sla_latency_s) and self.is_stable(sla_latency_s)
+    """Retired early-acceptance certificate, never produced."""
 
 
 def certain_rejection_threshold(measured_total: int) -> int:
@@ -257,27 +223,6 @@ def certain_rejection_threshold(measured_total: int) -> int:
     return measured_total - math.floor((measured_total - 1) * 0.95)
 
 
-def certain_acceptance_threshold(measured_total: int) -> int:
-    """Max over-SLA measurements for which p95 <= SLA holds for the full run.
-
-    The dual of :func:`certain_rejection_threshold`.  With ``n`` measured
-    latencies, the linear-interpolation p95 sits between the sorted samples
-    at indices ``floor(f)`` and ``ceil(f)`` for ``f = 0.95 * (n - 1)``, so
-    it is at most ``x[ceil(f)]``.  If no more than ``n - 1 - ceil(f)``
-    samples exceed the target, then at least ``ceil(f) + 1`` samples are
-    within it, so ``x[ceil(f)]`` — and therefore the p95 — is within the
-    target regardless of *which* samples those are.  Mid-run the check is
-    applied pessimistically (every not-yet-measured latency is assumed to
-    exceed the target), which makes the early acceptance exact, not a
-    heuristic.  (The float product mirrors numpy's own virtual-index
-    arithmetic bit for bit.)  Returns -1 when no count certifies (nothing
-    measured means nothing to accept).
-    """
-    if measured_total <= 0:
-        return -1
-    return measured_total - 1 - math.ceil((measured_total - 1) * 0.95)
-
-
 # Event kinds, ordered so that completions at time t are processed before
 # arrivals at the same instant (frees cores first).
 EVT_CPU_DONE = 0
@@ -293,18 +238,6 @@ _INFINITY = float("inf")
 #: enough that the per-flush numpy conversion amortises, small enough that
 #: the in-flight chunk never dominates peak memory.
 _SKETCH_CHUNK = 32768
-
-_LATENCY_STATS_MODES = ("exact", "sketch")
-
-
-def _check_latency_stats(latency_stats: str) -> str:
-    if latency_stats not in _LATENCY_STATS_MODES:
-        raise ValueError(
-            f"latency_stats must be one of {_LATENCY_STATS_MODES}, "
-            f"got {latency_stats!r}"
-        )
-    return latency_stats
-
 
 @contextmanager
 def pause_gc() -> Iterator[None]:
@@ -483,17 +416,6 @@ class ServerKernel:
     def outstanding_queries(self) -> int:
         """Queries accepted but not yet fully completed (derived, O(1))."""
         return len(self._states)
-
-    @property
-    def num_completed(self) -> int:
-        """Queries fully completed so far (derived, O(1)).
-
-        After a :meth:`crash`, queries lost in flight are counted here too:
-        the counter is "queries no longer on the server", and the fault
-        layer tracks failures separately in its
-        :class:`~repro.faults.FaultStats`.
-        """
-        return self.num_submitted - len(self._states)
 
     @property
     def service_scale(self) -> float:
@@ -815,19 +737,20 @@ class EventLoop:
     anything else happens at t.
 
     ``num_queries`` states the stream's length up front (the warmup split
-    and the certificates need it; a mismatch raises at :meth:`finish`).
+    and the rejection certificate need it; a mismatch raises at
+    :meth:`finish`).
     The first ``int(num_queries * warmup_fraction)`` arrivals consumed are
     warmup: the loop holds each one's id only until it completes, and never
     measures it, so query ids need not follow arrival order.  Measured
     latencies are recorded exactly (every sample retained) or into
     fixed-space sketches (``latency_stats="sketch"``), and appended to
     ``per_server[server_index]`` when those lists are given.
-    ``reject_above_sla_s`` / ``accept_within_sla_s`` arm the early exits
-    described at :func:`run_event_loop`.
+    ``reject_above_sla_s`` arms the early exit described at
+    :func:`run_event_loop`.
 
     With ``num_queries=None`` the loop is *open-ended*, and takes no fault
-    source, per-server lists or early exits.  Its warmup cut moves with the
-    count fed so far, so every completion is
+    source, per-server lists, early exit or sketch statistics.  Its warmup
+    cut moves with the count fed so far, so every completion is
     recorded with its arrival ordinal (16 bytes per query in typed arrays)
     and the cut is applied at :meth:`finish`, which yields exactly what a
     one-shot run over the arrivals fed so far would.  Only an open-ended
@@ -846,7 +769,6 @@ class EventLoop:
         latency_stats: str = "exact",
         per_server: Optional[List[List[float]]] = None,
         reject_above_sla_s: Optional[float] = None,
-        accept_within_sla_s: Optional[float] = None,
         faults: Optional[FaultInjector] = None,
         summarize: Optional[Callable[[List[ServerKernel], Dict[str, Any]], Any]] = None,
     ) -> None:
@@ -864,18 +786,8 @@ class EventLoop:
 
         self._warmup_count = int((num_queries or 0) * warmup_fraction)
         measured_total = (num_queries or 0) - self._warmup_count
-        self._measured_total = measured_total
         self._reject_above_sla_s = reject_above_sla_s
         self._reject_needed = certain_rejection_threshold(measured_total)
-        # Certain acceptance also certifies the late window, whose boundary is
-        # known up front only when every measured query completes.
-        self._accept_armed = accept_within_sla_s is not None and faults is None
-        self._accept_sla = accept_within_sla_s if self._accept_armed else _INFINITY
-        self._late_start = measured_total // 2
-        self._accept_allowed = certain_acceptance_threshold(measured_total)
-        self._accept_allowed_late = certain_acceptance_threshold(
-            measured_total - self._late_start
-        )
 
         # Exact mode collects into a plain list that feeds the tracker in one
         # vectorized pass; sketch mode flushes chunk-wise into fixed-space
@@ -897,7 +809,7 @@ class EventLoop:
             self._tracker = PercentileTracker(mode="sketch")
             self._late_tracker = PercentileTracker(mode="sketch")
             chunk, self._flush = _sketch_recorder(
-                self._tracker, self._late_tracker, self._late_start
+                self._tracker, self._late_tracker, measured_total // 2
             )
             self._record = chunk.append
             self._flush_at = self._flush()
@@ -915,9 +827,6 @@ class EventLoop:
         self._first_arrival: Optional[float] = None
         self._last_arrival = self._last_completion = 0.0
         self._over_sla = 0
-        self._accept_over = 0
-        self._accept_over_late = 0
-        self._accepted: Optional[Tuple[int, int]] = None  # (measured, over) when it fired
 
     def feed(self, arrivals: Iterable[Query]) -> Optional[CertainRejection]:
         """Serve a time-sorted batch of arrivals, stopping after the last one.
@@ -957,7 +866,7 @@ class EventLoop:
         clone._record = clone._latencies.append
         return clone
 
-    def finish(self) -> Union[Dict[str, Any], Any, CertainRejection, CertainAcceptance]:
+    def finish(self) -> Union[Dict[str, Any], Any, CertainRejection]:
         """Drain every remaining completion and return the run's measurements.
 
         The measurements are the keyword arguments every result type shares
@@ -980,43 +889,23 @@ class EventLoop:
         last_completion = self._last_completion
         arrival_span = max(last_arrival - first_arrival, 1e-9)
         drain = max(0.0, last_completion - last_arrival)
-        if self._accepted is not None:
-            return CertainAcceptance(
-                sla_latency_s=self._accept_sla,
-                measured_queries=self._accepted[0],
-                over_sla_queries=self._accepted[1],
-                drain_s=drain,
-                arrival_span_s=arrival_span,
-            )
 
         sketch_mode = self._sketch_mode
-        if self._ordinals is not None:
-            # Open-ended: cut the warmup for the final count, keeping the
-            # measured samples in completion order, then aggregate exactly
-            # as a one-shot run over the same arrivals would.
-            warmup_count = int(num_queries * self._warmup_fraction)
-            measured = np.frombuffer(self._latencies)[
-                np.frombuffer(self._ordinals, dtype=np.int64) >= warmup_count
-            ]
-            if sketch_mode:
-                # The same chunks a one-shot sketch run would flush.
-                tracker = PercentileTracker(mode="sketch")
-                late_tracker = PercentileTracker(mode="sketch")
-                chunk, flush = _sketch_recorder(
-                    tracker, late_tracker, (num_queries - warmup_count) // 2
-                )
-                values = measured.tolist()
-                start, flush_at = 0, flush()
-                while start < len(values):
-                    chunk.extend(values[start:flush_at])
-                    start, flush_at = flush_at, flush()
-        elif sketch_mode:
+        if sketch_mode:
             self._flush()
             tracker = self._tracker
             late_tracker = self._late_tracker
         else:
-            measured = np.array(self._latencies, dtype=np.float64)
-        if not sketch_mode:
+            if self._ordinals is not None:
+                # Open-ended: cut the warmup for the final count, keeping the
+                # measured samples in completion order, then aggregate exactly
+                # as a one-shot run over the same arrivals would.
+                warmup_count = int(num_queries * self._warmup_fraction)
+                measured = np.frombuffer(self._latencies)[
+                    np.frombuffer(self._ordinals, dtype=np.int64) >= warmup_count
+                ]
+            else:
+                measured = np.array(self._latencies, dtype=np.float64)
             tracker = PercentileTracker()
             tracker.extend(measured)
         if tracker.count == 0:
@@ -1035,7 +924,7 @@ class EventLoop:
             )
         samples: List[float] = []
         if sketch_mode:
-            p95_late = late_tracker.percentile(95) if late_tracker.raw_count else 0.0
+            p95_late = late_tracker.percentile(95) if late_tracker.count else 0.0
         else:
             samples = measured.tolist()
             p95_late = late_window_p95(measured)
@@ -1086,15 +975,9 @@ class EventLoop:
         record_ordinal = self._ordinals.append if self._ordinals is not None else None
         warmup = self._warmup
         warmup_count = self._warmup_count
-        measured_total = self._measured_total
         reject_above = self._reject_above_sla_s
         reject_sla = reject_above if reject_above is not None else _INFINITY
         reject_needed = self._reject_needed
-        accept_armed = self._accept_armed
-        accept_sla = self._accept_sla
-        late_start = self._late_start
-        accept_allowed = self._accept_allowed
-        accept_allowed_late = self._accept_allowed_late
         next_fault = self._next_fault
         healthy = self._healthy
         measured = self._measured
@@ -1102,9 +985,6 @@ class EventLoop:
         last_arrival = self._last_arrival
         last_completion = self._last_completion
         over_sla = self._over_sla
-        accept_over = self._accept_over
-        accept_over_late = self._accept_over_late
-        accepted = self._accepted
         next_arrival = pending.arrival_time if pending is not None else _INFINITY
         next_external = next_arrival if next_arrival < next_fault else next_fault
         with pause_gc():
@@ -1124,8 +1004,6 @@ class EventLoop:
                     if query_id in warmup:
                         warmup.remove(query_id)
                         continue
-                    if accepted is not None:
-                        continue
                     latency = now - completed.arrival_time
                     record(latency)
                     if arrival_ordinals is not None:
@@ -1143,19 +1021,6 @@ class EventLoop:
                                 measured_queries=measured,
                                 over_sla_queries=over_sla,
                             )
-                    if accept_armed:
-                        if latency > accept_sla:
-                            accept_over += 1
-                            if measured > late_start:
-                                accept_over_late += 1
-                        remaining = measured_total - measured
-                        if (
-                            accept_over + remaining <= accept_allowed
-                            and accept_over_late + remaining <= accept_allowed_late
-                        ):
-                            # Certified: stop recording, keep stepping so the
-                            # drain time (and the stream-length check) is exact.
-                            accepted = (measured, accept_over)
                 if next_fault <= next_arrival:  # always true once arrivals run out
                     if pending is None and not events and (faults is None or faults.idle):
                         break  # drained: later transitions cannot touch the run
@@ -1199,9 +1064,6 @@ class EventLoop:
         self._last_arrival = last_arrival
         self._last_completion = last_completion
         self._over_sla = over_sla
-        self._accept_over = accept_over
-        self._accept_over_late = accept_over_late
-        self._accepted = accepted
         return None
 
 
@@ -1211,7 +1073,7 @@ def run_event_loop(
     num_queries: int,
     warmup_fraction: float,
     **options: Any,
-) -> Union[Dict[str, Any], CertainRejection, CertainAcceptance]:
+) -> Union[Dict[str, Any], CertainRejection]:
     """Serve a time-sorted arrival stream of known length on ``kernels``.
 
     One :class:`EventLoop` fed the whole stream, then finished; ``options``
@@ -1219,13 +1081,9 @@ def run_event_loop(
     clock, so a generator streams in constant memory.
 
     ``reject_above_sla_s`` returns a :class:`CertainRejection` as soon as the
-    full run's p95 provably exceeds the target.  ``accept_within_sla_s``
-    stops recording once neither the p95 nor the late-window p95 can end up
-    over the target, keeps stepping to the last completion (so the drain
-    time is exact), and returns a :class:`CertainAcceptance`; it is ignored
-    under faults, where lost queries shrink the measured population after
-    the fact.  Otherwise the run's measurements are returned as the keyword
-    arguments every result type shares.
+    full run's p95 provably exceeds the target.  Otherwise the run's
+    measurements are returned as the keyword arguments every result type
+    shares.
     """
     loop = EventLoop(kernels, warmup_fraction, num_queries, **options)
     rejected = loop.feed(arrivals)
@@ -1235,24 +1093,15 @@ def run_event_loop(
 class ServingSimulator:
     """Event-driven simulator for one inference server.
 
-    ``latency_stats`` selects how measured latencies are aggregated:
-    ``"exact"`` (default) buffers every sample — bit-identical statistics,
-    memory linear in the trace; ``"sketch"`` streams samples into a
-    fixed-space :class:`~repro.utils.sketch.QuantileSketch` — percentiles
-    within the sketch's documented rank-error bound, peak memory O(1) in
-    the trace length, and ``latencies_s`` left empty on the result.
+    Measured latencies are always recorded exactly, every sample retained.
+    The fixed-space sketch tier belongs to one-shot fleet runs alone
+    (:class:`~repro.serving.cluster.ClusterSimulator`).
     """
 
-    def __init__(
-        self,
-        engines: EnginePair,
-        config: ServingConfig,
-        latency_stats: str = "exact",
-    ) -> None:
+    def __init__(self, engines: EnginePair, config: ServingConfig) -> None:
         self._engines = engines
         self._num_cores = resolve_num_cores(engines, config)
         self._config = config
-        self._latency_stats = _check_latency_stats(latency_stats)
 
     @property
     def config(self) -> ServingConfig:
@@ -1264,38 +1113,22 @@ class ServingSimulator:
         """Number of CPU worker cores simulated."""
         return self._num_cores
 
-    @property
-    def latency_stats(self) -> str:
-        """Latency aggregation mode: ``"exact"`` or ``"sketch"``."""
-        return self._latency_stats
-
     # ------------------------------------------------------------------ #
 
     def run(
         self,
         queries: Sequence[Query],
         reject_above_sla_s: Optional[float] = None,
-        accept_within_sla_s: Optional[float] = None,
-    ) -> Union[SimulationResult, CertainRejection, CertainAcceptance]:
+    ) -> Union[SimulationResult, CertainRejection]:
         """Simulate serving ``queries`` and return aggregate measurements.
 
         ``reject_above_sla_s`` arms the exact early-rejection exit: the run
         stops and returns a :class:`CertainRejection` the moment enough
         measured latencies exceed the target that the completed run's p95
         would provably exceed it too (:func:`certain_rejection_threshold`).
-        With only rejection armed, runs that meet the target always complete
+        Runs that meet the target always complete
         and return the ordinary full result, so accepted measurements are
         unchanged bit for bit.
-
-        ``accept_within_sla_s`` arms the dual early-acceptance exit: once so
-        few measured latencies exceed the target that neither the full run's
-        p95 nor its late-window p95 can end up over it
-        (:func:`certain_acceptance_threshold`), latency recording stops, the
-        event loop runs on to the exact last completion, and a
-        :class:`CertainAcceptance` carrying the measured drain time is
-        returned instead of full statistics.  Callers that report a run's
-        statistics must leave this unarmed (or re-run) — capacity searches
-        arm it only for probe evaluations whose result objects are discarded.
         """
         config = self._config
         ordered = sorted(queries, key=_arrival_key)
@@ -1305,9 +1138,7 @@ class ServingSimulator:
             ordered,
             len(ordered),
             config.warmup_fraction,
-            latency_stats=self._latency_stats,
             reject_above_sla_s=reject_above_sla_s,
-            accept_within_sla_s=accept_within_sla_s,
         )
         if not isinstance(outcome, dict):
             return outcome

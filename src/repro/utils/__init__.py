@@ -4,8 +4,6 @@ from repro.utils.rng import RngFactory, derive_rng
 from repro.utils.sketch import DEFAULT_K, RANK_ERROR_BOUND, QuantileSketch
 from repro.utils.stats import (
     PercentileTracker,
-    StreamingStats,
-    cdf_points,
     geometric_mean,
     max_relative_cdf_gap,
     percentile,
@@ -35,8 +33,6 @@ __all__ = [
     "RANK_ERROR_BOUND",
     "QuantileSketch",
     "PercentileTracker",
-    "StreamingStats",
-    "cdf_points",
     "geometric_mean",
     "max_relative_cdf_gap",
     "percentile",

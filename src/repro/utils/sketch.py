@@ -1,4 +1,4 @@
-"""Mergeable fixed-space streaming quantile sketch (KLL-style compactors).
+"""Fixed-space streaming quantile sketch (KLL-style compactors).
 
 ``PercentileTracker`` buffers every latency sample, which is exactly right
 for figure-sized runs (bit-identical percentiles, cheap re-sorts) and
@@ -14,9 +14,6 @@ the KLL sketch (Karnin, Lang, Liberty, FOCS 2016) with
 * **determinism**: compaction keeps alternating odd/even survivors via a
   per-level parity bit instead of coin flips, so the same input sequence
   always yields the same sketch (the repository's replay contract);
-* **mergeability**: :meth:`merge` concatenates levels and re-compacts,
-  so per-window sketches combine in fixed space instead of concatenating
-  sample lists;
 * **an exactness floor**: until the first compaction (streams of at most
   ``k`` samples) every item is retained at weight 1 and
   :meth:`percentile` reproduces ``numpy.percentile``'s linear
@@ -141,34 +138,6 @@ class QuantileSketch:
             pos += int(block.size)
             if len(self._levels[0]) >= self._caps[0]:
                 self._compress()
-
-    def merge(self, other: "QuantileSketch") -> None:
-        """Fold ``other``'s summary into this sketch, in fixed space.
-
-        Level lists concatenate and re-compact, so merging preserves the
-        total weight exactly (the combined count) and keeps the footprint
-        bound.  Sketches must share ``k`` — mixing capacities would give
-        the merged summary an ill-defined error bound.
-        """
-        if other is self:
-            raise ValueError("cannot merge a sketch into itself")
-        if other._k != self._k:
-            raise ValueError(f"cannot merge sketches with k={other._k} into k={self._k}")
-        if other._count == 0:
-            return
-        self._count += other._count
-        self._sum += other._sum
-        if other._min < self._min:
-            self._min = other._min
-        if other._max > self._max:
-            self._max = other._max
-        while len(self._levels) < len(other._levels):
-            self._levels.append([])
-            self._parity.append(False)
-        for level, items in enumerate(other._levels):
-            self._levels[level].extend(items)
-        self._refresh_caps()
-        self._compress()
 
     # ------------------------------------------------------------------ #
     # Queries

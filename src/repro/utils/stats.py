@@ -1,4 +1,4 @@
-"""Statistics helpers: percentiles, streaming moments, CDF comparison.
+"""Statistics helpers: percentiles and CDF comparison.
 
 The serving simulator measures p95/p99 tail latency over tens of thousands of
 queries; ``PercentileTracker`` keeps the raw samples (latencies are small
@@ -7,14 +7,13 @@ million-query traces, where exact buffering becomes the peak-RSS driver, the
 opt-in ``PercentileTracker(mode="sketch")`` delegates to the fixed-space
 :class:`repro.utils.sketch.QuantileSketch` instead — same recording API,
 approximate percentiles within the sketch's documented rank-error bound,
-no retained samples.  ``StreamingStats`` keeps constant-space running
-moments for counters that do not need percentiles (e.g. per-core busy time).
+no retained samples.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -87,15 +86,6 @@ def geometric_mean(values: Sequence[float]) -> float:
     return float(np.exp(np.mean(np.log(arr))))
 
 
-def cdf_points(samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Return ``(sorted_values, cumulative_probabilities)`` for plotting a CDF."""
-    if len(samples) == 0:
-        raise ValueError("cannot build a CDF from an empty sample set")
-    values = np.sort(np.asarray(samples, dtype=float))
-    probs = np.arange(1, len(values) + 1) / len(values)
-    return values, probs
-
-
 def max_relative_cdf_gap(
     reference: Sequence[float],
     other: Sequence[float],
@@ -133,25 +123,13 @@ class PercentileTracker:
     stream length, percentiles are approximate within the sketch's
     documented rank-error bound, count/mean stay exact, and
     :meth:`samples` raises (nothing is retained).
-
-    Parameters
-    ----------
-    warmup:
-        Number of initial samples to discard before statistics are computed.
-        The serving simulator uses this to exclude the queue ramp-up transient.
-    mode:
-        ``"exact"`` (default) buffers every sample; ``"sketch"`` streams
-        into a fixed-space quantile sketch.
     """
 
-    __slots__ = ("_warmup", "_buffer", "_count", "_sorted", "_sketch")
+    __slots__ = ("_buffer", "_count", "_sorted", "_sketch")
 
-    def __init__(self, warmup: int = 0, mode: str = "exact") -> None:
-        if warmup < 0:
-            raise ValueError(f"warmup must be >= 0, got {warmup}")
+    def __init__(self, mode: str = "exact") -> None:
         if mode not in ("exact", "sketch"):
             raise ValueError(f"mode must be 'exact' or 'sketch', got {mode!r}")
-        self._warmup = warmup
         self._buffer = np.empty(256, dtype=np.float64)
         self._count = 0
         self._sorted: "np.ndarray | None" = None
@@ -174,19 +152,6 @@ class PercentileTracker:
             grown[: self._count] = self._buffer[: self._count]
             self._buffer = grown
 
-    def reset(self) -> None:
-        """Discard all samples; capacity is kept, the sort cache is dropped.
-
-        Long-lived consumers (the digital-twin service's per-window state)
-        reuse one tracker across event-time windows; dropping the cached
-        sort here is what keeps a percentile computed before the reset from
-        leaking into the next window's statistics.
-        """
-        self._count = 0
-        self._sorted = None
-        if self._sketch is not None:
-            self._sketch = QuantileSketch()
-
     def add(self, value: float) -> None:
         """Record one sample.
 
@@ -198,8 +163,7 @@ class PercentileTracker:
         count = self._count
         if self._sketch is not None:
             self._count = count + 1
-            if count >= self._warmup:
-                self._sketch.add(value)
+            self._sketch.add(value)
             return
         buffer = self._buffer
         if count == buffer.shape[0]:
@@ -224,57 +188,29 @@ class PercentileTracker:
         else:
             arr = np.fromiter(values, dtype=np.float64)
         if self._sketch is not None:
-            skip = max(0, self._warmup - self._count)
             self._count += int(arr.shape[0])
-            if skip < arr.shape[0]:
-                self._sketch.extend(arr[skip:])
+            self._sketch.extend(arr)
             return
         self._reserve(arr.shape[0])
         self._buffer[self._count : self._count + arr.shape[0]] = arr
         self._count += arr.shape[0]
         self._sorted = None
 
-    def merge(self, other: "PercentileTracker") -> None:
-        """Fold ``other``'s post-warmup samples into this tracker.
-
-        Both trackers must be warmup-free (aggregation trackers are) and
-        share a mode.  In exact mode the samples concatenate; in sketch
-        mode the underlying sketches merge in fixed space — the whole point
-        of sketch-mode window aggregation.
-        """
-        if self._warmup or other._warmup:
-            raise ValueError("merge supports warmup-free trackers only")
-        if other.mode != self.mode:
-            raise ValueError(
-                f"cannot merge a {other.mode!r}-mode tracker into {self.mode!r}"
-            )
-        if self._sketch is not None:
-            assert other._sketch is not None  # same mode, checked above
-            self._sketch.merge(other._sketch)
-            self._count += other._count
-            return
-        self.extend(other._post_warmup())
-
     @property
     def count(self) -> int:
-        """Number of samples recorded after the warmup window."""
-        return max(0, self._count - self._warmup)
-
-    @property
-    def raw_count(self) -> int:
-        """Total number of samples recorded, including warmup."""
+        """Number of samples recorded."""
         return self._count
 
-    def _post_warmup(self) -> np.ndarray:
-        return self._buffer[self._warmup : self._count]
+    def _recorded(self) -> np.ndarray:
+        return self._buffer[: self._count]
 
-    def _post_warmup_sorted(self) -> np.ndarray:
+    def _recorded_sorted(self) -> np.ndarray:
         if self._sorted is None:
-            self._sorted = np.sort(self._post_warmup())
+            self._sorted = np.sort(self._recorded())
         return self._sorted
 
     def samples(self) -> List[float]:
-        """Return post-warmup samples (a copy, in insertion order).
+        """Return the samples (a copy, in insertion order).
 
         Raises ``ValueError`` in sketch mode: the sketch retains a bounded
         summary, not the samples, and silently returning the summary items
@@ -282,24 +218,17 @@ class PercentileTracker:
         """
         if self._sketch is not None:
             raise ValueError("samples are not retained in sketch mode")
-        return self._post_warmup().tolist()
-
-    def footprint(self) -> int:
-        """Floats currently retained: every post-warmup sample in exact
-        mode, the bounded sketch summary in sketch mode."""
-        if self._sketch is not None:
-            return self._sketch.footprint()
-        return max(0, self._count - self._warmup)
+        return self._recorded().tolist()
 
     def percentile(self, pct: float) -> float:
-        """Return the ``pct``-th percentile of post-warmup samples.
+        """Return the ``pct``-th percentile of the samples.
 
         Exact in the default mode; within the sketch's documented
         rank-error bound in sketch mode.
         """
         if self._sketch is not None:
             return self._sketch.percentile(pct)
-        return percentile_of_sorted(self._post_warmup_sorted(), pct)
+        return percentile_of_sorted(self._recorded_sorted(), pct)
 
     def p50(self) -> float:
         """Median latency."""
@@ -314,74 +243,9 @@ class PercentileTracker:
         return self.percentile(99)
 
     def mean(self) -> float:
-        """Mean of post-warmup samples (exact in both modes)."""
+        """Mean of the samples (exact in both modes)."""
+        if self._count == 0:
+            raise ValueError("no samples recorded")
         if self._sketch is not None:
-            if self._sketch.count == 0:
-                raise ValueError("no samples recorded after warmup")
             return self._sketch.mean()
-        post = self._post_warmup()
-        if post.shape[0] == 0:
-            raise ValueError("no samples recorded after warmup")
-        return float(np.mean(post))
-
-
-class StreamingStats:
-    """Constant-space running count/mean/variance (Welford's algorithm)."""
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def add(self, value: float) -> None:
-        """Record one sample."""
-        value = float(value)
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
-
-    @property
-    def count(self) -> int:
-        """Number of samples recorded."""
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        """Running mean (0.0 when empty)."""
-        return self._mean if self._count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (0.0 with fewer than two samples)."""
-        if self._count < 2:
-            return 0.0
-        return self._m2 / (self._count - 1)
-
-    @property
-    def std(self) -> float:
-        """Sample standard deviation."""
-        return math.sqrt(self.variance)
-
-    @property
-    def minimum(self) -> float:
-        """Smallest sample seen; raises if empty."""
-        if not self._count:
-            raise ValueError("no samples recorded")
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        """Largest sample seen; raises if empty."""
-        if not self._count:
-            raise ValueError("no samples recorded")
-        return self._max
-
-    @property
-    def total(self) -> float:
-        """Sum of samples."""
-        return self._mean * self._count
+        return float(np.mean(self._recorded()))

@@ -16,8 +16,7 @@ Three layers of coverage:
   simulators): the in-process memo replays without evaluations;
   single-server fleets share cache entries across balancing policies; a
   batch's duplicate searches replay their leader's answer; the
-  certain-rejection and certain-acceptance exits are verdict-identical to
-  the full run.
+  certain-rejection exit is verdict-identical to the full run.
 """
 
 import random
@@ -43,10 +42,8 @@ from repro.runtime.capacity import (
 from repro.runtime.pool import Future, WorkerPool
 from repro.serving.cluster import ClusterSimulator, homogeneous_fleet
 from repro.serving.simulator import (
-    CertainAcceptance,
     CertainRejection,
     ServingConfig,
-    certain_acceptance_threshold,
     certain_rejection_threshold,
 )
 
@@ -449,85 +446,3 @@ class TestCertainRejection:
                 assert fast.p95_latency_s == full.p95_latency_s
                 assert fast.latencies_s == full.latencies_s
 
-
-class TestCertainAcceptance:
-    def test_threshold_is_sound(self):
-        # With K = certain_acceptance_threshold(n) over-SLA samples among
-        # n, the p95 stays within the SLA for every arrangement of the
-        # rest — the certificate can never accept a run the full p95 would
-        # reject.
-        import numpy as np
-
-        rng = random.Random(6)
-        for n in (1, 2, 3, 19, 20, 21, 40, 137):
-            threshold = certain_acceptance_threshold(n)
-            assert threshold >= 0
-            for _ in range(20):
-                under = [rng.uniform(0.0, 1.0) for _ in range(n - threshold)]
-                over = [1.0 + rng.uniform(1e-6, 5.0) for _ in range(threshold)]
-                samples = under + over
-                rng.shuffle(samples)
-                assert float(np.percentile(samples, 95)) <= 1.0, (n, threshold)
-
-    def test_threshold_is_tight(self):
-        # One more over-SLA sample than the threshold CAN push the p95
-        # over: the certificate is maximal, not merely safe.
-        import numpy as np
-
-        for n in (2, 3, 19, 20, 21, 40, 137):
-            threshold = certain_acceptance_threshold(n)
-            over_count = threshold + 1
-            samples = [1.0] * (n - over_count) + [2.0] * over_count
-            assert float(np.percentile(samples, 95)) > 1.0, (n, threshold)
-
-    def test_dual_of_rejection_threshold(self):
-        # Between "provably accepted" and "provably rejected" there is a
-        # gap, never an overlap: for every n the max over-SLA count that
-        # certifies acceptance sits strictly below the min that certifies
-        # rejection.
-        assert certain_acceptance_threshold(0) == -1
-        assert certain_acceptance_threshold(-3) == -1
-        for n in range(1, 500):
-            assert certain_acceptance_threshold(n) < certain_rejection_threshold(n)
-
-    def test_verdicts_identical_to_full_run(self, engines, config):
-        sla = 0.1
-        fleet = homogeneous_fleet(engines, config, 1)
-        generator = LoadGenerator(seed=5)
-        saw_acceptance = saw_other = False
-        for rate in (200.0, 600.0, 1500.0, 4000.0):
-            queries = generator.with_rate(rate).generate(600)
-            simulator = ClusterSimulator(fleet, balancer="least-outstanding")
-            full = simulator.run(queries)
-            fast = simulator.run(
-                queries, reject_above_sla_s=sla, accept_within_sla_s=sla
-            )
-            assert fast.acceptable(sla) == full.acceptable(sla)
-            if isinstance(fast, CertainAcceptance):
-                saw_acceptance = True
-                assert full.meets_sla(sla)
-                # The exit drains the event loop without recording, so the
-                # stability inputs are the full run's, bit for bit.
-                assert fast.drain_s == full.drain_s
-                assert fast.arrival_span_s == full.arrival_span_s
-                assert fast.is_stable(sla) == full.is_stable(sla)
-                assert fast.over_sla_queries <= certain_acceptance_threshold(
-                    len(queries) - int(len(queries) * 0.1)
-                )
-            else:
-                saw_other = True
-        # The rate sweep must actually exercise both sides of the exit.
-        assert saw_acceptance and saw_other
-
-    def test_accept_only_armed_run_is_exact(self, engines, config):
-        # With only the acceptance exit armed, an over-SLA run cannot fire
-        # any certificate and must complete bit-identically to the plain
-        # run.
-        sla = 0.1
-        fleet = homogeneous_fleet(engines, config, 1)
-        queries = LoadGenerator(seed=5).with_rate(4000.0).generate(600)
-        simulator = ClusterSimulator(fleet, balancer="least-outstanding")
-        full = simulator.run(queries)
-        fast = simulator.run(queries, accept_within_sla_s=sla)
-        assert not isinstance(fast, (CertainAcceptance, CertainRejection))
-        assert fast.latencies_s == full.latencies_s

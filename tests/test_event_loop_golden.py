@@ -3,8 +3,8 @@
 Each case runs one way into the event loop — the single-server simulator
 (CPU-only and with accelerator offload), a fleet ``run()`` with per-server
 latency collection, a sketch-mode ``run_stream``, the fault paths (naive,
-retried, hedged, straggler-only, all-crashed) and the early-exit
-certificates — and compares every reported figure with a recorded value:
+retried, hedged, straggler-only, all-crashed) and the early-rejection
+certificate — and compares every reported figure with a recorded value:
 floats as ``float.hex``, latency lists as a digest of their exact bits.
 
 The identity tests elsewhere compare one path with another; these pins
@@ -104,21 +104,11 @@ CASES: Dict[str, Callable[[], Any]] = {
     "serving-reject": lambda: ServingSimulator(_cpu(), _config()).run(
         _queries(4000.0, 600, seed=5), reject_above_sla_s=SLA_S
     ),
-    "serving-accept": lambda: ServingSimulator(_cpu(), _config()).run(
-        _queries(200.0, 600, seed=5),
-        reject_above_sla_s=SLA_S,
-        accept_within_sla_s=SLA_S,
-    ),
     "cluster-per-server": lambda: ClusterSimulator(
         _fleet(3), "least-outstanding", collect_per_server_latencies=True
     ).run(_queries(2400.0, 900)),
     "cluster-reject": lambda: ClusterSimulator(_fleet(2), "round-robin").run(
         _queries(8000.0, 800, seed=5), reject_above_sla_s=SLA_S
-    ),
-    "cluster-accept": lambda: ClusterSimulator(_fleet(2), "power-of-two").run(
-        _queries(400.0, 800, seed=5),
-        reject_above_sla_s=SLA_S,
-        accept_within_sla_s=SLA_S,
     ),
     "stream-sketch": lambda: ClusterSimulator(
         _fleet(4), "least-outstanding", latency_stats="sketch"
@@ -128,12 +118,6 @@ CASES: Dict[str, Callable[[], Any]] = {
     "stream-sketch-long": lambda: ClusterSimulator(
         _fleet(4), "least-outstanding", latency_stats="sketch"
     ).run_stream(iter(_queries(3200.0, 75000)), 75000),
-    "stream-accept": lambda: ClusterSimulator(_fleet(4), "random").run_stream(
-        iter(_queries(800.0, 1000, seed=5)),
-        1000,
-        reject_above_sla_s=SLA_S,
-        accept_within_sla_s=SLA_S,
-    ),
     "faults-naive": lambda: _faulted("least-outstanding", _storm(), RetryPolicy()),
     "faults-retry": lambda: _faulted(
         "least-outstanding", _storm(), RetryPolicy(max_retries=3)
@@ -167,14 +151,6 @@ CASES: Dict[str, Callable[[], Any]] = {
 
 
 EXPECTED: Dict[str, Any] = {
-    "cluster-accept": {
-        "arrival_span_s": "0x1.f9790b6a6e9fap+0",
-        "drain_s": "0x1.69bab55f56000p-10",
-        "measured_queries": 703,
-        "over_sla_queries": 0,
-        "sla_latency_s": "0x1.999999999999ap-4",
-        "type": "CertainAcceptance",
-    },
     "cluster-per-server": {
         "achieved_qps": "0x1.38bd07ab01483p+11",
         "arrival_span_s": "0x1.6df27f73f2849p-2",
@@ -529,14 +505,6 @@ EXPECTED: Dict[str, Any] = {
         "policy": "least-outstanding",
         "type": "ClusterSimulationResult",
     },
-    "serving-accept": {
-        "arrival_span_s": "0x1.7e5fc5d69919ap+1",
-        "drain_s": "0x1.d959a1a16c800p-9",
-        "measured_queries": 527,
-        "over_sla_queries": 0,
-        "sla_latency_s": "0x1.999999999999ap-4",
-        "type": "CertainAcceptance",
-    },
     "serving-cpu": {
         "achieved_qps": "0x1.37fa1ca70d2f6p+9",
         "arrival_span_s": "0x1.1ecfddcea0609p+0",
@@ -594,14 +562,6 @@ EXPECTED: Dict[str, Any] = {
         "over_sla_queries": 28,
         "sla_latency_s": "0x1.999999999999ap-4",
         "type": "CertainRejection",
-    },
-    "stream-accept": {
-        "arrival_span_s": "0x1.40df16b0258a2p+0",
-        "drain_s": "0x1.610af8c41d800p-10",
-        "measured_queries": 878,
-        "over_sla_queries": 0,
-        "sla_latency_s": "0x1.999999999999ap-4",
-        "type": "CertainAcceptance",
     },
     "stream-sketch": {
         "achieved_qps": "0x1.9691940c44c67p+11",

@@ -1,19 +1,20 @@
-"""Structural guard: the serving and service layers take exact percentiles
-through :mod:`repro.utils.stats`.
+"""Structural guard: the serving, service and infra layers take exact
+percentiles through :mod:`repro.utils.stats`.
 
 ``repro.utils.stats.percentile_of_sorted`` reads numpy's ``linear``
 percentile off an already sorted array by index, bit-identical to
 ``np.percentile`` at about a hundredth of its per-call cost.  A direct
 ``np.percentile`` / ``np.quantile`` call in these layers would bring that
-cost back into the per-window and per-evaluation hot paths, so any such
-call site in ``src/repro/serving`` or ``src/repro/service`` fails here.
+cost back into the per-window, per-evaluation and per-node hot paths, so
+any such call site in ``src/repro/serving``, ``src/repro/service`` or
+``src/repro/infra`` fails here.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-GUARDED = ("serving", "service")
+GUARDED = ("serving", "service", "infra")
 FORBIDDEN = {"percentile", "quantile", "nanpercentile", "nanquantile"}
 
 

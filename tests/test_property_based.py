@@ -10,7 +10,7 @@ from repro.models.ops import EmbeddingGather, FullyConnected, OperatorCost
 from repro.queries.query import Query
 from repro.queries.size_dist import LognormalQuerySizes, ProductionQuerySizes
 from repro.serving.request import num_requests, split_query
-from repro.utils.stats import PercentileTracker, StreamingStats, geometric_mean, percentile
+from repro.utils.stats import PercentileTracker, geometric_mean, percentile
 
 # Keep examples modest so the suite stays fast and deterministic enough.
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -62,28 +62,6 @@ class TestStatsProperties:
     def test_geometric_mean_bounded_by_extremes(self, values):
         gm = geometric_mean(values)
         assert min(values) * 0.999 <= gm <= max(values) * 1.001
-
-    @SETTINGS
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
-    def test_streaming_stats_match_numpy(self, values):
-        stats = StreamingStats()
-        for value in values:
-            stats.add(value)
-        assert np.isclose(stats.mean, np.mean(values), rtol=1e-9, atol=1e-6)
-        assert np.isclose(stats.total, np.sum(values), rtol=1e-9, atol=1e-6)
-        assert stats.minimum == min(values)
-        assert stats.maximum == max(values)
-
-    @SETTINGS
-    @given(
-        st.lists(st.floats(0.0, 1e3), min_size=1, max_size=100),
-        st.integers(0, 20),
-    )
-    def test_tracker_warmup_count(self, samples, warmup):
-        tracker = PercentileTracker(warmup=warmup)
-        tracker.extend(samples)
-        assert tracker.count == max(0, len(samples) - warmup)
-        assert tracker.raw_count == len(samples)
 
     @SETTINGS
     @given(

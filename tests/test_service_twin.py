@@ -401,60 +401,3 @@ class TestFleetSpec:
             FleetSpec(
                 name="x", model="ncf", num_servers=1, batch_size=8, policy="psychic"
             )
-
-
-class TestSketchStatisticsTier:
-    def test_sketch_twin_reports_same_verdicts(self):
-        # On figure-sized windows the sketch tier stays pre-compaction
-        # exact, so the verdicts (and the capacity answers, which come
-        # from sketch-signature cache entries) must agree with the exact
-        # twin's.
-        queries, windows = windowed_stream(num_queries=300)
-        exact_twin = make_twin()
-        sketch_twin = make_twin(latency_stats="sketch")
-        with exact_twin, sketch_twin:
-            for window in windows:
-                exact_report = exact_twin.observe(window)
-                sketch_report = sketch_twin.observe(window)
-            assert sketch_twin.latency_stats == "sketch"
-            assert exact_report.real.meets_sla == sketch_report.real.meets_sla
-            assert exact_report.real.p95_latency_s == pytest.approx(
-                sketch_report.real.p95_latency_s, rel=1e-9
-            )
-
-    def test_sketch_twin_equals_one_shot_sketch_run(self):
-        # Enough events that the sketches compact (past k = 400 samples),
-        # so only feeding the samples through the one-shot run's exact
-        # chunking keeps the reports bit-identical.
-        queries, windows = windowed_stream(num_queries=1500, rate_qps=150.0)
-        history = []
-        with make_twin(latency_stats="sketch") as twin:
-            for window in windows:
-                history.extend(window.queries)
-                report = twin.observe(window)
-                batch = ClusterSimulator(
-                    REAL.build_servers(), balancer=REAL.policy, latency_stats="sketch"
-                ).run(history)
-                result = twin.last_cumulative_result()
-                assert report.real.p95_latency_s == batch.p95_latency_s
-                for name in ("p50_latency_s", "p95_latency_s", "p99_latency_s",
-                             "mean_latency_s", "p95_late_window_s"):
-                    assert getattr(result, name) == getattr(batch, name), name
-        assert len(history) == len(queries)
-
-    def test_size_rollup_accumulates_in_both_modes(self):
-        queries, windows = windowed_stream(num_queries=300)
-        for mode in ("exact", "sketch"):
-            twin = make_twin(latency_stats=mode)
-            with twin:
-                for window in windows:
-                    twin.observe(window)
-                rollup = twin.size_rollup
-                assert rollup.latency_stats == mode
-                assert rollup.windows_folded == len(windows)
-                assert rollup.count == len(queries)
-                assert rollup.percentile(50.0) > 0.0
-
-    def test_invalid_tier_rejected(self):
-        with pytest.raises(ValueError, match="latency_stats"):
-            make_twin(latency_stats="histogram")

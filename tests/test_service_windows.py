@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.queries.query import Query
-from repro.service.windows import Window, WindowManager, WindowRollup
+from repro.service.windows import Window, WindowManager
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -270,65 +270,3 @@ class TestWindowDataclass:
         with pytest.raises(AttributeError):
             window.index = 1
         assert window.duration_s == 5.0
-
-
-class TestWindowRollup:
-    def test_exact_mode_matches_flat_buffer_bit_for_bit(self):
-        import numpy as np
-
-        from repro.utils.stats import PercentileTracker
-
-        rng = np.random.default_rng(1)
-        folds = [rng.random(200) * 10.0 for _ in range(5)]
-        rollup = WindowRollup()
-        flat = PercentileTracker()
-        for samples in folds:
-            rollup.fold(samples)
-            flat.extend(samples)
-        assert rollup.windows_folded == 5
-        assert rollup.count == flat.count
-        for pct in (50.0, 95.0, 99.0):
-            assert rollup.percentile(pct) == flat.percentile(pct)
-
-    def test_sketch_mode_footprint_is_constant(self):
-        import numpy as np
-
-        from repro.utils.sketch import DEFAULT_K
-
-        rng = np.random.default_rng(2)
-        exact = WindowRollup()
-        sketch = WindowRollup(latency_stats="sketch")
-        for _ in range(20):
-            samples = rng.random(10_000)
-            exact.fold(samples)
-            sketch.fold(samples)
-        assert exact.footprint() == 200_000  # retains every sample
-        assert sketch.footprint() <= 3 * DEFAULT_K + 8 * 64
-        assert sketch.count == exact.count == 200_000
-
-    def test_sketch_mode_percentiles_track_exact(self):
-        import numpy as np
-
-        rng = np.random.default_rng(3)
-        exact = WindowRollup()
-        sketch = WindowRollup(latency_stats="sketch")
-        for _ in range(10):
-            samples = rng.pareto(1.5, 5_000) + 1.0
-            exact.fold(samples)
-            sketch.fold(samples)
-        # Sketch p95 sits between the exact p94 and p96 (the documented
-        # rank-error contract).
-        assert exact.percentile(94.0) <= sketch.percentile(95.0) <= exact.percentile(96.0)
-
-    def test_mode_property_and_validation(self):
-        assert WindowRollup().latency_stats == "exact"
-        assert WindowRollup(latency_stats="sketch").latency_stats == "sketch"
-        with pytest.raises(ValueError, match="mode"):
-            WindowRollup(latency_stats="bogus")
-
-    def test_empty_fold_counts_window_but_adds_no_samples(self):
-        rollup = WindowRollup()
-        rollup.fold([])
-        rollup.fold([1.0, 2.0, 3.0])
-        assert rollup.windows_folded == 2
-        assert rollup.count == 3

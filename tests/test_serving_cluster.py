@@ -622,21 +622,18 @@ class TestRunStream:
     def test_early_exits_match_batch_run(self, engines, config):
         sla = 0.1
         fleet = homogeneous_fleet(engines, config, 1)
-        from repro.serving.simulator import CertainAcceptance, CertainRejection
+        from repro.serving.simulator import CertainRejection
 
         for rate in (200.0, 4000.0):
             queries = LoadGenerator(seed=5).with_rate(rate).generate(600)
             batch = ClusterSimulator(fleet, "least-outstanding").run(
-                queries, reject_above_sla_s=sla, accept_within_sla_s=sla
+                queries, reject_above_sla_s=sla
             )
             streamed = ClusterSimulator(fleet, "least-outstanding").run_stream(
-                iter(queries), len(queries),
-                reject_above_sla_s=sla, accept_within_sla_s=sla,
+                iter(queries), len(queries), reject_above_sla_s=sla
             )
             assert type(streamed) is type(batch)
-            if isinstance(batch, CertainAcceptance):
-                assert streamed == batch
-            elif isinstance(batch, CertainRejection):
+            if isinstance(batch, CertainRejection):
                 assert streamed == batch
 
     def test_chunked_diurnal_trace_streams_end_to_end(self, engines, config):
@@ -757,6 +754,14 @@ class TestSketchLatencyStats:
                 fleet, "round-robin", latency_stats="sketch", fault_plan=plan
             )
 
+    def test_sketch_rejects_open_ended_stream(self, engines, config):
+        # An open-ended run retains every latency with its arrival ordinal,
+        # so sketch mode would promise a fixed space it cannot keep.
+        fleet = homogeneous_fleet(engines, config, 2)
+        simulator = ClusterSimulator(fleet, "round-robin", latency_stats="sketch")
+        with pytest.raises(ValueError, match="latency_stats='sketch'"):
+            simulator.stream()
+
     def test_invalid_mode_rejected(self, engines, config):
         fleet = homogeneous_fleet(engines, config, 2)
         with pytest.raises(ValueError, match="latency_stats"):
@@ -852,17 +857,3 @@ class TestSketchFlushSchedule:
             fleet, "least-outstanding", latency_stats="sketch"
         ).run_stream(iter(queries), len(queries))
         self.assert_matches_reference(sketched, sketch_trackers, exact)
-
-    def test_open_ended_stream_flushes_on_schedule(self, engines, config, sketch_trackers):
-        fleet = homogeneous_fleet(engines, config, 4)
-        queries = LoadGenerator(seed=11).with_rate(3200.0).generate(1500)
-        stream = ClusterSimulator(
-            fleet, "least-outstanding", latency_stats="sketch"
-        ).stream()
-        start = 0
-        for end in (500, 1100, 1500):  # late-window starts 225, 495, 675
-            stream.feed(queries[start:end])
-            start = end
-            exact = ClusterSimulator(fleet, "least-outstanding").run(queries[:end])
-            result = stream.fork().finish()
-            self.assert_matches_reference(result, sketch_trackers[-2:], exact)

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from repro.serving.simulator import late_window_p95
 from repro.utils.stats import (
     PercentileTracker,
-    StreamingStats,
-    cdf_points,
     geometric_mean,
     max_relative_cdf_gap,
     percentile,
@@ -118,18 +116,6 @@ class TestGeometricMean:
         assert geometric_mean(values) < sum(values) / len(values)
 
 
-class TestCdfPoints:
-    def test_sorted_and_normalised(self):
-        values, probs = cdf_points([3.0, 1.0, 2.0])
-        assert list(values) == [1.0, 2.0, 3.0]
-        assert probs[-1] == pytest.approx(1.0)
-        assert np.all(np.diff(probs) > 0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            cdf_points([])
-
-
 class TestMaxRelativeCdfGap:
     def test_identical_distributions_zero_gap(self):
         samples = list(np.random.default_rng(1).exponential(size=500))
@@ -156,22 +142,12 @@ class TestPercentileTracker:
         assert tracker.p95() == pytest.approx(95.05)
         assert tracker.p99() == pytest.approx(99.01)
 
-    def test_warmup_excluded(self):
-        tracker = PercentileTracker(warmup=3)
-        tracker.extend([1000.0, 1000.0, 1000.0, 1.0, 2.0, 3.0])
-        assert tracker.count == 3
-        assert tracker.raw_count == 6
-        assert tracker.mean() == pytest.approx(2.0)
-
-    def test_negative_warmup_raises(self):
-        with pytest.raises(ValueError):
-            PercentileTracker(warmup=-1)
-
-    def test_empty_after_warmup_raises(self):
-        tracker = PercentileTracker(warmup=5)
-        tracker.add(1.0)
+    def test_empty_raises(self):
+        tracker = PercentileTracker()
         with pytest.raises(ValueError):
             tracker.p95()
+        with pytest.raises(ValueError):
+            tracker.mean()
 
     def test_samples_returns_copy(self):
         tracker = PercentileTracker()
@@ -188,7 +164,7 @@ class TestTrackerSortCacheInvalidation:
     and interleaves percentile queries with further recording; a stale sort
     cache would silently report the *previous* window's statistics.  These
     regression tests pin the record-after-percentile contract for every
-    mutating entry point (``add``, ``extend``, ``reset``).
+    mutating entry point (``add``, ``extend``).
     """
 
     def test_add_after_percentile_refreshes_statistics(self):
@@ -223,56 +199,3 @@ class TestTrackerSortCacheInvalidation:
             percentile(window_rates[: i + 1], 50) for i in range(len(window_rates))
         ]
         assert medians == pytest.approx(expected)
-
-    def test_reset_drops_samples_and_sort_cache(self):
-        tracker = PercentileTracker()
-        tracker.extend([5.0, 6.0, 7.0])
-        assert tracker.p50() == 6.0  # caches the sort
-        tracker.reset()
-        assert tracker.count == 0
-        with pytest.raises(ValueError):
-            tracker.p50()
-        tracker.extend([1.0, 2.0])
-        assert tracker.p50() == pytest.approx(1.5)
-        assert tracker.samples() == [1.0, 2.0]
-
-    def test_reset_respects_warmup(self):
-        tracker = PercentileTracker(warmup=1)
-        tracker.extend([99.0, 1.0, 2.0])
-        assert tracker.count == 2
-        tracker.reset()
-        tracker.extend([50.0, 3.0, 4.0])
-        assert tracker.count == 2
-        assert tracker.mean() == pytest.approx(3.5)
-
-
-class TestStreamingStats:
-    def test_mean_and_variance(self):
-        stats = StreamingStats()
-        values = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        for value in values:
-            stats.add(value)
-        assert stats.count == len(values)
-        assert stats.mean == pytest.approx(np.mean(values))
-        assert stats.variance == pytest.approx(np.var(values, ddof=1))
-        assert stats.std == pytest.approx(math.sqrt(np.var(values, ddof=1)))
-
-    def test_min_max_total(self):
-        stats = StreamingStats()
-        for value in [3.0, -1.0, 10.0]:
-            stats.add(value)
-        assert stats.minimum == -1.0
-        assert stats.maximum == 10.0
-        assert stats.total == pytest.approx(12.0)
-
-    def test_empty_statistics(self):
-        stats = StreamingStats()
-        assert stats.mean == 0.0
-        assert stats.variance == 0.0
-        with pytest.raises(ValueError):
-            _ = stats.minimum
-
-    def test_single_sample_variance_zero(self):
-        stats = StreamingStats()
-        stats.add(5.0)
-        assert stats.variance == 0.0
