@@ -8,7 +8,7 @@ from repro.queries.arrival import (
     get_arrival_process,
 )
 from repro.queries.generator import LoadGenerator
-from repro.queries.query import Query
+from repro.queries.query import Query, QueryStream
 from repro.queries.size_dist import (
     MAX_QUERY_SIZE,
     FixedQuerySizes,
@@ -37,6 +37,7 @@ __all__ = [
     "get_arrival_process",
     "LoadGenerator",
     "Query",
+    "QueryStream",
     "MAX_QUERY_SIZE",
     "FixedQuerySizes",
     "LognormalQuerySizes",

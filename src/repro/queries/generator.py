@@ -9,12 +9,12 @@ choices (Poisson arrivals, heavy-tail sizes).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.queries.arrival import ArrivalProcess, PoissonArrival
-from repro.queries.query import Query
+from repro.queries.query import Query, QueryStream
 from repro.queries.size_dist import ProductionQuerySizes, QuerySizeDistribution
 from repro.utils.rng import RngFactory
 from repro.utils.validation import check_positive
@@ -73,13 +73,13 @@ class LoadGenerator:
 
     def iter_queries(
         self, num_queries: int, start_time: float = 0.0, chunk_queries: int = 65536
-    ) -> Iterator[Query]:
-        """Lazily yield ``num_queries`` queries in bounded chunks.
+    ) -> QueryStream:
+        """``num_queries`` queries as a single-pass, chunked :class:`QueryStream`.
 
         Streaming counterpart of :meth:`generate` for traces too large to
         materialise: at most one ``chunk_queries``-sized numpy chunk is alive
-        at a time, and queries are yielded in arrival order with sequential
-        ids, satisfying the
+        at a time, and queries come in arrival order with sequential ids,
+        satisfying the
         :meth:`repro.serving.cluster.ClusterSimulator.run_stream` contract.
 
         The stream draws from its own RNG children (``chunked-arrivals`` /
@@ -91,18 +91,16 @@ class LoadGenerator:
         ``tests/test_queries_generator_trace.py``.
         """
         check_positive("num_queries", num_queries)
-        arrival_rng = self._rng_factory.child("chunked-arrivals")
-        size_rng = self._rng_factory.child("chunked-sizes")
-        query_id = 0
-        for times in self._arrival.arrival_time_chunks(
-            num_queries, arrival_rng, start_time, chunk_queries
-        ):
-            count = int(times.size)
-            sizes = self._sizes.sample(count, size_rng)
-            yield from map(
-                Query, range(query_id, query_id + count), times.tolist(), sizes.tolist()
-            )
-            query_id += count
+
+        def chunks() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+            arrival_rng = self._rng_factory.child("chunked-arrivals")
+            size_rng = self._rng_factory.child("chunked-sizes")
+            for times in self._arrival.arrival_time_chunks(
+                num_queries, arrival_rng, start_time, chunk_queries
+            ):
+                yield times, self._sizes.sample(int(times.size), size_rng)
+
+        return QueryStream(chunks)
 
     def generate_for_duration(
         self, duration_s: float, start_time: float = 0.0, max_queries: int = 2_000_000

@@ -1,8 +1,19 @@
-"""Query record produced by the load generator and consumed by the simulator."""
+"""Query records and rows: what the load generator produces and the simulator reads.
+
+The event loop reads three fields of a query, so it consumes plain
+``(query_id, arrival_time, size)`` row tuples.  :func:`arrival_rows` turns
+:class:`Query` records into sorted rows; a :class:`QueryStream` hands a
+synthesized trace over as rows without building a record per query.
+"""
 
 from __future__ import annotations
 
 import math
+import operator
+from itertools import chain, starmap
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -68,3 +79,71 @@ class Query:
             f"Query(query_id={self.query_id!r}, "
             f"arrival_time={self.arrival_time!r}, size={self.size!r})"
         )
+
+
+#: One arrival as the event loop reads it: ``(query_id, arrival_time, size)``.
+Row = Tuple[int, float, int]
+
+#: A :class:`Query`'s row, built by one C-level call.
+query_row = operator.attrgetter("query_id", "arrival_time", "size")
+
+_row_time = operator.itemgetter(1)
+
+
+def arrival_rows(queries: Iterable[Query]) -> List[Row]:
+    """The rows of ``queries`` in arrival order (stable for equal times)."""
+    return sorted(map(query_row, queries), key=_row_time)
+
+
+#: Chunks of a synthesized trace: ``(arrival_times, sizes)`` numpy arrays.
+Chunks = Iterable[Tuple[np.ndarray, np.ndarray]]
+
+
+class QueryStream:
+    """A synthesized trace, read once, as :class:`Query` records or as rows.
+
+    ``chunks`` is a zero-argument callable returning the trace's
+    ``(arrival_times, sizes)`` chunks in arrival order; query ids count up
+    from 0.  It is called only when reading starts, so a chunk source it
+    looks up by name is resolved then.  Each chunk is checked, in one
+    vectorised pass, against what ``Query`` rejects.  Iterating yields
+    ``Query`` records; :meth:`rows` yields ``(query_id, arrival_time,
+    size)`` tuples zipped straight from each chunk — what the event loop
+    consumes, so a streamed run builds no per-query object.
+    """
+
+    __slots__ = ("_chunks",)
+
+    def __init__(self, chunks: Callable[[], Chunks]) -> None:
+        self._chunks: Optional[Callable[[], Chunks]] = chunks
+
+    def __iter__(self) -> Iterator[Query]:
+        return starmap(Query, self.rows())
+
+    def rows(self) -> Iterator[Row]:
+        """The trace as rows, in arrival order."""
+        return chain.from_iterable(starmap(zip, _chunk_columns(self._take())))
+
+    def _take(self) -> Callable[[], Chunks]:
+        chunks = self._chunks
+        if chunks is None:
+            raise ValueError("a QueryStream can be read only once")
+        self._chunks = None
+        return chunks
+
+
+def _chunk_columns(chunks: Callable[[], Chunks]) -> Iterator[Tuple[range, List[float], List[int]]]:
+    """Each chunk's ids, arrival times and sizes as Python sequences, checked."""
+    first = 0
+    for times, sizes in chunks():
+        count = len(times)
+        # Reductions, not masks: no temporary arrays, and a NaN fails too.
+        if count and not (
+            times.min() >= 0.0 and times.max() < _INFINITY and sizes.min() > 0
+        ):
+            valid = (times >= 0.0) & (times < _INFINITY) & (sizes > 0)
+            bad = int(valid.argmin())
+            # Query raises the error it would raise for this arrival.
+            Query(first + bad, times[bad].item(), sizes[bad].item())
+        yield range(first, first + count), times.tolist(), sizes.tolist()
+        first += count

@@ -18,7 +18,7 @@ Two synthesis paths produce diurnal traces:
   slice by *thinning* a homogeneous Poisson process at the diurnal peak
   rate (candidates kept with probability ``rate(t) / rate_max``, the exact
   inhomogeneous-Poisson construction), in numpy chunks, so a 10⁷-query
-  trace never materialises per-query Python objects.  This stream draws
+  trace never materialises a per-query object list.  This stream draws
   from its own schema-versioned RNG children
   (:data:`TRACE_SCHEMA_VERSION`), is deliberately *not* bit-identical to
   :func:`generate_diurnal_trace`, and is regression-pinned by
@@ -36,7 +36,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.queries.arrival import PoissonArrival
-from repro.queries.query import Query
+from repro.queries.query import Query, QueryStream
 from repro.queries.size_dist import ProductionQuerySizes, QuerySizeDistribution
 from repro.utils.rng import RngFactory
 from repro.utils.validation import check_non_negative, check_positive
@@ -303,25 +303,22 @@ def iter_diurnal_trace(
     sizes: Optional[QuerySizeDistribution] = None,
     seed: Optional[int] = None,
     time_step_s: float = 60.0,
-) -> Iterator[Query]:
-    """Lazily yield a diurnal trace one :class:`Query` at a time.
+) -> QueryStream:
+    """A diurnal trace as a single-pass :class:`~repro.queries.query.QueryStream`.
 
     Queries arrive in time order (``query_id`` is the arrival index), so
     the stream satisfies the
     :meth:`repro.serving.cluster.ClusterSimulator.run_stream` contract
     directly (pair it with :func:`count_diurnal_queries` for the
-    ``num_queries`` argument).  Only one synthesis chunk is alive at a time;
-    a 10⁷-query trace never materialises a per-query object list.  See
-    :func:`diurnal_trace_chunks` for the schema-versioning guarantees.
+    ``num_queries`` argument); ``run_stream`` reads its rows, so the run
+    builds no per-query object.  Only one synthesis chunk is alive at a
+    time.  See :func:`diurnal_trace_chunks` for the schema-versioning
+    guarantees.
     """
-    query_id = 0
-    # The module-global lookup happens here, once per call, so a wrapper
+    # The module-global lookup happens when reading starts, so a wrapper
     # installed over ``diurnal_trace_chunks`` sees every chunk as it is drawn.
-    for times, chunk_sizes in diurnal_trace_chunks(
-        base_rate_qps, duration_s, pattern, sizes, seed, time_step_s
-    ):
-        count = len(times)
-        yield from map(
-            Query, range(query_id, query_id + count), times.tolist(), chunk_sizes.tolist()
+    return QueryStream(
+        lambda: diurnal_trace_chunks(
+            base_rate_qps, duration_s, pattern, sizes, seed, time_step_s
         )
-        query_id += count
+    )

@@ -63,11 +63,10 @@ from typing import Any, List, Optional, Union
 from repro.execution.engine import EnginePair, build_cpu_engine
 from repro.experiments.result import ExperimentResult
 from repro.queries.generator import LoadGenerator
-from repro.queries.query import Query
+from repro.queries.query import Row, arrival_rows
 from repro.runtime.capacity import CapacityCache, CapacitySearch, run_capacity_searches
 from repro.runtime.pool import WorkerPool
 from repro.serving.cluster import ClusterSimulationResult, ClusterSimulator
-from repro.serving.simulator import _arrival_key
 from repro.service.shadow import (
     ConfigVerdict,
     FleetSpec,
@@ -174,8 +173,8 @@ class _FleetState:
         #: The latest finished fork, or None once more events were fed.
         self.result: Optional[ClusterSimulationResult] = None
 
-    def feed(self, queries: List[Query]) -> None:
-        self.stream.feed(queries)
+    def feed(self, rows: List[Row]) -> None:
+        self.stream.feed(rows)
         self.result = None
 
     def measure(self) -> ClusterSimulationResult:
@@ -396,11 +395,11 @@ class DigitalTwin:
                 f"window {window.index} arrived after window {last}; windows "
                 "must be fed in increasing index order"
             )
-        queries = sorted(window.queries, key=_arrival_key)
+        rows = arrival_rows(window.queries)
         for state in self._fleets:
-            state.feed(queries)
+            state.feed(rows)
         self._last_window_index = window.index
-        self._cumulative_queries += len(queries)
+        self._cumulative_queries += len(rows)
         self._windows_observed += 1
         self._window_rates.add(window.mean_rate_qps)
 

@@ -9,7 +9,8 @@ accelerator) — behind a pluggable load balancer, and aggregates fleet-level
 tail latency, per-server utilisation, and QPS-at-SLA capacity.
 
 Balancing decisions are made *online*, at each query's arrival instant,
-against the servers' live outstanding-work counters.  There is one event
+against the fleet's load vector: each server's live count of outstanding
+items, one list the kernels share.  There is one event
 loop, :class:`~repro.serving.simulator.EventLoop`: ``run`` sorts the
 queries and streams them through it, ``run_stream`` streams directly,
 ``stream`` keeps it open to feed in batches, and :class:`ServingSimulator`
@@ -60,7 +61,7 @@ from repro.faults.plan import (
     RetryPolicy,
 )
 from repro.queries.generator import LoadGenerator
-from repro.queries.query import Query
+from repro.queries.query import Query, QueryStream, Row, arrival_rows, query_row
 from repro.queries.size_dist import QuerySizeDistribution
 from repro.serving.simulator import (
     CertainRejection,
@@ -70,7 +71,6 @@ from repro.serving.simulator import (
     ServerLoadSummary,
     ServingConfig,
     _INFINITY,
-    _arrival_key,
     build_kernels,
     misrouted,
     resolve_num_cores,
@@ -90,9 +90,15 @@ class LoadBalancer(ABC):
     """Chooses the destination server for each arriving query.
 
     Balancers are stateful across one simulated run (``reset`` is called at
-    the start of every :meth:`ClusterSimulator.run`) and observe the fleet
-    through each kernel's live ``outstanding_items`` counter — the same
-    signal a production balancer gets from per-backend in-flight counters.
+    the start of every :meth:`ClusterSimulator.run`) and see the fleet only
+    through its *load vector*: ``choose(loads)`` gets one list whose entry
+    ``loads[i]`` is server ``i``'s live count of outstanding items (queued
+    or in flight) — the signal a production balancer gets from per-backend
+    in-flight counters — and returns the index of the chosen server.  The
+    list is the simulator's live state, shared by the fleet's kernels: a
+    custom balancer must read it, never modify or keep it.  It does not see
+    the query being routed; static node properties come from
+    :meth:`prepare`, health from :meth:`observe_health`.
     """
 
     #: Registry name of the policy (e.g. ``"round-robin"``).
@@ -122,8 +128,12 @@ class LoadBalancer(ABC):
         """
 
     @abstractmethod
-    def choose(self, query: Query, servers: Sequence[ServerKernel]) -> int:
-        """Index of the server that should execute ``query``."""
+    def choose(self, loads: List[int]) -> int:
+        """Index of the server that should take the arriving query.
+
+        ``loads[i]`` is server ``i``'s outstanding items right now; the
+        fleet has ``len(loads)`` servers.
+        """
 
 
 class RandomBalancer(LoadBalancer):
@@ -133,8 +143,9 @@ class RandomBalancer(LoadBalancer):
     of the stream) recast as an online policy, so the production-fleet
     experiments can compare it directly against load-aware balancing.  Like
     :class:`PowerOfTwoBalancer` it draws from the stdlib Mersenne-Twister
-    generator — one bounded scalar per arrival on the hot path — and streams
-    are seed-stable across platforms and Python versions.
+    generator — one bounded scalar per arrival on the hot path, drawn
+    exactly as ``random.Random.randrange`` draws it — and streams are
+    seed-stable across platforms and Python versions.
     """
 
     name = "random"
@@ -142,13 +153,18 @@ class RandomBalancer(LoadBalancer):
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._random = random.Random(seed)
-        self._randrange = self._random.randrange
+        self._getrandbits = self._random.getrandbits
 
     def reset(self, num_servers: int) -> None:
         self._random.seed(self._seed)
 
-    def choose(self, query: Query, servers: Sequence[ServerKernel]) -> int:
-        return self._randrange(len(servers))
+    def choose(self, loads: List[int]) -> int:
+        count = len(loads)
+        bits = count.bit_length()
+        draw = self._getrandbits(bits)
+        while draw >= count:
+            draw = self._getrandbits(bits)
+        return draw
 
 
 class RoundRobinBalancer(LoadBalancer):
@@ -162,8 +178,8 @@ class RoundRobinBalancer(LoadBalancer):
     def reset(self, num_servers: int) -> None:
         self._next = 0
 
-    def choose(self, query: Query, servers: Sequence[ServerKernel]) -> int:
-        index = self._next % len(servers)
+    def choose(self, loads: List[int]) -> int:
+        index = self._next % len(loads)
         self._next += 1
         return index
 
@@ -178,23 +194,15 @@ class LeastOutstandingBalancer(LoadBalancer):
 
     name = "least-outstanding"
 
-    def choose(self, query: Query, servers: Sequence[ServerKernel]) -> int:
-        # Equivalent to min(range(n), key=lambda i: (items, i)) but without
-        # the per-query lambda/tuple allocations (this runs once per arrival).
-        best_index = 0
-        best_load = servers[0].outstanding_items
-        for index in range(1, len(servers)):
-            load = servers[index].outstanding_items
-            if load < best_load:
-                best_index = index
-                best_load = load
-        return best_index
+    def choose(self, loads: List[int]) -> int:
+        # The first minimum: ties break toward the lowest index.
+        return loads.index(min(loads))
 
 
 class WeightedLeastOutstandingBalancer(LoadBalancer):
     """Least outstanding work normalised by each node's speed factor.
 
-    ``outstanding_items`` counts *items*, but on a speed-heterogeneous fleet
+    The load vector counts *items*, but on a speed-heterogeneous fleet
     the same item count represents different amounts of remaining service
     time: a node whose ``speed_factor`` is 1.2 (20 % slower than nominal)
     holding 100 items is busier than a nominal node holding 110.  This
@@ -229,12 +237,12 @@ class WeightedLeastOutstandingBalancer(LoadBalancer):
             self._costs = [1.0] * num_servers
         self._prepared = False
 
-    def choose(self, query: Query, servers: Sequence[ServerKernel]) -> int:
+    def choose(self, loads: List[int]) -> int:
         costs = self._costs
         best_index = 0
-        best_load = servers[0].outstanding_items * costs[0]
-        for index in range(1, len(servers)):
-            load = servers[index].outstanding_items * costs[index]
+        best_load = loads[0] * costs[0]
+        for index in range(1, len(loads)):
+            load = loads[index] * costs[index]
             if load < best_load:
                 best_index = index
                 best_load = load
@@ -246,9 +254,12 @@ class PowerOfTwoBalancer(LoadBalancer):
 
     Uses the stdlib Mersenne-Twister generator rather than a numpy
     ``Generator``: the balancer draws two bounded scalars per arriving query
-    on the simulator's hot path, and ``random.Random.randrange`` is roughly
-    an order of magnitude cheaper per scalar draw.  Streams are seed-stable
-    across platforms and Python versions.
+    on the simulator's hot path, and a stdlib scalar draw is roughly an
+    order of magnitude cheaper.  Each draw inlines the rejection sampling
+    ``random.Random.randrange(n)`` does (``getrandbits(n.bit_length())``
+    until below ``n``), so the streams equal ``randrange``'s without its
+    two Python frames per draw (pinned in ``tests/test_serving_cluster.py``).
+    Streams are seed-stable across platforms and Python versions.
     """
 
     name = "power-of-two"
@@ -256,21 +267,27 @@ class PowerOfTwoBalancer(LoadBalancer):
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._random = random.Random(seed)
-        self._randrange = self._random.randrange
+        self._getrandbits = self._random.getrandbits
 
     def reset(self, num_servers: int) -> None:
         self._random.seed(self._seed)
 
-    def choose(self, query: Query, servers: Sequence[ServerKernel]) -> int:
-        count = len(servers)
+    def choose(self, loads: List[int]) -> int:
+        count = len(loads)
         if count == 1:
             return 0
-        randrange = self._randrange
-        first = randrange(count)
-        second = randrange(count - 1)
+        getrandbits = self._getrandbits
+        bits = count.bit_length()
+        first = getrandbits(bits)
+        while first >= count:
+            first = getrandbits(bits)
+        bits = (count - 1).bit_length()
+        second = getrandbits(bits)
+        while second >= count - 1:
+            second = getrandbits(bits)
         if second >= first:
             second += 1
-        if servers[second].outstanding_items < servers[first].outstanding_items:
+        if loads[second] < loads[first]:
             return second
         return first
 
@@ -305,24 +322,24 @@ class FailureAwareBalancer(LeastOutstandingBalancer):
     def observe_health(self, health: Sequence[NodeHealth]) -> None:
         self._health = health
 
-    def choose(self, query: Query, servers: Sequence[ServerKernel]) -> int:
+    def choose(self, loads: List[int]) -> int:
         health = self._health
         if health is None:
-            return super().choose(query, servers)
+            return super().choose(loads)
         best_index = -1
         best_load = float("inf")
-        for index in range(len(servers)):
+        for index in range(len(loads)):
             node = health[index]
             if not node.up:
                 continue
-            load = servers[index].outstanding_items * node.slowdown
+            load = loads[index] * node.slowdown
             if load < best_load:
                 best_index = index
                 best_load = load
         if best_index >= 0:
             return best_index
         # Whole fleet down: any choice is lost; stay deterministic.
-        return super().choose(query, servers)
+        return super().choose(loads)
 
 
 _BALANCER_REGISTRY = {
@@ -536,19 +553,18 @@ class _FaultTrack:
     or permanently fails.
     """
 
-    __slots__ = ("query", "attempts_left", "live", "done")
+    __slots__ = ("ordinal", "row", "attempts_left", "live", "done")
 
-    def __init__(self, query: Query, attempts_left: int) -> None:
-        self.query = query
+    def __init__(self, ordinal: int, row: Row, attempts_left: int) -> None:
+        self.ordinal = ordinal
+        self.row = row
         self.attempts_left = attempts_left
         self.live = 0
         self.done = False
 
 
 def _healthy_least_loaded(
-    kernels: Sequence[ServerKernel],
-    health: Sequence[NodeHealth],
-    exclude: int,
+    loads: List[int], health: Sequence[NodeHealth], exclude: int
 ) -> int:
     """Least-loaded up node other than ``exclude``; -1 when none exists.
 
@@ -557,10 +573,10 @@ def _healthy_least_loaded(
     """
     best_index = -1
     best_load = _INFINITY
-    for index in range(len(kernels)):
+    for index in range(len(loads)):
         if index == exclude or not health[index].up:
             continue
-        load = kernels[index].outstanding_items
+        load = loads[index]
         if load < best_load:
             best_index = index
             best_load = load
@@ -578,7 +594,8 @@ class FaultInjector:
 
     A crash drops the node's queued and in-flight work (its completion
     events leave the shared heap with it); the lost queries are retried per
-    the :class:`~repro.faults.RetryPolicy` or fail.  One kernel serves a
+    the :class:`~repro.faults.RetryPolicy` or fail.  Queries are known by
+    the arrival ordinal the loop assigned them.  One kernel serves a
     node for the whole run, so busy-time and work accounting stay
     cumulative.  A down node still *exists* to health-blind balancers
     (cleared, outstanding 0 — they actively prefer it, which is exactly the
@@ -597,6 +614,7 @@ class FaultInjector:
         policy: str,
     ) -> None:
         self._kernels = kernels
+        self._loads = kernels[0]._loads
         self._choose = balancer.choose
         self._observe_health = balancer.observe_health
         self._policy = policy
@@ -605,9 +623,9 @@ class FaultInjector:
         self._hedge = retry_policy.hedge
         self._transitions = plan.events(len(kernels))
         self._cursor = 0
-        self._retries: List[tuple] = []  # heap of (due_time, seq, query_id)
+        self._retries: List[tuple] = []  # heap of (due_time, seq, ordinal)
         self._retry_seq = itertools.count()
-        #: Per-query fault state, only for queries a fault has touched.
+        #: Fault state by arrival ordinal, only for queries a fault touched.
         self.tracked: Dict[int, _FaultTrack] = {}
         self.health = [NodeHealth() for _ in kernels]
         #: True while every node is up (dispatch is then a plain submit).
@@ -639,24 +657,24 @@ class FaultInjector:
             self._apply(self._transitions[self._cursor])
             self._cursor += 1
         else:
-            due, _, query_id = heapq.heappop(self._retries)
-            track = self.tracked[query_id]
+            due, _, ordinal = heapq.heappop(self._retries)
+            track = self.tracked[ordinal]
             if not track.done and track.live == 0:
                 self._retry(track, due)
         self._refresh()
 
-    def dispatch(self, query: Query, chosen: int, now: float) -> None:
-        """Submit an arrival to node ``chosen``, or black-hole it if down."""
+    def dispatch(self, ordinal: int, row: Row, chosen: int, now: float) -> None:
+        """Submit arrival ``ordinal`` to node ``chosen``, or black-hole it if down."""
         if self.health[chosen].up:
-            self._kernels[chosen].submit(query, now)
+            self._kernels[chosen].submit(ordinal, row, now)
             return
         self.stats.blackholed_dispatches += 1
-        self._lost(query, now)
+        self._lost(ordinal, row, now)
         self._refresh()
 
-    def absorb_completion(self, query_id: int) -> bool:
+    def absorb_completion(self, ordinal: int) -> bool:
         """Note a completion; True when a hedge twin already finished first."""
-        track = self.tracked.get(query_id)
+        track = self.tracked.get(ordinal)
         if track is None:
             return False
         if track.done:
@@ -681,8 +699,8 @@ class FaultInjector:
             lost = kernel.crash()
             self.stats.crash_killed_in_flight += len(lost)
             self._observe_health(self.health)
-            for query in lost:
-                self._lost(query, transition.time_s)
+            for ordinal, row in lost:
+                self._lost(ordinal, row, transition.time_s)
             return
         if kind == KIND_RECOVER:
             if health.up:
@@ -698,12 +716,12 @@ class FaultInjector:
             health.slowdown = 1.0
         self._observe_health(self.health)
 
-    def _lost(self, query: Query, now: float) -> None:
-        """An attempt at ``query`` was lost: its node crashed, or was down."""
-        track = self.tracked.get(query.query_id)
+    def _lost(self, ordinal: int, row: Row, now: float) -> None:
+        """An attempt at arrival ``ordinal`` was lost: its node crashed, or was down."""
+        track = self.tracked.get(ordinal)
         if track is None:
-            track = _FaultTrack(query, self._max_retries)
-            self.tracked[query.query_id] = track
+            track = _FaultTrack(ordinal, row, self._max_retries)
+            self.tracked[ordinal] = track
         elif track.live > 0:
             track.live -= 1
         if not track.done and track.live == 0:
@@ -711,22 +729,21 @@ class FaultInjector:
 
     def _retry(self, track: _FaultTrack, now: float) -> None:
         """Consume one retry: re-dispatch (optionally hedged)."""
-        query = track.query
         kernels = self._kernels
         track.attempts_left -= 1
         self.stats.retries += 1
-        chosen = self._choose(query, kernels)
+        chosen = self._choose(self._loads)
         if not 0 <= chosen < len(kernels):
             raise misrouted(self._policy, chosen, len(kernels))
         if self.health[chosen].up:
-            kernels[chosen].submit(query, now)
+            kernels[chosen].submit(track.ordinal, track.row, now)
             track.live += 1
         else:
             self.stats.blackholed_dispatches += 1
         if self._hedge:
-            second = _healthy_least_loaded(kernels, self.health, exclude=chosen)
+            second = _healthy_least_loaded(self._loads, self.health, exclude=chosen)
             if second >= 0:
-                kernels[second].submit(query, now)
+                kernels[second].submit(track.ordinal, track.row, now)
                 self.stats.hedged_dispatches += 1
                 track.live += 1
         if track.live == 0:
@@ -737,7 +754,7 @@ class FaultInjector:
         if track.attempts_left > 0:
             heapq.heappush(
                 self._retries,
-                (now + self._detect_delay, next(self._retry_seq), track.query.query_id),
+                (now + self._detect_delay, next(self._retry_seq), track.ordinal),
             )
         else:
             track.done = True
@@ -898,12 +915,12 @@ class ClusterSimulator:
         retry left) are not applied.  Without a plan the loop runs with no
         fault source at all (``tests/test_faults.py``).
         """
-        ordered = sorted(queries, key=_arrival_key)
+        ordered = arrival_rows(queries)
         return self._simulate(ordered, len(ordered), reject_above_sla_s)
 
     def run_stream(
         self,
-        queries: Iterable[Query],
+        queries: Union[QueryStream, Iterable[Query]],
         num_queries: int,
         reject_above_sla_s: Optional[float] = None,
     ) -> Union[ClusterSimulationResult, CertainRejection]:
@@ -912,11 +929,13 @@ class ClusterSimulator:
         The constant-memory companion to :meth:`run` for million-query
         traces: ``queries`` is consumed one arrival ahead of the event
         clock, so at any instant the simulator holds only the in-flight
-        queries — pair it with the chunked synthesis iterators
+        queries — pair it with the chunked synthesis streams
         (:func:`repro.queries.trace.iter_diurnal_trace`) and
         ``latency_stats="sketch"`` and peak memory is O(1) in the trace
-        length.  In exchange the stream must satisfy what :meth:`run`
-        normalises for itself:
+        length.  A :class:`~repro.queries.query.QueryStream` is read as
+        rows, so no per-query record is built; any other iterable of
+        :class:`Query` is converted one row at a time.  In exchange the
+        stream must satisfy what :meth:`run` normalises for itself:
 
         * arrivals come **pre-sorted** by arrival time (the generator
           paths already emit them sorted);
@@ -924,7 +943,8 @@ class ClusterSimulator:
           warmup count and the early-rejection certificate need the total
           before the stream ends); a mismatch raises at the end.
 
-        Query ids are free: the warmup window is the first
+        Query ids are free, duplicates included: the loop keys in-flight
+        state by arrival ordinal and the warmup window is the first
         ``num_queries * warmup_fraction`` arrivals consumed, so a stream
         gives the same result as :meth:`run` on the same queries.  Fault
         plans are not supported — faulted runs retain samples for their SLA
@@ -936,14 +956,18 @@ class ClusterSimulator:
                 "run_stream does not support fault injection; use run()"
             )
         check_positive("num_queries", num_queries)
-        return self._simulate(queries, num_queries, reject_above_sla_s)
+        rows = (
+            queries.rows() if isinstance(queries, QueryStream) else map(query_row, queries)
+        )
+        return self._simulate(rows, num_queries, reject_above_sla_s)
 
     def stream(self) -> EventLoop:
         """An open-ended run to feed in time-sorted batches, without faults.
 
         Returns an :class:`~repro.serving.simulator.EventLoop` with no
-        stated length: ``feed`` each batch (each sorted by arrival time and
-        no earlier than the last), ``fork().finish()`` for the
+        stated length: ``feed`` each batch of rows (each sorted by arrival
+        time and no earlier than the last, e.g. from
+        :func:`~repro.queries.query.arrival_rows`), ``fork().finish()`` for the
         :class:`ClusterSimulationResult` of everything fed so far — equal
         field for field to :meth:`run` over those queries — and keep
         feeding the original.  The stream owns a copy of the balancer,
@@ -985,7 +1009,7 @@ class ClusterSimulator:
 
     def _simulate(
         self,
-        arrivals: Iterable[Query],
+        arrivals: Iterable[Row],
         num_queries: int,
         reject_above_sla_s: Optional[float],
     ) -> Union[ClusterSimulationResult, CertainRejection]:

@@ -36,18 +36,17 @@ import gc
 import heapq
 import itertools
 import math
-import operator
 from array import array
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List
-from typing import Optional, Sequence, Set, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.execution.engine import EnginePair
-from repro.queries.query import Query
+from repro.queries.query import Query, Row, arrival_rows
 from repro.utils.stats import PercentileTracker, percentile_of_sorted
 from repro.utils.validation import check_positive
 
@@ -229,9 +228,6 @@ EVT_CPU_DONE = 0
 EVT_GPU_DONE = 1
 EVT_ARRIVAL = 2
 
-#: Sort key for arrival ordering (C-level attribute getter, not a lambda).
-_arrival_key = operator.attrgetter("arrival_time")
-
 _INFINITY = float("inf")
 
 #: Measured latencies per bulk flush into a sketch-mode tracker: large
@@ -287,13 +283,13 @@ class _QueryState:
 
     Queries that produce a single unit of work (one CPU request, or a whole
     query offloaded to the accelerator) skip this object entirely — the
-    kernel stores the bare :class:`Query` in its state map instead.
+    kernel stores the bare row in its state map instead.
     """
 
-    __slots__ = ("query", "outstanding_requests")
+    __slots__ = ("row", "outstanding_requests")
 
-    def __init__(self, query: Query, outstanding_requests: int) -> None:
-        self.query = query
+    def __init__(self, row: Row, outstanding_requests: int) -> None:
+        self.row = row
         self.outstanding_requests = outstanding_requests
 
 
@@ -302,14 +298,17 @@ class ServerKernel:
 
     The kernel owns the server-local state — CPU/accelerator FIFO queues,
     busy-core count, busy-time and work accounting — while the *owner* owns
-    the event heap and the simulated clock (:func:`run_event_loop`).
-    Completion events are pushed straight onto the owner's heap as ``(time,
-    kind, seq, server_index, query_id)`` tuples; ``server_index`` tags each
-    event with the kernel it belongs to and the shared ``seq`` counter keeps
-    equal-time events deterministically ordered.
+    the event heap and the simulated clock (:class:`EventLoop`, which also
+    handles each completion).  In-flight queries are keyed by the arrival
+    ordinal the loop assigns, never by ``query_id``, so ids need not be
+    unique.  Completion events are pushed straight onto the owner's heap as
+    ``(time, kind, seq, server_index, ordinal)`` tuples; ``server_index``
+    tags each event with the kernel it belongs to and the shared ``seq``
+    counter keeps equal-time events deterministically ordered.
 
-    The live ``outstanding_queries`` / ``outstanding_items`` counters are the
-    signals cluster load balancers key on.
+    The kernels of one fleet share a *load vector*: ``loads[server_index]``
+    is this kernel's live count of outstanding items (queued or in flight),
+    the one signal cluster load balancers choose over.
 
     Service times come from the engines' dense latency tables (bit-identical
     to the scalar engine calls), so the per-event cost is a list index rather
@@ -331,6 +330,7 @@ class ServerKernel:
         "_cpu_queue",
         "_gpu_queue",
         "_states",
+        "_loads",
         "_busy_cores",
         "_gpu_busy",
         "_service_scale",
@@ -339,7 +339,6 @@ class ServerKernel:
         "total_items",
         "gpu_items",
         "num_submitted",
-        "outstanding_items",
     )
 
     def __init__(
@@ -349,6 +348,7 @@ class ServerKernel:
         num_cores: int,
         events: List[tuple],
         counter: Iterator[int],
+        loads: List[int],
         server_index: int = 0,
     ) -> None:
         self._cpu = engines.cpu
@@ -385,9 +385,11 @@ class ServerKernel:
                 gpu_table.total_s if gpu_table is not None else engines.gpu.query_latency_s
             )
 
-        self._cpu_queue: deque = deque()  # FIFO of (query_id, request_batch)
-        self._gpu_queue: deque = deque()  # FIFO of query ids
-        self._states: Dict[int, _QueryState] = {}
+        self._cpu_queue: deque = deque()  # FIFO of (ordinal, request_batch)
+        self._gpu_queue: deque = deque()  # FIFO of ordinals
+        # In flight, by arrival ordinal: the row, or a _QueryState if split.
+        self._states: Dict[int, Union[Row, _QueryState]] = {}
+        self._loads = loads
         self._busy_cores = 0
         self._gpu_busy = False
         # Straggler hook: every service time is multiplied by this factor.
@@ -400,7 +402,6 @@ class ServerKernel:
         self.total_items = 0
         self.gpu_items = 0
         self.num_submitted = 0
-        self.outstanding_items = 0
 
     @property
     def config(self) -> ServingConfig:
@@ -411,11 +412,6 @@ class ServerKernel:
     def num_cores(self) -> int:
         """Number of CPU worker cores simulated."""
         return self._num_cores
-
-    @property
-    def outstanding_queries(self) -> int:
-        """Queries accepted but not yet fully completed (derived, O(1))."""
-        return len(self._states)
 
     @property
     def service_scale(self) -> float:
@@ -434,72 +430,79 @@ class ServerKernel:
             raise ValueError(f"service_scale must be > 0, got {scale}")
         self._service_scale = scale
 
-    def fork(self, events: List[tuple], counter: Iterator[int]) -> "ServerKernel":
-        """A copy of this kernel on another event heap (see :meth:`EventLoop.fork`).
+    def fork(
+        self, events: List[tuple], counter: Iterator[int], loads: List[int]
+    ) -> "ServerKernel":
+        """A copy of this kernel on another event heap and load vector.
 
         Queues, in-flight query state and accounting are copied; engines,
-        configuration and service-time rows are shared.
+        configuration and service-time rows are shared (see
+        :meth:`EventLoop.fork`).
         """
         clone = copy.copy(self)
         clone._events = events
         clone._counter = counter
+        clone._loads = loads
         clone._cpu_queue = deque(self._cpu_queue)
         clone._gpu_queue = deque(self._gpu_queue)
         clone._states = {
-            query_id: (
-                _QueryState(state.query, state.outstanding_requests)
+            ordinal: (
+                _QueryState(state.row, state.outstanding_requests)
                 if type(state) is _QueryState
                 else state
             )
-            for query_id, state in self._states.items()
+            for ordinal, state in self._states.items()
         }
         return clone
 
-    def crash(self) -> List[Query]:
+    def crash(self) -> List[Tuple[int, Row]]:
         """Fail the node: drop all queued and in-flight work.
 
-        Returns the lost queries in submission order so the owner can fail
-        or re-dispatch them per its retry policy.  Busy-time and item
-        counters keep the work already admitted — burned cycles on a dead
-        node are not refunded, matching fleet-utilisation accounting.  The
-        node's completion events are purged from the shared heap; the
-        survivors keep their ``(time, kind, seq)`` keys, a total order, so
-        every other event still pops exactly when it would have.
+        Returns the lost queries as ``(ordinal, row)`` pairs in submission
+        order so the owner can fail or re-dispatch them per its retry
+        policy.  Busy-time and item counters keep the work already admitted
+        — burned cycles on a dead node are not refunded, matching
+        fleet-utilisation accounting.  The node's completion events are
+        purged from the shared heap; the survivors keep their ``(time,
+        kind, seq)`` keys, a total order, so every other event still pops
+        exactly when it would have.
         """
         states = self._states
         lost = [
-            state.query if type(state) is _QueryState else state
-            for state in states.values()  # reprolint: disable=RL005 -- insertion order IS the contract: docstring promises submission order
+            (ordinal, state.row if type(state) is _QueryState else state)
+            for ordinal, state in states.items()  # insertion order: submission order
         ]
         states.clear()
         self._cpu_queue.clear()
         self._gpu_queue.clear()
         self._busy_cores = 0
         self._gpu_busy = False
-        self.outstanding_items = 0
+        self._loads[self._server_index] = 0
         events = self._events
         events[:] = [event for event in events if event[3] != self._server_index]
         heapq.heapify(events)
         return lost
 
-    def submit(self, query: Query, now: float) -> None:
-        """Accept an arriving query: offload it whole or split it for the CPU."""
-        size = query.size
-        query_id = query.query_id
+    def submit(self, ordinal: int, row: Row, now: float) -> None:
+        """Accept arrival ``ordinal``: offload it whole or split it for the CPU.
+
+        The one submission path, for arrivals, retries and hedges alike.
+        """
+        size = row[2]
         self.num_submitted += 1
         self.total_items += size
-        self.outstanding_items += size
+        self._loads[self._server_index] += size
         threshold = self._threshold
         if threshold is not None and size > threshold:
-            self._states[query_id] = query
+            self._states[ordinal] = row
             self.gpu_items += size
-            self._gpu_queue.append(query_id)
+            self._gpu_queue.append(ordinal)
             self._dispatch_gpu(now)
         elif size <= self._batch_size:
             # Single-request query (the common case): no split bookkeeping,
             # and when a core is free the request starts immediately without
             # touching the FIFO (a free core implies an empty queue).
-            self._states[query_id] = query
+            self._states[ordinal] = row
             busy = self._busy_cores
             if busy < self._num_cores:
                 busy += 1
@@ -513,11 +516,11 @@ class ServerKernel:
                         EVT_CPU_DONE,
                         next(self._counter),
                         self._server_index,
-                        query_id,
+                        ordinal,
                     ),
                 )
             else:
-                self._cpu_queue.append((query_id, size))
+                self._cpu_queue.append((ordinal, size))
         else:
             # Inline query splitting: full batches first, remainder last —
             # the exact request order split_query produces, without the
@@ -525,58 +528,12 @@ class ServerKernel:
             batch = self._batch_size
             full, remainder = divmod(size, batch)
             queue = self._cpu_queue
-            queue.extend(itertools.repeat((query_id, batch), full))
+            queue.extend(itertools.repeat((ordinal, batch), full))
             if remainder:
-                queue.append((query_id, remainder))
+                queue.append((ordinal, remainder))
                 full += 1
-            self._states[query_id] = _QueryState(query, full)
+            self._states[ordinal] = _QueryState(row, full)
             self._dispatch_cpu(now)
-
-    def on_cpu_done(self, query_id: int, now: float) -> Optional[Query]:
-        """Handle one CPU request completion; return the query if it finished."""
-        busy = self._busy_cores - 1
-        states = self._states
-        state = states[query_id]
-        if type(state) is _QueryState:
-            remaining = state.outstanding_requests - 1
-            if remaining:
-                state.outstanding_requests = remaining
-                query = None
-            else:
-                query = state.query
-        else:
-            query = state
-        if query is not None:
-            del states[query_id]
-            self.outstanding_items -= query.size
-        # Inline of _dispatch_cpu: exactly one core was freed, so at most one
-        # queued request can start (the loop runs at most once).
-        queue = self._cpu_queue
-        if queue:
-            next_id, request_batch = queue.popleft()
-            busy += 1
-            service = self._cpu_service[busy][request_batch] * self._service_scale
-            self.cpu_busy_time += service
-            heapq.heappush(
-                self._events,
-                (
-                    now + service,
-                    EVT_CPU_DONE,
-                    next(self._counter),
-                    self._server_index,
-                    next_id,
-                ),
-            )
-        self._busy_cores = busy
-        return query
-
-    def on_gpu_done(self, query_id: int, now: float) -> Query:
-        """Handle an accelerator query completion; always finishes the query."""
-        self._gpu_busy = False
-        query = self._states.pop(query_id)
-        self.outstanding_items -= query.size
-        self._dispatch_gpu(now)
-        return query
 
     # ------------------------------------------------------------------ #
 
@@ -594,13 +551,13 @@ class ServerKernel:
         server_index = self._server_index
         busy_time = self.cpu_busy_time
         while queue and busy < cores:
-            query_id, request_batch = queue.popleft()
+            ordinal, request_batch = queue.popleft()
             busy += 1
             service = service_rows[busy][request_batch] * scale
             busy_time += service
             heappush(
                 events,
-                (now + service, EVT_CPU_DONE, next(counter), server_index, query_id),
+                (now + service, EVT_CPU_DONE, next(counter), server_index, ordinal),
             )
         self._busy_cores = busy
         self.cpu_busy_time = busy_time
@@ -608,9 +565,9 @@ class ServerKernel:
     def _dispatch_gpu(self, now: float) -> None:
         if self._gpu_busy or not self._gpu_queue:
             return
-        query_id = self._gpu_queue.popleft()
+        ordinal = self._gpu_queue.popleft()
         self._gpu_busy = True
-        service = self._gpu_service(self._states[query_id].size) * self._service_scale
+        service = self._gpu_service(self._states[ordinal][2]) * self._service_scale
         self.gpu_busy_time += service
         heapq.heappush(
             self._events,
@@ -619,7 +576,7 @@ class ServerKernel:
                 EVT_GPU_DONE,
                 next(self._counter),
                 self._server_index,
-                query_id,
+                ordinal,
             ),
         )
 
@@ -697,16 +654,20 @@ def summarize_server(
 def build_kernels(
     specs: Sequence[Tuple[EnginePair, ServingConfig, int]],
 ) -> List[ServerKernel]:
-    """One kernel per ``(engines, config, num_cores)``, all on one event heap."""
+    """One kernel per ``(engines, config, num_cores)``.
+
+    All share one event heap and one load vector.
+    """
     events: List[tuple] = []
     counter = itertools.count()
+    loads = [0] * len(specs)
     return [
-        ServerKernel(engines, config, cores, events, counter, index)
+        ServerKernel(engines, config, cores, events, counter, loads, index)
         for index, (engines, config, cores) in enumerate(specs)
     ]
 
 
-def _only_server(query: Query, servers: Sequence[ServerKernel]) -> int:
+def _only_server(loads: List[int]) -> int:
     """The single-server simulator's balancer: everything goes to server 0."""
     return 0
 
@@ -719,16 +680,19 @@ def misrouted(policy: str, chosen: int, num_servers: int) -> ValueError:
 class EventLoop:
     """The one discrete-event loop, as a resumable object.
 
-    The loop serves a time-sorted arrival stream on ``kernels`` (which share
-    one event heap).  :meth:`feed` advances it through a batch of arrivals:
-    each is routed by ``choose`` at its arrival instant, after every
-    completion due no later than it has been popped, and the loop stops
-    right after the batch's last arrival — completions due later wait on the
-    heap for the next batch.  :meth:`finish` drains the heap and computes
-    the run's measurements.  Feeding a stream in any number of sorted
-    batches therefore steps exactly the events one batch would, because
-    kernels are FIFO and non-preemptive (a completion time never depends on
-    later arrivals) and the balancer only sees earlier state.
+    The loop serves a time-sorted stream of ``(query_id, arrival_time,
+    size)`` rows (:func:`~repro.queries.query.arrival_rows`,
+    :meth:`~repro.queries.query.QueryStream.rows`) on ``kernels``, which
+    share one event heap and one load vector.  :meth:`feed` advances it
+    through a batch of arrivals: each is routed by ``choose(loads)`` at its
+    arrival instant, after every completion due no later than it has been
+    popped, and the loop stops right after the batch's last arrival —
+    completions due later wait on the heap for the next batch.
+    :meth:`finish` drains the heap and computes the run's measurements.
+    Feeding a stream in any number of sorted batches therefore steps
+    exactly the events one batch would, because kernels are FIFO and
+    non-preemptive (a completion time never depends on later arrivals) and
+    the balancer only sees earlier state.
 
     Completions are popped while they are due no later than the next
     *external* event — the next arrival or, with a ``faults`` source
@@ -738,21 +702,21 @@ class EventLoop:
 
     ``num_queries`` states the stream's length up front (the warmup split
     and the rejection certificate need it; a mismatch raises at
-    :meth:`finish`).
-    The first ``int(num_queries * warmup_fraction)`` arrivals consumed are
-    warmup: the loop holds each one's id only until it completes, and never
-    measures it, so query ids need not follow arrival order.  Measured
-    latencies are recorded exactly (every sample retained) or into
-    fixed-space sketches (``latency_stats="sketch"``), and appended to
-    ``per_server[server_index]`` when those lists are given.
+    :meth:`finish`).  The loop numbers arrivals in the order it consumes
+    them and keys all in-flight state by that ordinal, so query ids are
+    free: they need not follow arrival order, nor be unique.  The first
+    ``int(num_queries * warmup_fraction)`` ordinals are warmup, never
+    measured.  Measured latencies are recorded exactly (every sample
+    retained) or into fixed-space sketches (``latency_stats="sketch"``),
+    and appended to ``per_server[server_index]`` when those lists are given.
     ``reject_above_sla_s`` arms the early exit described at
     :func:`run_event_loop`.
 
     With ``num_queries=None`` the loop is *open-ended*, and takes no fault
     source, per-server lists, early exit or sketch statistics.  Its warmup
-    cut moves with the count fed so far, so every completion is
-    recorded with its arrival ordinal (16 bytes per query in typed arrays)
-    and the cut is applied at :meth:`finish`, which yields exactly what a
+    cut moves with the count fed so far, so every completion is recorded
+    with its ordinal (16 bytes per query in typed arrays) and the cut is
+    applied at :meth:`finish`, which yields exactly what a
     one-shot run over the arrivals fed so far would.  Only an open-ended
     loop can :meth:`fork`.  ``summarize(kernels, outcome)``, when given,
     turns :meth:`finish`'s measurements into the caller's result type.
@@ -764,7 +728,7 @@ class EventLoop:
         warmup_fraction: float,
         num_queries: Optional[int] = None,
         *,
-        choose: Callable[[Query, Sequence[ServerKernel]], int] = _only_server,
+        choose: Callable[[List[int]], int] = _only_server,
         policy: str = "",
         latency_stats: str = "exact",
         per_server: Optional[List[List[float]]] = None,
@@ -775,6 +739,7 @@ class EventLoop:
         self.kernels = list(kernels)
         self._events = self.kernels[0]._events
         self._counter = self.kernels[0]._counter
+        self._loads = self.kernels[0]._loads
         self._num_queries = num_queries
         self._warmup_fraction = warmup_fraction
         self._choose = choose
@@ -795,13 +760,11 @@ class EventLoop:
         # loop keeps (arrival ordinal, latency) pairs until the cut is known.
         # Sketch mode calls ``_flush`` when ``_measured`` reaches ``_flush_at``
         # (-1, never reached, in the other modes).
-        self._arrival_ordinals: Optional[Dict[int, int]] = None
         self._ordinals: Optional[array] = None
         self._latencies: Union[List[float], array, None] = None
         self._flush: Optional[Callable[[], int]] = None
         self._flush_at = -1
         if num_queries is None:
-            self._arrival_ordinals = {}  # in-flight query id -> arrival ordinal
             self._ordinals = array("q")
             self._latencies = array("d")
             self._record = self._latencies.append
@@ -821,15 +784,14 @@ class EventLoop:
         # faulted run takes the same per-event path as a fault-free one.
         self._next_fault = faults.next_time if faults is not None else _INFINITY
         self._healthy = True  # every node up: arrivals go straight to their kernel
-        self._warmup: Set[int] = set()  # warmup queries in flight
         self._measured = 0
         self._consumed = 0
         self._first_arrival: Optional[float] = None
         self._last_arrival = self._last_completion = 0.0
         self._over_sla = 0
 
-    def feed(self, arrivals: Iterable[Query]) -> Optional[CertainRejection]:
-        """Serve a time-sorted batch of arrivals, stopping after the last one.
+    def feed(self, arrivals: Iterable[Row]) -> Optional[CertainRejection]:
+        """Serve a time-sorted batch of arrival rows, stopping after the last one.
 
         Returns a :class:`CertainRejection` if the armed rejection exit
         fired (the loop is then spent), otherwise ``None``.
@@ -839,16 +801,16 @@ class EventLoop:
         if pending is None:
             return None
         if self._first_arrival is None:
-            first = pending.arrival_time
+            first = pending[1]
             self._first_arrival = self._last_arrival = self._last_completion = first
         return self._advance(pending, iterator)
 
     def fork(self) -> "EventLoop":
         """An independent copy of an open-ended loop, e.g. to :meth:`finish`.
 
-        Copies only what advancing mutates — the heap, each kernel's queues
-        and accounting, the in-flight ordinals and the recorded samples;
-        engines and latency tables stay shared.  The balancer is shared too:
+        Copies only what advancing mutates — the heap, the load vector, each
+        kernel's queues and accounting, and the recorded samples; engines
+        and latency tables stay shared.  The balancer is shared too:
         a drain routes nothing.  The copy continues the heap's sequence
         numbers, so its events tie-break exactly as the original's would.
         """
@@ -857,10 +819,11 @@ class EventLoop:
         clone = copy.copy(self)
         clone._events = list(self._events)
         clone._counter = itertools.count(next(self._counter))
+        clone._loads = list(self._loads)
         clone.kernels = [
-            kernel.fork(clone._events, clone._counter) for kernel in self.kernels
+            kernel.fork(clone._events, clone._counter, clone._loads)
+            for kernel in self.kernels
         ]
-        clone._arrival_ordinals = dict(self._arrival_ordinals)
         clone._ordinals = array("q", self._ordinals)
         clone._latencies = array("d", self._latencies)
         clone._record = clone._latencies.append
@@ -949,19 +912,22 @@ class EventLoop:
         return outcome
 
     def _advance(
-        self, pending: Optional[Query], iterator: Iterator[Query]
+        self, pending: Optional[Row], iterator: Iterator[Row]
     ) -> Optional[CertainRejection]:
         """Step the loop: through ``pending`` and ``iterator``, or, with
         ``pending=None``, until nothing is left to happen.
 
-        The one place events leave the heap.  Loop state lives in locals
-        while stepping and is stored back when the batch (or the drain)
-        ends.
+        The one place events leave the heap, and where each completion is
+        applied to its kernel.  Loop state lives in locals while stepping
+        and is stored back when the batch (or the drain) ends.
         """
         # Hot loop: bind everything to locals.
         kernels = self.kernels
         events = self._events
+        counter = self._counter
+        loads = self._loads
         heappop = heapq.heappop
+        heappush = heapq.heappush
         num_kernels = len(kernels)
         choose = self._choose
         record = self._record
@@ -971,9 +937,7 @@ class EventLoop:
         faults = self._faults
         tracked = faults.tracked if faults is not None else {}
         absorb = faults.absorb_completion if faults is not None else None
-        arrival_ordinals = self._arrival_ordinals
         record_ordinal = self._ordinals.append if self._ordinals is not None else None
-        warmup = self._warmup
         warmup_count = self._warmup_count
         reject_above = self._reject_above_sla_s
         reject_sla = reject_above if reject_above is not None else _INFINITY
@@ -985,29 +949,63 @@ class EventLoop:
         last_arrival = self._last_arrival
         last_completion = self._last_completion
         over_sla = self._over_sla
-        next_arrival = pending.arrival_time if pending is not None else _INFINITY
+        next_arrival = pending[1] if pending is not None else _INFINITY
         next_external = next_arrival if next_arrival < next_fault else next_fault
         with pause_gc():
             while True:
                 while events and events[0][0] <= next_external:
-                    now, kind, _, server_index, query_id = heappop(events)
+                    now, kind, _, server_index, ordinal = heappop(events)
+                    kernel = kernels[server_index]
+                    states = kernel._states
                     if kind == EVT_CPU_DONE:
-                        completed = kernels[server_index].on_cpu_done(query_id, now)
-                        if completed is None:
-                            continue
-                    else:  # EVT_GPU_DONE
-                        completed = kernels[server_index].on_gpu_done(query_id, now)
+                        # One core freed, so at most one queued request
+                        # starts, on the busy-core count before the freeing.
+                        queue = kernel._cpu_queue
+                        if queue:
+                            next_ordinal, request_batch = queue.popleft()
+                            service = (
+                                kernel._cpu_service[kernel._busy_cores][request_batch]
+                                * kernel._service_scale
+                            )
+                            kernel.cpu_busy_time += service
+                            heappush(
+                                events,
+                                (
+                                    now + service,
+                                    EVT_CPU_DONE,
+                                    next(counter),
+                                    server_index,
+                                    next_ordinal,
+                                ),
+                            )
+                        else:
+                            kernel._busy_cores -= 1
+                        state = states[ordinal]
+                        if type(state) is _QueryState:
+                            remaining = state.outstanding_requests - 1
+                            if remaining:
+                                state.outstanding_requests = remaining
+                                continue
+                            row = state.row
+                        else:
+                            row = state
+                        del states[ordinal]
+                        loads[server_index] -= row[2]
+                    else:  # EVT_GPU_DONE: always finishes the query
+                        row = states.pop(ordinal)
+                        loads[server_index] -= row[2]
+                        kernel._gpu_busy = False
+                        kernel._dispatch_gpu(now)
                     if now > last_completion:
                         last_completion = now
-                    if tracked and absorb(query_id):
+                    if tracked and absorb(ordinal):
                         continue
-                    if query_id in warmup:
-                        warmup.remove(query_id)
+                    if ordinal < warmup_count:
                         continue
-                    latency = now - completed.arrival_time
+                    latency = now - row[1]
                     record(latency)
-                    if arrival_ordinals is not None:
-                        record_ordinal(arrival_ordinals.pop(query_id))
+                    if record_ordinal is not None:
+                        record_ordinal(ordinal)
                     measured += 1
                     if measured == flush_at:
                         flush_at = flush()
@@ -1029,31 +1027,28 @@ class EventLoop:
                     healthy = faults.healthy
                     next_external = min(next_arrival, next_fault)
                     continue
-                query = pending
-                arrival = query.arrival_time
+                row = pending
+                arrival = row[1]
                 if arrival < last_arrival:
                     raise ValueError(
                         "arrivals must come pre-sorted by time: query "
-                        f"{query.query_id} arrives at {arrival} after {last_arrival}"
+                        f"{row[0]} arrives at {arrival} after {last_arrival}"
                     )
                 last_arrival = arrival
-                if consumed < warmup_count:
-                    warmup.add(query.query_id)
-                if arrival_ordinals is not None:
-                    arrival_ordinals[query.query_id] = consumed
+                ordinal = consumed
                 consumed += 1
                 pending = next(iterator, None)
-                chosen = choose(query, kernels)
+                chosen = choose(loads)
                 if not 0 <= chosen < num_kernels:
                     raise misrouted(self._policy, chosen, num_kernels)
                 if healthy:
-                    kernels[chosen].submit(query, arrival)
+                    kernels[chosen].submit(ordinal, row, arrival)
                 else:
-                    faults.dispatch(query, chosen, arrival)
+                    faults.dispatch(ordinal, row, chosen, arrival)
                     next_fault = faults.next_time
                 if pending is None:
                     break  # batch fed: later completions wait for the next one
-                next_arrival = pending.arrival_time
+                next_arrival = pending[1]
                 next_external = next_arrival if next_arrival < next_fault else next_fault
 
         self._next_fault = next_fault
@@ -1069,16 +1064,16 @@ class EventLoop:
 
 def run_event_loop(
     kernels: Sequence[ServerKernel],
-    arrivals: Iterable[Query],
+    arrivals: Iterable[Row],
     num_queries: int,
     warmup_fraction: float,
     **options: Any,
 ) -> Union[Dict[str, Any], CertainRejection]:
     """Serve a time-sorted arrival stream of known length on ``kernels``.
 
-    One :class:`EventLoop` fed the whole stream, then finished; ``options``
-    are its keyword arguments.  ``arrivals`` is read one query ahead of the
-    clock, so a generator streams in constant memory.
+    One :class:`EventLoop` fed the whole stream of rows, then finished;
+    ``options`` are its keyword arguments.  ``arrivals`` is read one row
+    ahead of the clock, so a generator streams in constant memory.
 
     ``reject_above_sla_s`` returns a :class:`CertainRejection` as soon as the
     full run's p95 provably exceeds the target.  Otherwise the run's
@@ -1131,7 +1126,7 @@ class ServingSimulator:
         unchanged bit for bit.
         """
         config = self._config
-        ordered = sorted(queries, key=_arrival_key)
+        ordered = arrival_rows(queries)
         kernels = build_kernels([(self._engines, config, self._num_cores)])
         outcome = run_event_loop(
             kernels,

@@ -8,8 +8,8 @@ of the production machinery: one sorted list of events, scalar
 ``request_latency_s`` / ``query_latency_s`` calls instead of latency tables,
 no early-exit certificates, no warmup, no statistics.  The only things it
 shares with the production code are the engines (the latency model) and the
-balancer objects, which see each reference server through a shim exposing
-``outstanding_queries`` and ``outstanding_items``.
+balancer objects, which choose over the reference's own load vector (each
+server's outstanding items).
 
 Crash, retry and hedge semantics are not modelled here; straggler episodes
 are.  Event order at one instant: CPU completions, accelerator completions,
@@ -31,14 +31,6 @@ from repro.serving.cluster import ClusterServer, LoadBalancer
 CPU_DONE, GPU_DONE, TRANSITION, ARRIVAL = range(4)
 
 
-class ServerShim:
-    """What a balancer sees of one reference server."""
-
-    def __init__(self) -> None:
-        self.outstanding_queries = 0
-        self.outstanding_items = 0
-
-
 @dataclass
 class ReferenceServer:
     """One server: its queues, busy cores and accounting."""
@@ -48,7 +40,6 @@ class ReferenceServer:
     batch_size: int
     threshold: Optional[int]
     num_cores: int
-    shim: ServerShim = field(default_factory=ServerShim)
     cpu_queue: List[tuple] = field(default_factory=list)  # (query, items)
     gpu_queue: List[Query] = field(default_factory=list)
     busy_cores: int = 0
@@ -90,7 +81,7 @@ def simulate(
         )
         for server, cores in zip(servers, num_cores)
     ]
-    shims = [node.shim for node in nodes]
+    loads = [0] * len(nodes)  # outstanding items per server
     events: List[tuple] = []  # (time, kind, seq, payload), kept sorted
     seq = itertools.count()
 
@@ -119,8 +110,7 @@ def simulate(
     def submit(index: int, query: Query, now: float) -> None:
         node = nodes[index]
         node.submitted += 1
-        node.shim.outstanding_queries += 1
-        node.shim.outstanding_items += query.size
+        loads[index] += query.size
         if node.threshold is not None and query.size > node.threshold:
             node.units_left[query.query_id] = 1
             node.gpu_queue.append(query)
@@ -139,8 +129,7 @@ def simulate(
         node.units_left[query.query_id] -= 1
         if node.units_left[query.query_id] == 0:
             del node.units_left[query.query_id]
-            node.shim.outstanding_queries -= 1
-            node.shim.outstanding_items -= query.size
+            loads[index] -= query.size
             completion_time[query.query_id] = now
 
     health = [NodeHealth() for _ in nodes]
@@ -160,7 +149,7 @@ def simulate(
         now, kind, _, payload = events.pop(0)
         if kind == ARRIVAL:
             (query,) = payload
-            submit(balancer.choose(query, shims), query, now)
+            submit(balancer.choose(loads), query, now)
         elif kind == TRANSITION:
             (event,) = payload
             slowdown = event.slowdown if event.kind == KIND_SLOW_ON else 1.0

@@ -10,7 +10,7 @@ import pytest
 
 from repro.queries.arrival import FixedArrival, PoissonArrival
 from repro.queries.generator import LoadGenerator
-from repro.queries.query import Query
+from repro.queries.query import Query, QueryStream, query_row
 from repro.queries.size_dist import FixedQuerySizes
 from repro.queries.trace import (
     TRACE_SCHEMA_VERSION,
@@ -314,6 +314,64 @@ class TestArrivalTimeChunks:
             list(arrival.arrival_time_chunks(500, rng=3, chunk_queries=17))
         )
         np.testing.assert_allclose(fine, coarse, rtol=1e-12, atol=1e-12)
+
+
+class TestQueryStreamRows:
+    """A QueryStream's rows are its records' fields, checked like Query."""
+
+    @staticmethod
+    def _streams():
+        yield lambda: iter_diurnal_trace(80.0, 90.0, seed=1, time_step_s=7.0)
+        generator = LoadGenerator(arrival=PoissonArrival(rate_qps=300.0), seed=4)
+        yield lambda: generator.iter_queries(2500, chunk_queries=600)
+
+    def test_records_equal_rows_for_both_synthesizers(self):
+        for make in self._streams():
+            rows = list(make().rows())
+            assert len(rows) > 1000
+            assert [query_row(query) for query in make()] == rows
+            assert all(type(row) is tuple for row in rows)
+
+    def test_rows_reject_what_query_rejects(self):
+        generator = LoadGenerator(arrival=PoissonArrival(rate_qps=200.0), seed=4)
+        with pytest.raises(ValueError, match="arrival_time"):
+            list(generator.iter_queries(10, start_time=-5.0))
+        with pytest.raises(ValueError, match="arrival_time"):
+            list(generator.iter_queries(10, start_time=-5.0).rows())
+
+    def test_rows_check_every_chunk(self):
+        def chunks():
+            yield np.array([0.5, 1.0]), np.array([3, 4])
+            yield np.array([1.5, np.inf]), np.array([5, 6])
+
+        rows = QueryStream(chunks).rows()
+        assert next(rows) == (0, 0.5, 3)
+        with pytest.raises(ValueError, match="finite"):
+            list(rows)
+        with pytest.raises(ValueError, match="size"):
+            list(QueryStream(lambda: [(np.array([0.5]), np.array([0]))]).rows())
+
+    def test_single_pass(self):
+        stream = iter_diurnal_trace(50.0, 10.0, seed=3)
+        assert sum(1 for _ in stream) > 0
+        with pytest.raises(ValueError, match="once"):
+            stream.rows()
+
+    def test_chunk_source_is_looked_up_when_reading_starts(self, monkeypatch):
+        import repro.queries.trace as trace_module
+
+        stream = iter_diurnal_trace(50.0, 10.0, seed=3)
+        drawn = []
+        chunks = trace_module.diurnal_trace_chunks
+
+        def recording(*args, **kwargs):
+            for chunk in chunks(*args, **kwargs):
+                drawn.append(len(chunk[0]))
+                yield chunk
+
+        monkeypatch.setattr(trace_module, "diurnal_trace_chunks", recording)
+        assert sum(drawn) == 0
+        assert len(list(stream.rows())) == sum(drawn) > 0
 
 
 class TestIterQueries:

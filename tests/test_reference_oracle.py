@@ -17,6 +17,9 @@ semantics are pinned by
 
 from __future__ import annotations
 
+import heapq
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,13 +30,14 @@ from repro.execution.scaled_engine import ScaledCPUEngine
 from repro.faults import FaultPlan, NodeFaultSchedule, StragglerEpisode
 from repro.queries.generator import LoadGenerator
 from repro.queries.query import Query
+from repro.serving import cluster, simulator
 from repro.serving.cluster import (
     ClusterServer,
     ClusterSimulator,
     available_balancers,
     get_balancer,
 )
-from repro.serving.simulator import ServerKernel, ServingConfig
+from repro.serving.simulator import ServingConfig
 
 _ENGINES = {
     "cpu": build_engine_pair("dlrm-rmc1", "skylake", None),
@@ -79,27 +83,43 @@ def straggler_plans(draw, num_servers: int, horizon: float):
 
 @pytest.fixture
 def completions(monkeypatch):
-    """Record every production query completion as ``{query_id: time}``."""
+    """Record production completion instants as ``{arrival ordinal: time}``.
+
+    Every event popped off the kernels' shared heap is a completion; the
+    last one popped for an ordinal is when that query finished, because
+    straggler-only plans lose no work.  :func:`by_query_id` re-keys the
+    record.  The kernels are captured as the cluster simulator builds them.
+    """
     times = {}
-    kernels = set()
-    on_cpu_done = ServerKernel.on_cpu_done
-    on_gpu_done = ServerKernel.on_gpu_done
+    kernels = []
+    heappop = heapq.heappop
+    build_kernels = cluster.build_kernels
 
-    def cpu_done(self, query_id, now):
-        kernels.add(self)
-        query = on_cpu_done(self, query_id, now)
-        if query is not None:
-            times[query_id] = now
-        return query
+    def recording_pop(events):
+        event = heappop(events)
+        times[event[4]] = event[0]
+        return event
 
-    def gpu_done(self, query_id, now):
-        kernels.add(self)
-        times[query_id] = now
-        return on_gpu_done(self, query_id, now)
+    def recording_build(specs):
+        built = build_kernels(specs)
+        kernels.extend(built)
+        return built
 
-    monkeypatch.setattr(ServerKernel, "on_cpu_done", cpu_done)
-    monkeypatch.setattr(ServerKernel, "on_gpu_done", gpu_done)
+    monkeypatch.setattr(
+        simulator,
+        "heapq",
+        SimpleNamespace(
+            heappop=recording_pop, heappush=heapq.heappush, heapify=heapq.heapify
+        ),
+    )
+    monkeypatch.setattr(cluster, "build_kernels", recording_build)
     return times, kernels
+
+
+def by_query_id(times, queries):
+    """``{ordinal: time}`` re-keyed by query id (ordinals follow arrival order)."""
+    ordered = sorted(queries, key=lambda query: query.arrival_time)
+    return {ordered[ordinal].query_id: time for ordinal, time in times.items()}
 
 
 @settings(
@@ -142,7 +162,7 @@ def test_completion_times_match_reference(
         plan,
     )
 
-    assert times == reference.completion_time
+    assert by_query_id(times, queries) == reference.completion_time
     # Conservation: every arrival went to exactly one server ...
     assert sum(s.num_queries for s in result.per_server) == len(queries)
     assert [s.num_queries for s in result.per_server] == [
@@ -199,7 +219,7 @@ def test_arrivals_on_completion_instants_match_reference(completions, policy, st
     reference = reference_sim.simulate(
         fleet, [1, 1], get_balancer(policy), queries, plan
     )
-    assert times == reference.completion_time
+    assert by_query_id(times, queries) == reference.completion_time
     assert [s.num_queries for s in result.per_server] == [
         node.submitted for node in reference.servers
     ]

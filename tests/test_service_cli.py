@@ -19,6 +19,7 @@ from repro.service.ingest import (
 from repro.service.shadow import FleetSpec
 from repro.service.twin import DigitalTwin
 from repro.service.windows import WindowManager
+from repro.serving.cluster import ClusterSimulator
 
 WHAT_IF = FleetSpec(
     name="what-if",
@@ -154,6 +155,29 @@ class TestParseEvent:
     def test_json_integral_timestamp_is_accepted(self):
         line = '{"query_id": 3, "arrival_time": 2, "size": 8}'
         assert parse_event(line) == parse_event("3,2,8") == Query(3, 2.0, 8)
+
+    def test_resent_events_are_simulated_not_fatal(self):
+        # A resent event repeats its query_id while the first copy is still
+        # in flight; the twin keys in-flight queries by arrival, not id.
+        queries = LoadGenerator(seed=9).with_rate(400.0).generate(300)
+        lines = []
+        for query in queries:
+            line = json.dumps(
+                {"query_id": query.query_id, "arrival_time": query.arrival_time,
+                 "size": query.size}
+            )
+            lines.extend([line, line] if query.query_id % 3 == 0 else [line])
+        real = FleetSpec(name="real", model="ncf", platform="broadwell",
+                         num_servers=1, batch_size=128, num_cores=4)
+        pipeline = make_pipeline(window_s=0.25, real=real)
+        reports = pipeline.feed_lines(lines) + pipeline.finish()
+        assert pipeline.malformed_lines == 0
+        assert [report.window.index for report in reports] == list(range(len(reports)))
+        assert reports[-1].cumulative_queries == len(lines)
+        batch = ClusterSimulator(real.build_servers(), balancer=real.policy).run(
+            [parse_event(line) for line in lines]
+        )
+        assert pipeline.twin.last_cumulative_result() == batch
 
     def test_trace_round_trips_through_the_protocol(self):
         queries = LoadGenerator(seed=9).with_rate(50.0).generate(40)

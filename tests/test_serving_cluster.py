@@ -1,5 +1,7 @@
 """Tests for the fleet-scale cluster simulator, fleet tuning, and the sweep runner."""
 
+import random
+
 import pytest
 
 from repro.core.hill_climber import coordinate_descent
@@ -7,7 +9,7 @@ from repro.core.offload_tuner import FleetKnobTuner
 from repro.execution.engine import build_engine_pair
 from repro.experiments.runner import SweepRunner, canonicalize, config_hash
 from repro.queries.generator import LoadGenerator
-from repro.queries.query import Query
+from repro.queries.query import Query, query_row
 from repro.runtime.capacity import CapacitySearch
 from repro.serving.cluster import (
     ClusterServer,
@@ -145,14 +147,10 @@ class TestWeightedLeastOutstanding:
         )
 
     def test_reset_without_prepare_drops_stale_weights(self):
-        # A prepared instance reused without a fresh prepare() (bare
-        # kernels, or pointed at a different same-size fleet) must fall back
+        # A prepared instance reused without a fresh prepare() (a bare load
+        # vector, or pointed at a different same-size fleet) must fall back
         # to all-1.0 weights, not silently apply the old fleet's speed
         # factors.
-        class StubKernel:
-            def __init__(self, outstanding):
-                self.outstanding_items = outstanding
-
         class StubEngine:
             def __init__(self, speed_factor):
                 self.speed_factor = speed_factor
@@ -169,11 +167,11 @@ class TestWeightedLeastOutstanding:
         balancer.reset(2)
         # Prepared run: node 0 is twice as slow, so equal outstanding items
         # route to node 1.
-        assert balancer.choose(None, [StubKernel(10), StubKernel(10)]) == 1
+        assert balancer.choose([10, 10]) == 1
         # Reused without prepare(): stale weights are dropped; ties break to
         # the lowest index exactly like least-outstanding.
         balancer.reset(2)
-        assert balancer.choose(None, [StubKernel(10), StubKernel(10)]) == 0
+        assert balancer.choose([10, 10]) == 0
 
     def test_degenerates_to_least_outstanding_on_homogeneous_fleet(
         self, engines, config, query_stream
@@ -224,6 +222,80 @@ class TestRandomBalancer:
         )
         result.per_server = []
         assert result.max_query_share() == 0.0
+
+
+class TestSeededDraws:
+    """The seeded balancers draw exactly what ``Random.randrange`` would."""
+
+    SEEDS = (0, 1, 9, 4242)
+    DRAWS = 3000
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_matches_randrange(self, seed):
+        for count in range(1, 10):
+            balancer = RandomBalancer(seed=seed)
+            balancer.reset(count)
+            reference = random.Random(seed)
+            loads = [0] * count
+            assert [balancer.choose(loads) for _ in range(self.DRAWS)] == [
+                reference.randrange(count) for _ in range(self.DRAWS)
+            ]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_power_of_two_matches_randrange(self, seed):
+        def reference_choice(rng, loads):
+            count = len(loads)
+            if count == 1:
+                return 0
+            first = rng.randrange(count)
+            second = rng.randrange(count - 1)
+            if second >= first:
+                second += 1
+            return second if loads[second] < loads[first] else first
+
+        for count in range(1, 10):
+            balancer = PowerOfTwoBalancer(seed=seed)
+            balancer.reset(count)
+            reference = random.Random(seed)
+            # Distinct loads per draw, so the choice shows both draws.
+            load_vectors = [
+                random.Random(seed * 10 + count + draw).sample(range(100), count)
+                for draw in range(self.DRAWS)
+            ]
+            assert [balancer.choose(loads) for loads in load_vectors] == [
+                reference_choice(reference, loads) for loads in load_vectors
+            ]
+
+
+class TestDuplicateQueryIds:
+    """In-flight state is keyed by arrival ordinal, so ids may repeat."""
+
+    @staticmethod
+    def _constant_ids(queries):
+        return [Query(7, q.arrival_time, q.size) for q in queries]
+
+    def test_serving_simulator(self, engines, config):
+        queries = LoadGenerator(seed=3).with_rate(1500.0).generate(600)
+        unique = ServingSimulator(engines, config).run(queries)
+        repeated = ServingSimulator(engines, config).run(self._constant_ids(queries))
+        assert repeated == unique
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["no-faults", "straggler"])
+    def test_cluster_simulator(self, engines, config, faulted):
+        from repro.faults import FaultPlan, NodeFaultSchedule, StragglerEpisode
+
+        queries = LoadGenerator(seed=3).with_rate(4000.0).generate(900)
+        plan = None
+        if faulted:
+            episode = StragglerEpisode(0.05, 0.15, slowdown=4.0)
+            plan = FaultPlan(nodes={0: NodeFaultSchedule(stragglers=(episode,))})
+        fleet = homogeneous_fleet(engines, config, 2)
+        unique = ClusterSimulator(fleet, "power-of-two", fault_plan=plan).run(queries)
+        repeated = ClusterSimulator(fleet, "power-of-two", fault_plan=plan).run(
+            self._constant_ids(queries)
+        )
+        assert repeated == unique
+        assert (repeated.fault_stats is not None) == faulted
 
 
 class TestPerServerLatencies:
@@ -618,6 +690,60 @@ class TestRunStream:
         assert streamed.p95_late_window_s == batch.p95_late_window_s
         assert streamed.drain_s == batch.drain_s
         assert streamed.per_server == batch.per_server
+
+    @pytest.mark.parametrize("latency_stats", ["exact", "sketch"])
+    def test_query_stream_matches_batch_run(self, engines, config, latency_stats):
+        # run_stream reads a QueryStream's rows; run() gets its records.
+        from repro.queries.trace import count_diurnal_queries, iter_diurnal_trace
+
+        fleet = homogeneous_fleet(engines, config, 4)
+        trace = dict(base_rate_qps=400.0, duration_s=15.0, seed=5, time_step_s=2.0)
+        total = count_diurnal_queries(**trace)
+        batch = ClusterSimulator(
+            fleet, "power-of-two", latency_stats=latency_stats
+        ).run(list(iter_diurnal_trace(**trace)))
+        streamed = ClusterSimulator(
+            fleet, "power-of-two", latency_stats=latency_stats
+        ).run_stream(iter_diurnal_trace(**trace), total)
+        assert streamed.num_queries == total
+        assert (
+            streamed.p50_latency_s,
+            streamed.p95_latency_s,
+            streamed.p99_latency_s,
+            streamed.mean_latency_s,
+        ) == (
+            batch.p50_latency_s,
+            batch.p95_latency_s,
+            batch.p99_latency_s,
+            batch.mean_latency_s,
+        )
+        assert [s.num_queries for s in streamed.per_server] == [
+            s.num_queries for s in batch.per_server
+        ]
+        # Every other field too, latencies_s included (empty in sketch mode).
+        assert streamed == batch
+
+    def test_query_stream_builds_no_query_records(self, engines, config, monkeypatch):
+        from repro.queries.trace import count_diurnal_queries, iter_diurnal_trace
+
+        built = []
+        init = Query.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Query, "__init__", counting_init)
+        fleet = homogeneous_fleet(engines, config, 2)
+        total = count_diurnal_queries(120.0, 30.0, seed=9)
+        result = ClusterSimulator(fleet, "least-outstanding").run_stream(
+            iter_diurnal_trace(120.0, 30.0, seed=9), total
+        )
+        assert result.num_queries == total
+        assert built == []
+        # The counter does see records built by iterating the same stream.
+        assert len(list(iter_diurnal_trace(120.0, 30.0, seed=9))) == total
+        assert len(built) == total
 
     def test_early_exits_match_batch_run(self, engines, config):
         sla = 0.1
