@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out."""
+"""Ablation benchmarks for the modelling choices DeepRecSched's results rest on."""
 
 
 def test_bench_ablation_arrival_process(run_and_report):

@@ -21,5 +21,5 @@ def test_bench_fig14_cpu_gpu_tradeoff(run_and_report):
     fractions = result.column("gpu-work-fraction")
     # The share of work on the accelerator does not grow materially as the
     # target relaxes (the paper sees it fall; our tuned threshold keeps it
-    # roughly flat — see EXPERIMENTS.md).
+    # roughly flat — see docs/claims.md).
     assert fractions[-1] <= fractions[0] + 0.10

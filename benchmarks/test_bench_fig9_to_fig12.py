@@ -49,7 +49,7 @@ def test_bench_fig12_optimal_batch_drivers(run_and_report):
 
     Panels (a) and (b) reproduce the paper's orderings.  Panel (c)'s claim
     (Broadwell's optimum exceeds Skylake's for DLRM-RMC3) is a known
-    deviation in this reproduction — see EXPERIMENTS.md — so the benchmark
+    deviation in this reproduction — see docs/claims.md — so the benchmark
     only checks that both platforms settle on a non-trivial batch size.
     """
     result = run_and_report(
@@ -63,7 +63,7 @@ def test_bench_fig12_optimal_batch_drivers(run_and_report):
     # (a) relaxing the target never shrinks the production-distribution optimum.
     assert panel_a["production-high"] >= panel_a["production-low"]
     # (a) lognormal-tuned batches are no larger than production-tuned ones at
-    # the relaxed target (the flat-optimum jitter documented in EXPERIMENTS.md
+    # the relaxed target (the flat-optimum jitter documented in docs/claims.md
     # is bounded to one power-of-two step).
     assert panel_a["lognormal-high"] <= 2 * panel_a["production-high"]
     # (b) embedding-dominated models pick batches at least as large as MLP ones.

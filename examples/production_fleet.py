@@ -82,7 +82,6 @@ def main() -> None:
         f"p99 reduction: {reductions[1]:.2f}x under random balancing "
         "(paper: 1.39x / 1.31x)"
     )
-    assert tuned.scalar_fallbacks == 0  # the replay rides the dense fast path
 
     # The Fig. 7 observation is made under the paper's uniform assignment.
     subsample = [cluster.nodes[0].node_id]

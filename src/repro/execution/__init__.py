@@ -20,7 +20,6 @@ from repro.execution.latency_table import (
     CPULatencyTable,
     GPULatencyTable,
     ScaledLatencyTable,
-    operator_cost_columns,
 )
 from repro.execution.scaled_engine import ScaledCPUEngine
 
@@ -44,5 +43,4 @@ __all__ = [
     "GPULatencyTable",
     "ScaledLatencyTable",
     "ScaledCPUEngine",
-    "operator_cost_columns",
 ]

@@ -22,12 +22,18 @@ one inference request running on one core.  Each operator contributes
 
 The same engine also produces the per-operator-category time breakdown used
 for Fig. 3 and Fig. 6.
+
+Each formula is written once, over a float64 vector of batch sizes: the
+engine's :class:`~repro.execution.latency_table.CPULatencyTable` prices a
+whole column in one call, and the scalar API reads that column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.execution.efficiency import (
     irregular_access_curve,
@@ -37,7 +43,7 @@ from repro.execution.efficiency import (
 )
 from repro.hardware.cpu import CPUPlatform
 from repro.models.base import RecommendationModel
-from repro.models.ops import Operator, OperatorCategory
+from repro.models.ops import OperatorCategory
 from repro.utils.validation import check_non_negative, check_positive
 
 #: Ratio of on-chip (LLC) bandwidth to a core's DRAM bandwidth share.
@@ -46,6 +52,12 @@ LLC_BANDWIDTH_MULTIPLIER = 6.0
 #: Fraction of the LLC the non-embedding weights may occupy and still be
 #: considered cache-resident (the rest holds activations and embedding rows).
 LLC_RESIDENCY_FRACTION = 0.8
+
+#: One operator's ``(compute_s, regular_bytes, llc_s, irregular_bytes)`` over a
+#: batch vector (see :meth:`CPUEngine.batch_terms`).
+OperatorTerms = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: Regular- and irregular-access efficiency plus every operator's terms.
+BatchTerms = Tuple[np.ndarray, np.ndarray, List[OperatorTerms]]
 
 
 @dataclass(frozen=True)
@@ -83,10 +95,7 @@ class CPUEngine:
         self._regular_curve = regular_access_curve()
         self._irregular_curve = irregular_access_curve()
         self._weights_llc_resident = self._fits_in_llc(model, platform)
-        self._cache: Dict[Tuple[int, int], RequestLatency] = {}
-        self._cache_hits = 0
-        self._cache_misses = 0
-        # Dense lookup table for the serving hot loop; filled lazily.
+        # Dense latency columns, filled lazily; every price is read from them.
         from repro.execution.latency_table import CPULatencyTable
 
         self._table = CPULatencyTable(self)
@@ -120,19 +129,10 @@ class CPUEngine:
     def latency_table(self):
         """The engine's dense :class:`~repro.execution.latency_table.CPULatencyTable`.
 
-        Lookups are bit-identical to :meth:`request_latency_s`; the serving
-        simulators index it directly instead of re-entering this model.
+        :meth:`request_latency` and :meth:`request_latency_s` read it; the
+        serving simulators index its columns directly.
         """
         return self._table
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Hit/miss counters of the scalar memo cache plus table fill stats."""
-        return {
-            "hits": self._cache_hits,
-            "misses": self._cache_misses,
-            "size": len(self._cache),
-            "table_entries": self._table.entries_built,
-        }
 
     # ------------------------------------------------------------------ #
 
@@ -150,52 +150,87 @@ class CPUEngine:
         contention = platform.cache.contention_factor(active_cores, platform.num_cores)
         return bandwidth / contention
 
-    def _compute_efficiency(self, category: OperatorCategory, batch_size: int) -> float:
-        if category is OperatorCategory.RECURRENT:
-            return self._recurrent_curve(batch_size)
-        return self._simd_curve(batch_size)
+    def batch_terms(self, batch: np.ndarray) -> BatchTerms:
+        """The part of each operator's price that does not depend on active cores.
 
-    def _operator_latency(
-        self, op: Operator, batch_size: int, active_cores: int
-    ) -> RequestLatency:
+        ``batch`` is a float64 vector of batch sizes.  Returns the regular-
+        and irregular-access efficiency over ``batch`` and, per operator in
+        graph order, ``(compute_s, regular_bytes, llc_s, irregular_bytes)``:
+        compute seconds, bytes streamed from DRAM, seconds spent re-reading
+        LLC-resident dense weights, and gathered bytes.  A latency table
+        computes these once per column size and prices every core count from
+        them with :meth:`request_components`.
+        """
         platform = self._platform
-        cost = op.cost(batch_size)
-        efficiency = self._compute_efficiency(op.category, batch_size)
-        compute_s = cost.flops / (platform.per_core_peak_flops * efficiency)
-
-        dram_bandwidth = self._core_bandwidth(active_cores)
-        regular_bytes = cost.regular_bytes
-        llc_bytes = 0.0
-        if (
-            self._weights_llc_resident
-            and op.category is not OperatorCategory.EMBEDDING
-        ):
-            # Dense weights are re-read from the LLC, not DRAM.
-            llc_bytes = min(op.weight_bytes(), regular_bytes)
-            regular_bytes -= llc_bytes
-
+        simd = self._simd_curve(batch)
+        recurrent = self._recurrent_curve(batch)
+        regular_eff = self._regular_curve(batch)
         llc_bandwidth = platform.per_core_bandwidth * LLC_BANDWIDTH_MULTIPLIER
-        regular_eff = self._regular_curve(batch_size)
-        memory_s = (
-            regular_bytes / (dram_bandwidth * regular_eff)
-            + llc_bytes / (llc_bandwidth * regular_eff)
-            + cost.irregular_bytes / (dram_bandwidth * self._irregular_curve(batch_size))
-        )
+        operators = []
+        for op in self._model.operators():
+            cost = op.cost(batch)
+            efficiency = recurrent if op.category is OperatorCategory.RECURRENT else simd
+            compute_s = cost.flops / (platform.per_core_peak_flops * efficiency)
+            regular_bytes = cost.regular_bytes
+            llc_bytes = 0.0
+            if (
+                self._weights_llc_resident
+                and op.category is not OperatorCategory.EMBEDDING
+            ):
+                # Dense weights are re-read from the LLC, not DRAM.
+                llc_bytes = np.minimum(op.weight_bytes(), regular_bytes)
+                regular_bytes = regular_bytes - llc_bytes
+            llc_s = llc_bytes / (llc_bandwidth * regular_eff)
+            operators.append((compute_s, regular_bytes, llc_s, cost.irregular_bytes))
+        return regular_eff, self._irregular_curve(batch), operators
 
+    @staticmethod
+    def _operator_latency(
+        terms: OperatorTerms, regular_rate: np.ndarray, irregular_rate: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Compute and memory seconds of one operator from its batch terms.
+
+        ``regular_rate`` and ``irregular_rate`` are the core's DRAM bandwidth
+        times the regular- and irregular-access efficiency.
+        """
+        compute_s, regular_bytes, llc_s, irregular_bytes = terms
+        memory_s = regular_bytes / regular_rate + llc_s + irregular_bytes / irregular_rate
         # The slower resource dominates but the other is partially hidden
         # rather than free (imperfect overlap on an out-of-order core).
-        dominant = max(compute_s, memory_s)
-        hidden = min(compute_s, memory_s)
+        dominant = np.maximum(compute_s, memory_s)
+        hidden = np.minimum(compute_s, memory_s)
         total = dominant + 0.2 * hidden
-        if compute_s >= memory_s:
-            compute_part, memory_part = compute_s, total - compute_s
-        else:
-            memory_part, compute_part = memory_s, total - memory_s
-        return RequestLatency(
-            compute_s=compute_part,
-            memory_s=memory_part,
-            overhead_s=self._per_operator_overhead_s,
-        )
+        compute_dominates = compute_s >= memory_s
+        compute_part = np.where(compute_dominates, compute_s, total - memory_s)
+        memory_part = np.where(compute_dominates, total - compute_s, memory_s)
+        return compute_part, memory_part
+
+    def request_components(
+        self, terms: BatchTerms, active_cores: int
+    ) -> Tuple[np.ndarray, np.ndarray, float]:
+        """Compute, memory and overhead seconds of one request over a batch vector.
+
+        ``terms`` is :meth:`batch_terms` of a float64 vector of batch sizes
+        and ``active_cores`` the number of cores concurrently executing
+        requests (including this one), already capped at the platform's core
+        count; it controls bandwidth sharing and cache contention.  The
+        overhead does not depend on the batch.  With :meth:`batch_terms` this
+        is the one CPU pricing formula: the latency table calls both on
+        ``np.arange(1, n + 1)``.
+        """
+        regular_eff, irregular_eff, operators = terms
+        dram_bandwidth = self._core_bandwidth(active_cores)
+        regular_rate = dram_bandwidth * regular_eff
+        irregular_rate = dram_bandwidth * irregular_eff
+        compute = memory = overhead = 0.0
+        for operator_terms in operators:
+            compute_part, memory_part = self._operator_latency(
+                operator_terms, regular_rate, irregular_rate
+            )
+            compute = compute + compute_part
+            memory = memory + memory_part
+            overhead += self._per_operator_overhead_s
+        return compute, memory, overhead + self._per_request_overhead_s
 
     # ------------------------------------------------------------------ #
 
@@ -208,31 +243,14 @@ class CPUEngine:
         """
         check_positive("batch_size", batch_size)
         check_positive("active_cores", active_cores)
-        active_cores = min(active_cores, self._platform.num_cores)
-        key = (batch_size, active_cores)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache_hits += 1
-            return cached
-        self._cache_misses += 1
-
-        compute = memory = overhead = 0.0
-        for op in self._model.operators():
-            latency = self._operator_latency(op, batch_size, active_cores)
-            compute += latency.compute_s
-            memory += latency.memory_s
-            overhead += latency.overhead_s
-        result = RequestLatency(
-            compute_s=compute,
-            memory_s=memory,
-            overhead_s=overhead + self._per_request_overhead_s,
-        )
-        self._cache[key] = result
-        return result
+        compute, memory, overhead = self._table.components(batch_size, active_cores)
+        return RequestLatency(compute_s=compute, memory_s=memory, overhead_s=overhead)
 
     def request_latency_s(self, batch_size: int, active_cores: int = 1) -> float:
         """Scalar request latency in seconds."""
-        return self.request_latency(batch_size, active_cores).total_s
+        check_positive("batch_size", batch_size)
+        check_positive("active_cores", active_cores)
+        return self._table.total_s(batch_size, active_cores)
 
     def operator_breakdown(
         self, batch_size: int, active_cores: int = 1
@@ -243,11 +261,17 @@ class CPUEngine:
         """
         check_positive("batch_size", batch_size)
         check_positive("active_cores", active_cores)
-        active_cores = min(active_cores, self._platform.num_cores)
+        regular_eff, irregular_eff, operators = self.batch_terms(
+            np.array([batch_size], dtype=np.float64)
+        )
+        dram_bandwidth = self._core_bandwidth(min(active_cores, self._platform.num_cores))
+        regular_rate = dram_bandwidth * regular_eff
+        irregular_rate = dram_bandwidth * irregular_eff
         breakdown: Dict[OperatorCategory, float] = {}
-        for op in self._model.operators():
-            latency = self._operator_latency(op, batch_size, active_cores)
-            breakdown[op.category] = breakdown.get(op.category, 0.0) + latency.total_s
+        for op, terms in zip(self._model.operators(), operators):
+            compute, memory = self._operator_latency(terms, regular_rate, irregular_rate)
+            latency = float(compute[0] + memory[0]) + self._per_operator_overhead_s
+            breakdown[op.category] = breakdown.get(op.category, 0.0) + latency
         return breakdown
 
     def throughput_items_per_s(self, batch_size: int, active_cores: int = 1) -> float:

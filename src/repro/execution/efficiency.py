@@ -20,8 +20,11 @@ engines:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
-from repro.utils.validation import check_positive
+import numpy as np
+
+from repro.utils.validation import Batch, check_batch, check_positive
 
 
 @dataclass(frozen=True)
@@ -45,12 +48,15 @@ class SaturatingCurve:
                 f"floor must be in (0, max_efficiency], got {self.floor}"
             )
 
-    def __call__(self, batch_size: int) -> float:
-        """Efficiency at ``batch_size`` (monotonically non-decreasing)."""
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        value = self.max_efficiency * batch_size / (batch_size + self.half_saturation)
-        return max(self.floor, value)
+    def __call__(self, batch_size: Batch) -> Union[float, np.ndarray]:
+        """Efficiency at ``batch_size`` (monotonically non-decreasing).
+
+        ``batch_size`` may be a number or a float64 vector of batch sizes;
+        the result has the same shape.
+        """
+        batch = check_batch(batch_size)
+        value = self.max_efficiency * batch / (batch + self.half_saturation)
+        return np.maximum(self.floor, value)
 
 
 def simd_efficiency_curve(simd_width_bits: int) -> SaturatingCurve:

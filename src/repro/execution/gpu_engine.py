@@ -6,18 +6,25 @@ time, and that the GPU only overtakes a CPU core above a per-model batch-size
 crossover (Fig. 4).  :class:`GPUEngine` models one query processed on the GPU
 as
 
-``latency = data_loading + kernel_time``
+``latency = data_loading + kernel``
 
 where data loading is the PCIe transfer of dense features and embedding
 indices plus a fixed staging overhead, and kernel time derates the device's
 peak FLOP rate / memory bandwidth by an occupancy curve that saturates only
 at large batch sizes, plus per-model kernel-launch overhead.
+
+Both phases are written once, over a float64 vector of query sizes
+(:meth:`GPUEngine.query_components`): the engine's
+:class:`~repro.execution.latency_table.GPULatencyTable` prices a whole column
+in one call, and the scalar API reads that column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Tuple
+
+import numpy as np
 
 from repro.execution.efficiency import gpu_occupancy_curve
 from repro.hardware.gpu import GPUPlatform
@@ -64,10 +71,7 @@ class GPUEngine:
         self._staging_overhead_s = staging_overhead_s
         self._occupancy = gpu_occupancy_curve()
         self._num_operators = len(model.operators())
-        self._cache: Dict[int, GPUQueryLatency] = {}
-        self._cache_hits = 0
-        self._cache_misses = 0
-        # Dense lookup table for the serving hot loop; filled lazily.
+        # Dense latency column, filled lazily; every price is read from it.
         from repro.execution.latency_table import GPULatencyTable
 
         self._table = GPULatencyTable(self)
@@ -86,71 +90,57 @@ class GPUEngine:
     def latency_table(self):
         """The engine's dense :class:`~repro.execution.latency_table.GPULatencyTable`.
 
-        Lookups are bit-identical to :meth:`query_latency_s`; the serving
-        simulators index it directly instead of re-entering this model.
+        :meth:`query_latency` and :meth:`query_latency_s` read it; the serving
+        simulators index it directly.
         """
         return self._table
 
-    def cache_stats(self) -> Dict[str, int]:
-        """Hit/miss counters of the scalar memo cache plus table fill stats."""
-        return {
-            "hits": self._cache_hits,
-            "misses": self._cache_misses,
-            "size": len(self._cache),
-            "table_entries": self._table.entries_built,
-        }
-
     # ------------------------------------------------------------------ #
 
-    def data_loading_time(self, batch_size: int) -> float:
-        """Host-to-device input transfer time for a ``batch_size``-item query.
+    def query_components(self, sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Data-loading and kernel seconds of one query over a vector of sizes.
 
-        Input features for recommendation are small per item but the transfer
-        is dominated by fixed staging costs (pinned-buffer copies, framework
-        marshalling) at the batch sizes production queries use — which is why
-        data loading accounts for the majority of end-to-end time.
+        ``sizes`` is a float64 vector of query sizes.  Data loading is the
+        host-to-device transfer of the query's input features plus a fixed
+        staging overhead.  Input features for recommendation are small per
+        item but the transfer is dominated by fixed staging costs
+        (pinned-buffer copies, framework marshalling) at the batch sizes
+        production queries use — which is why data loading accounts for the
+        majority of end-to-end time.  Kernel time is the occupancy-derated
+        roofline of the whole model plus launch overheads.  This is the one
+        GPU pricing formula: the latency table calls it on
+        ``np.arange(1, n + 1)``.
         """
-        check_positive("batch_size", batch_size)
-        input_bytes = self._model.input_bytes(batch_size)
-        return self._staging_overhead_s + self._platform.transfer_time(input_bytes)
-
-    def kernel_time(self, batch_size: int) -> float:
-        """On-device execution time for a ``batch_size``-item query."""
-        check_positive("batch_size", batch_size)
-        cost = self._model.cost(batch_size)
-        occupancy = self._occupancy(batch_size)
-        compute_s = cost.flops / (self._platform.peak_flops * occupancy)
+        platform = self._platform
+        data_loading = self._staging_overhead_s + platform.transfer_time(
+            self._model.input_bytes(sizes)
+        )
+        cost = self._model.cost(sizes)
+        occupancy = self._occupancy(sizes)
+        compute_s = cost.flops / (platform.peak_flops * occupancy)
         # Streaming (weight/activation) traffic achieves a healthy fraction of
         # peak bandwidth regardless of batch size; gather traffic needs enough
         # parallel work in flight, so it is derated by occupancy.
-        regular_s = cost.regular_bytes / (self._platform.memory_bandwidth * 0.7)
+        regular_s = cost.regular_bytes / (platform.memory_bandwidth * 0.7)
         irregular_s = cost.irregular_bytes / (
-            self._platform.memory_bandwidth * 0.6 * max(occupancy, 0.1)
+            platform.memory_bandwidth * 0.6 * np.maximum(occupancy, 0.1)
         )
         launch = (
-            self._platform.kernel_launch_overhead_s
+            platform.kernel_launch_overhead_s
             + self._num_operators * self._per_operator_launch_s
         )
-        return max(compute_s, regular_s + irregular_s) + launch
+        return data_loading, np.maximum(compute_s, regular_s + irregular_s) + launch
 
     def query_latency(self, query_size: int) -> GPUQueryLatency:
         """End-to-end latency of one query of ``query_size`` candidate items."""
         check_positive("query_size", query_size)
-        cached = self._cache.get(query_size)
-        if cached is not None:
-            self._cache_hits += 1
-            return cached
-        self._cache_misses += 1
-        latency = GPUQueryLatency(
-            data_loading_s=self.data_loading_time(query_size),
-            compute_s=self.kernel_time(query_size),
-        )
-        self._cache[query_size] = latency
-        return latency
+        data_loading, kernel = self._table.components(query_size)
+        return GPUQueryLatency(data_loading_s=data_loading, compute_s=kernel)
 
     def query_latency_s(self, query_size: int) -> float:
         """Scalar end-to-end query latency in seconds."""
-        return self.query_latency(query_size).total_s
+        check_positive("query_size", query_size)
+        return self._table.total_s(query_size)
 
     def speedup_over_cpu(self, cpu_latency_s: float, query_size: int) -> float:
         """Speedup of this GPU over a CPU baseline latency for the same query."""

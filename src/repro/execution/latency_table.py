@@ -1,128 +1,47 @@
 """Precomputed latency tables — the execution fast path.
 
-The serving simulators call the engines' latency models once per dispatched
-request, millions of times per sweep.  Both engines memoise scalar calls in a
-dict, but the event loop still pays a method call, tuple hashing, and argument
-validation on every lookup.  The tables here precompute *dense* latency
-columns — request latency over batch size for each active-core count on the
-CPU, end-to-end query latency over query size on the GPU — so the hot loop
-indexes a plain Python list instead of re-entering the latency model.
+The serving simulators price a request once per dispatch, millions of times
+per sweep.  The tables here hold *dense* latency columns — request latency
+over batch size for each active-core count on the CPU, end-to-end query
+latency over query size on the GPU — so the hot loop indexes a plain Python
+list instead of re-entering the latency model.
 
 Exactness contract
 ------------------
-Table entries are **bit-identical** to the scalar engine calls
-(:meth:`CPUEngine.request_latency_s` / :meth:`GPUEngine.query_latency_s`).
-The vectorized builders below mirror the scalar code expression by
-expression: every float operation happens in the same order with the same
-operands, and all integer byte/FLOP counts stay far below 2**53, so the
-float64 roundings coincide.  Operator types without a vectorized cost (e.g.
-user-defined subclasses) fall back to the scalar code path per entry, which
-is exact by construction.  ``tests/test_execution_latency_table.py`` asserts
-equality with ``==`` (no tolerance) across the model zoo.
+Each pricing formula is written once, over a batch that is a number or a
+float64 vector: the operator costs (:mod:`repro.models.ops`), the efficiency
+curves, :meth:`CPUEngine.request_components
+<repro.execution.cpu_engine.CPUEngine.request_components>` (over
+:meth:`~repro.execution.cpu_engine.CPUEngine.batch_terms`) and
+:meth:`GPUEngine.query_components
+<repro.execution.gpu_engine.GPUEngine.query_components>`.  A table builds a
+column by calling that formula once on ``np.arange(1, n + 1)`` and caches
+the result; the engines' scalar API (``request_latency``,
+``request_latency_s``, ``query_latency``, ``query_latency_s``) reads the same
+column, so a table entry and a scalar call are one value.  Every integer
+byte/FLOP count stays far below 2**53, so pricing in float64 is exact.
+``tests/test_pricing_golden.py`` pins every entry for the model zoo.
 
 Tables are created empty at engine construction and filled lazily, one
 active-core column (CPU) or one size range (GPU) at a time, on first use.
+Each column is sized to the next power of two (at least 64), so probes at
+growing sizes do not rebuild once per new size.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
-from repro.models.ops import (
-    BYTES_PER_ELEMENT,
-    AttentionUnit,
-    Concat,
-    ElementwiseSum,
-    EmbeddingGather,
-    FullyConnected,
-    GRULayer,
-    Operator,
-    OperatorCategory,
-)
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.execution.cpu_engine import CPUEngine
+    from repro.execution.cpu_engine import BatchTerms, CPUEngine
     from repro.execution.gpu_engine import GPUEngine
 
 
-def _curve_values(curve, batch: np.ndarray) -> np.ndarray:
-    """Vectorized :class:`SaturatingCurve` — mirrors ``curve.__call__``."""
-    value = curve.max_efficiency * batch / (batch + curve.half_saturation)
-    return np.maximum(curve.floor, value)
-
-
-def operator_cost_columns(
-    op: Operator, batch: np.ndarray
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Vectorized ``op.cost`` over a float64 batch vector of integer values.
-
-    Returns ``(flops, regular_bytes, irregular_bytes)`` arrays whose entries
-    equal the fields of ``op.cost(b)`` bit-for-bit, or ``None`` when the
-    operator type has no vectorized form (callers must fall back to the
-    scalar path).  Expressions follow :mod:`repro.models.ops` exactly.
-    """
-    zeros = None  # allocated lazily; most ops have no irregular traffic
-    if type(op) is FullyConnected:
-        flops = 2.0 * batch * op.in_features * op.out_features
-        activation = batch * (op.in_features + op.out_features) * BYTES_PER_ELEMENT
-        regular = op.weight_bytes() + activation
-        zeros = np.zeros_like(batch)
-        return flops, regular, zeros
-    if type(op) is EmbeddingGather:
-        rows_read = batch * op.num_tables * op.lookups_per_table
-        gather = rows_read * op.embedding_dim * BYTES_PER_ELEMENT
-        output = batch * op.num_tables * op.embedding_dim * BYTES_PER_ELEMENT
-        index = rows_read * 8
-        pooling = (
-            batch
-            * op.num_tables
-            * max(0, op.lookups_per_table - 1)
-            * op.embedding_dim
-        )
-        return pooling, output + index, gather
-    if type(op) is Concat:
-        moved = 2.0 * batch * op.elements_per_sample * BYTES_PER_ELEMENT
-        zeros = np.zeros_like(batch)
-        return zeros, moved, zeros.copy()
-    if type(op) is ElementwiseSum:
-        flops = batch * op.elements_per_sample * max(1, op.num_inputs - 1)
-        moved = batch * op.elements_per_sample * (op.num_inputs + 1) * BYTES_PER_ELEMENT
-        zeros = np.zeros_like(batch)
-        return flops, moved, zeros
-    if type(op) is AttentionUnit:
-        dims = op._mlp_dims()
-        mlp_flops_per_item = 2.0 * sum(
-            dims[i] * dims[i + 1] for i in range(len(dims) - 1)
-        )
-        flops = batch * op.sequence_length * mlp_flops_per_item
-        flops = flops + 2.0 * batch * op.sequence_length * op.embedding_dim
-        activation = (
-            batch
-            * op.sequence_length
-            * (dims[0] + sum(op.hidden_units) + 1)
-            * BYTES_PER_ELEMENT
-        )
-        history = batch * op.sequence_length * op.embedding_dim * BYTES_PER_ELEMENT
-        regular = op.weight_bytes() + activation + history
-        zeros = np.zeros_like(batch)
-        return flops, regular, zeros
-    if type(op) is GRULayer:
-        per_step_flops = 2.0 * 3 * (
-            op.input_dim * op.hidden_dim + op.hidden_dim * op.hidden_dim
-        ) + 7.0 * op.hidden_dim
-        flops = batch * op.sequence_length * per_step_flops
-        activation = (
-            batch
-            * op.sequence_length
-            * (op.input_dim + op.hidden_dim)
-            * BYTES_PER_ELEMENT
-        )
-        weight_traffic = op.weight_bytes() * op.sequence_length
-        zeros = np.zeros_like(batch)
-        return flops, activation + weight_traffic, zeros
-    return None
+def _column_size(max_size: int) -> int:
+    """Entries to build so that sizes ``1..max_size`` are covered."""
+    return 1 << max(6, int(max_size).bit_length())
 
 
 class CPULatencyTable:
@@ -130,27 +49,28 @@ class CPULatencyTable:
 
     One column per active-core count, indexed by batch size (index 0 unused).
     Columns are plain Python lists so the event loop's lookup is a single
-    ``column[batch]`` index.  The table is a friend of its engine: it reads
-    the engine's private curves and platform to mirror the scalar math.
+    ``column[batch]`` index.  Alongside each column the table keeps the
+    compute and memory component vectors it was summed from, which
+    :meth:`CPUEngine.request_latency` reads.  The batch-only part of the
+    price (:meth:`CPUEngine.batch_terms`) is kept for the latest column
+    size, so each further core count costs only its bandwidth-dependent part.
     """
 
-    __slots__ = ("_engine", "_columns", "_entries_built", "_scalar_fallbacks")
+    __slots__ = ("_engine", "_columns", "_components", "_terms", "_entries_built")
 
     def __init__(self, engine: "CPUEngine") -> None:
         self._engine = engine
         self._columns: Dict[int, List[float]] = {}
+        # cores -> (compute, memory, overhead) the column was summed from.
+        self._components: Dict[int, Tuple[np.ndarray, np.ndarray, float]] = {}
+        # (column size, engine.batch_terms over 1..size) of the latest build.
+        self._terms: Tuple[int, "BatchTerms"] = (0, (np.empty(0), np.empty(0), []))
         self._entries_built = 0
-        self._scalar_fallbacks = 0
 
     @property
     def entries_built(self) -> int:
         """Total table entries materialised so far (across all columns)."""
         return self._entries_built
-
-    @property
-    def scalar_fallbacks(self) -> int:
-        """Operator columns that used the scalar (non-vectorized) path."""
-        return self._scalar_fallbacks
 
     def column(self, max_batch: int, active_cores: int) -> List[float]:
         """Totals list for ``active_cores``, valid for batches ``1..max_batch``.
@@ -162,89 +82,27 @@ class CPULatencyTable:
         cores = min(active_cores, engine.platform.num_cores)
         column = self._columns.get(cores)
         if column is None or len(column) <= max_batch:
-            # Round the column length up so probes at growing batch sizes
-            # (e.g. property tests) do not rebuild once per new batch.
-            size = 1 << max(6, int(max_batch).bit_length())
-            column = self._build_column(size, cores)
+            size = _column_size(max_batch)
+            if self._terms[0] != size:
+                batch = np.arange(1, size + 1, dtype=np.float64)
+                self._terms = (size, engine.batch_terms(batch))
+            compute, memory, overhead = engine.request_components(self._terms[1], cores)
+            column = [float("nan")] + ((compute + memory) + overhead).tolist()
             self._columns[cores] = column
+            self._components[cores] = (compute, memory, overhead)
+            self._entries_built += size
         return column
 
     def total_s(self, batch_size: int, active_cores: int = 1) -> float:
-        """Scalar lookup; equals ``engine.request_latency_s`` bit-for-bit."""
+        """Request latency at ``batch_size`` on ``active_cores``, from its column."""
         return self.column(batch_size, active_cores)[batch_size]
 
-    # ------------------------------------------------------------------ #
-
-    def _build_column(self, max_batch: int, cores: int) -> List[float]:
-        """Vectorized mirror of ``CPUEngine.request_latency`` for one core count."""
-        # Imported here (not at module top) to avoid an import cycle:
-        # cpu_engine constructs this table at engine-build time.
-        from repro.execution.cpu_engine import LLC_BANDWIDTH_MULTIPLIER
-
-        engine = self._engine
-        platform = engine.platform
-        batch = np.arange(1, max_batch + 1, dtype=np.float64)
-
-        simd = _curve_values(engine._simd_curve, batch)
-        recurrent = _curve_values(engine._recurrent_curve, batch)
-        regular_eff = _curve_values(engine._regular_curve, batch)
-        irregular_eff = _curve_values(engine._irregular_curve, batch)
-
-        dram_bandwidth = engine._core_bandwidth(cores)
-        llc_bandwidth = platform.per_core_bandwidth * LLC_BANDWIDTH_MULTIPLIER
-        peak = platform.per_core_peak_flops
-        resident = engine.weights_llc_resident
-
-        compute_acc = np.zeros_like(batch)
-        memory_acc = np.zeros_like(batch)
-        overhead = 0.0
-        for op in engine._model.operators():
-            columns = operator_cost_columns(op, batch)
-            if columns is None:
-                self._scalar_fallbacks += 1
-                compute_part, memory_part = self._scalar_parts(op, max_batch, cores)
-            else:
-                flops, regular, irregular = columns
-                efficiency = (
-                    recurrent if op.category is OperatorCategory.RECURRENT else simd
-                )
-                compute_s = flops / (peak * efficiency)
-                llc_bytes = 0.0
-                if resident and op.category is not OperatorCategory.EMBEDDING:
-                    llc_bytes = np.minimum(op.weight_bytes(), regular)
-                    regular = regular - llc_bytes
-                memory_s = (
-                    regular / (dram_bandwidth * regular_eff)
-                    + llc_bytes / (llc_bandwidth * regular_eff)
-                    + irregular / (dram_bandwidth * irregular_eff)
-                )
-                dominant = np.maximum(compute_s, memory_s)
-                hidden = np.minimum(compute_s, memory_s)
-                total = dominant + 0.2 * hidden
-                compute_dominates = compute_s >= memory_s
-                compute_part = np.where(compute_dominates, compute_s, total - memory_s)
-                memory_part = np.where(compute_dominates, total - compute_s, memory_s)
-            compute_acc = compute_acc + compute_part
-            memory_acc = memory_acc + memory_part
-            overhead += engine._per_operator_overhead_s
-
-        overhead_total = overhead + engine._per_request_overhead_s
-        totals = (compute_acc + memory_acc) + overhead_total
-        self._entries_built += max_batch
-        return [float("nan")] + totals.tolist()
-
-    def _scalar_parts(
-        self, op: Operator, max_batch: int, cores: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact per-entry fallback for operator types without a vector form."""
-        engine = self._engine
-        parts = [
-            engine._operator_latency(op, size, cores)
-            for size in range(1, max_batch + 1)
-        ]
-        compute = np.array([p.compute_s for p in parts], dtype=np.float64)
-        memory = np.array([p.memory_s for p in parts], dtype=np.float64)
-        return compute, memory
+    def components(self, batch_size: int, active_cores: int = 1) -> Tuple[float, float, float]:
+        """``(compute_s, memory_s, overhead_s)`` at ``batch_size``; they sum to the entry."""
+        self.column(batch_size, active_cores)
+        cores = min(active_cores, self._engine.platform.num_cores)
+        compute, memory, overhead = self._components[cores]
+        return float(compute[batch_size - 1]), float(memory[batch_size - 1]), overhead
 
 
 class ScaledLatencyTable:
@@ -257,8 +115,7 @@ class ScaledLatencyTable:
     wraps the *base* engine's table and scales each column once on first use:
     every entry is **exactly** ``speed_factor *`` the base entry (one float64
     multiply, no re-derivation), so fleets of scaled nodes share one base
-    table build and still ride the dense fast path — ``scalar_fallbacks``
-    stays whatever the base table reports (0 for zoo models).
+    table build and still ride the dense fast path.
 
     Scaled columns are cached per requested core count and invalidated
     automatically when the base table grows a column (the base returns a new
@@ -276,11 +133,6 @@ class ScaledLatencyTable:
         self._columns: Dict[int, Tuple[List[float], List[float]]] = {}
 
     @property
-    def base(self) -> "CPULatencyTable":
-        """The nominal (unscaled) table this view wraps."""
-        return self._base
-
-    @property
     def speed_factor(self) -> float:
         """Multiplier applied to every base entry."""
         return self._speed_factor
@@ -289,11 +141,6 @@ class ScaledLatencyTable:
     def entries_built(self) -> int:
         """Entries materialised by the underlying base table."""
         return self._base.entries_built
-
-    @property
-    def scalar_fallbacks(self) -> int:
-        """Scalar fallbacks taken by the underlying base table."""
-        return self._base.scalar_fallbacks
 
     def column(self, max_batch: int, active_cores: int) -> List[float]:
         """Scaled totals list for ``active_cores``, valid for batches ``1..max_batch``.
@@ -315,89 +162,43 @@ class ScaledLatencyTable:
 
 
 class GPULatencyTable:
-    """Dense query-latency column for one :class:`GPUEngine`, by query size."""
+    """Dense query-latency column for one :class:`GPUEngine`, by query size.
 
-    __slots__ = ("_engine", "_totals", "_entries_built", "_scalar_fallback")
+    Alongside the totals list (index 0 unused) the table keeps the
+    data-loading and kernel vectors it was summed from, which
+    :meth:`GPUEngine.query_latency` reads.
+    """
+
+    __slots__ = ("_engine", "_totals", "_components", "_entries_built")
 
     def __init__(self, engine: "GPUEngine") -> None:
         self._engine = engine
         self._totals: List[float] = []
+        self._components: Tuple[np.ndarray, np.ndarray] = (np.empty(0), np.empty(0))
         self._entries_built = 0
-        self._scalar_fallback = False
 
     @property
     def entries_built(self) -> int:
         """Total table entries materialised so far."""
         return self._entries_built
 
-    @property
-    def scalar_fallback(self) -> bool:
-        """True when the column was filled through the scalar engine path."""
-        return self._scalar_fallback
-
     def totals(self, max_size: int) -> List[float]:
         """Totals list valid for query sizes ``1..max_size`` (index 0 unused)."""
         if len(self._totals) <= max_size:
-            size = 1 << max(6, int(max_size).bit_length())
-            self._totals = self._build(size)
+            size = _column_size(max_size)
+            sizes = np.arange(1, size + 1, dtype=np.float64)
+            data_loading, kernel = self._engine.query_components(sizes)
+            self._totals = [float("nan")] + (data_loading + kernel).tolist()
+            self._components = (data_loading, kernel)
+            self._entries_built += size
         return self._totals
 
     def total_s(self, query_size: int) -> float:
-        """Scalar lookup; equals ``engine.query_latency_s`` bit-for-bit."""
+        """End-to-end latency of a ``query_size`` query, from the column."""
         return self.totals(query_size)[query_size]
 
-    # ------------------------------------------------------------------ #
-
-    def _build(self, max_size: int) -> List[float]:
-        """Vectorized mirror of ``GPUEngine.query_latency`` over query size."""
-        engine = self._engine
-        model = engine.model
-        platform = engine.platform
-        sizes = np.arange(1, max_size + 1, dtype=np.float64)
-
-        # model.cost(b): operator costs accumulated in graph order.
-        flops = np.zeros_like(sizes)
-        regular = np.zeros_like(sizes)
-        irregular = np.zeros_like(sizes)
-        vectorized = True
-        for op in model.operators():
-            columns = operator_cost_columns(op, sizes)
-            if columns is None:
-                vectorized = False
-                break
-            flops = flops + columns[0]
-            regular = regular + columns[1]
-            irregular = irregular + columns[2]
-
-        if not vectorized:
-            # Exact per-entry fallback through the public scalar path.
-            self._scalar_fallback = True
-            totals = [engine.query_latency_s(size) for size in range(1, max_size + 1)]
-            self._entries_built += max_size
-            return [float("nan")] + totals
-
-        # data_loading_time: staging + PCIe transfer of the input footprint.
-        config = model.config
-        dense_bytes = sizes * config.dense_input_dim * 4
-        emb = config.embedding
-        sparse_bytes = sizes * emb.num_tables * emb.lookups_per_table * 8
-        input_bytes = dense_bytes + sparse_bytes
-        transfer = platform.transfer_overhead_s + input_bytes / platform.pcie_bandwidth
-        data_loading = engine._staging_overhead_s + transfer
-
-        # kernel_time: occupancy-derated roofline plus launch overheads.
-        occupancy = _curve_values(engine._occupancy, sizes)
-        compute_s = flops / (platform.peak_flops * occupancy)
-        regular_s = regular / (platform.memory_bandwidth * 0.7)
-        irregular_s = irregular / (
-            platform.memory_bandwidth * 0.6 * np.maximum(occupancy, 0.1)
-        )
-        launch = (
-            platform.kernel_launch_overhead_s
-            + engine._num_operators * engine._per_operator_launch_s
-        )
-        kernel = np.maximum(compute_s, regular_s + irregular_s) + launch
-
-        totals_arr = data_loading + kernel
-        self._entries_built += max_size
-        return [float("nan")] + totals_arr.tolist()
+    def components(self, query_size: int) -> Tuple[float, float]:
+        """``(data_loading_s, kernel_s)`` at ``query_size``; they sum to the entry."""
+        self.totals(query_size)
+        data_loading, kernel = self._components
+        return float(data_loading[query_size - 1]), float(kernel[query_size - 1])

@@ -8,9 +8,8 @@ is 5 % slower than nominal.
 
 The wrapper exposes a ``latency_table`` (a
 :class:`~repro.execution.latency_table.ScaledLatencyTable` view over the base
-engine's table) so the serving kernels index a dense scaled column instead of
-falling back to memoised scalar calls: a fleet of scaled nodes shares one
-base-table build and keeps ``scalar_fallbacks == 0``.
+engine's table) so the serving kernels index a dense scaled column like any
+other engine's: a fleet of scaled nodes shares one base-table build.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies for the modelling choices DeepRecSched's results rest on.
 
 Three ablations isolate the modelling decisions that drive DeepRecSched's
 behaviour:
@@ -142,7 +142,7 @@ def run_size_distribution_ablation(
         headers=["tuned-on", "optimal-batch", "qps-on-production", "qps-on-lognormal"],
     )
     production_qps = {}
-    for dist_name, batch in optima.items():
+    for dist_name, batch in optima.items():  # reprolint: disable=RL005 -- filled in the declared `distributions` order, which is the table's row order
         on_production = capacity(batch, "production")
         on_lognormal = capacity(batch, "lognormal")
         production_qps[dist_name] = on_production

@@ -51,7 +51,9 @@ DEFAULT_POLICIES = ("random", "least-outstanding", "weighted-least-outstanding")
 
 #: Keys every replay summary carries.  The schema version is folded into the
 #: cache digest, so entries written by a version with different summary keys
-#: can never be served back (bump this when the summary shape changes).
+#: can never be served back (bump this when a key is added or changes
+#: meaning).  The loader accepts any superset of these keys, so entries that
+#: still carry a dropped key load unchanged.
 _REPLAY_SCHEMA = 1
 _SUMMARY_KEYS = frozenset(
     {
@@ -59,7 +61,6 @@ _SUMMARY_KEYS = frozenset(
         "p99_latency_s",
         "query_shares",
         "max_node_share",
-        "scalar_fallbacks",
     }
 )
 
@@ -85,9 +86,8 @@ def _replay_summary(
     return {
         "p95_latency_s": outcome.p95_latency_s,
         "p99_latency_s": outcome.p99_latency_s,
-        "query_shares": {str(node_id): share for node_id, share in shares.items()},
+        "query_shares": {str(node_id): share for node_id, share in sorted(shares.items())},
         "max_node_share": max(shares.values()),
-        "scalar_fallbacks": outcome.scalar_fallbacks,
     }
 
 
@@ -261,7 +261,6 @@ def run(
         headers=["policy", "configuration", "batch-size", "p95-ms", "p99-ms", "max-node-share"],
     )
     by_policy: Dict[str, Dict[str, Any]] = {}
-    total_fallbacks = 0
     for offset, policy in enumerate(policies):
         fixed, tuned = summaries[2 * offset], summaries[2 * offset + 1]
         result.add_row(
@@ -280,13 +279,6 @@ def run(
             "fixed_query_shares": fixed["query_shares"],
             "tuned_query_shares": tuned["query_shares"],
         }
-        # The engines' fallback counters are cumulative per cluster object,
-        # so the absolute value depends on jobs/caching; the reliable signal
-        # (asserted in tests) is zero vs nonzero: 0 means every replay stayed
-        # on the dense fast path.
-        total_fallbacks = max(
-            total_fallbacks, fixed["scalar_fallbacks"], tuned["scalar_fallbacks"]
-        )
 
     headline = by_policy[policies[0]]
     result.metadata["p95_reduction"] = headline["p95_reduction"]
@@ -295,7 +287,6 @@ def run(
     result.metadata["fixed_batch_size"] = fixed_batch
     result.metadata["policies"] = list(policies)
     result.metadata["by_policy"] = by_policy
-    result.metadata["scalar_fallbacks"] = total_fallbacks
     if capacity_cache_dir is not None:
         result.metadata["capacity_cache_stats"] = replay_stats
     result.notes = (

@@ -192,7 +192,9 @@ def config_hash(experiment_id: str, kwargs: Dict[str, Any]) -> str:
     older driver semantics can never be served back.
     """
     meaningful = {
-        key: value for key, value in kwargs.items() if key not in RESULT_NEUTRAL_KEYS
+        key: value
+        for key, value in sorted(kwargs.items())
+        if key not in RESULT_NEUTRAL_KEYS
     }
     payload = json.dumps(
         {

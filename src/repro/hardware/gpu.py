@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.hardware.platform import HardwarePlatform
 from repro.utils.units import GB
 from repro.utils.validation import check_non_negative, check_positive
@@ -47,9 +49,12 @@ class GPUPlatform(HardwarePlatform):
         check_non_negative("kernel_launch_overhead_s", self.kernel_launch_overhead_s)
         check_non_negative("transfer_overhead_s", self.transfer_overhead_s)
 
-    def transfer_time(self, num_bytes: float) -> float:
-        """Host-to-device transfer time for ``num_bytes`` of input data."""
-        check_non_negative("num_bytes", num_bytes)
+    def transfer_time(self, num_bytes):
+        """Host-to-device transfer time for ``num_bytes`` of input data.
+
+        ``num_bytes`` may be a float64 vector (one transfer per entry).
+        """
+        check_non_negative("num_bytes", np.min(num_bytes))
         return self.transfer_overhead_s + num_bytes / self.pcie_bandwidth
 
 

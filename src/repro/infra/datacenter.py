@@ -77,9 +77,6 @@ class ClusterResult:
     latencies_s: List[float] = field(repr=False, default_factory=list)
     #: Balancing policy that routed the run's queries.
     policy: str = "random"
-    #: Scalar latency-table fallbacks taken across the fleet's engines during
-    #: the run's lifetime; 0 means the replay stayed on the dense fast path.
-    scalar_fallbacks: int = 0
     #: The underlying fleet-level measurement (per-server load shares,
     #: utilisation, drain time) from the shared-heap simulator pass.
     fleet: Optional[ClusterSimulationResult] = field(default=None, repr=False)
@@ -242,17 +239,6 @@ class DatacenterCluster:
             latencies_s=list(latencies),
         )
 
-    def _scalar_fallbacks(self) -> int:
-        """Scalar fallbacks across the fleet's distinct base latency tables."""
-        bases = {}
-        for server in self._fleet:
-            table = getattr(server.engines.cpu, "latency_table", None)
-            if table is None:
-                continue
-            base = getattr(table, "base", table)
-            bases[id(base)] = base
-        return sum(base.scalar_fallbacks for base in bases.values())
-
     def run(
         self,
         queries: Sequence[Query],
@@ -310,7 +296,6 @@ class DatacenterCluster:
             per_node_results=per_node_results,
             latencies_s=fleet.latencies_s,
             policy=fleet.policy,
-            scalar_fallbacks=self._scalar_fallbacks(),
             fleet=fleet,
         )
 

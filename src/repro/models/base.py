@@ -36,6 +36,7 @@ from repro.models.ops import (
     mlp_operators,
 )
 from repro.utils.rng import SeedLike, derive_rng
+from repro.utils.validation import Batch
 
 
 class RecommendationModel:
@@ -210,8 +211,12 @@ class RecommendationModel:
         """The analytic operator graph (a copy of the list)."""
         return list(self._operators)
 
-    def cost(self, batch_size: int) -> OperatorCost:
-        """Aggregate FLOPs / DRAM traffic of one inference at ``batch_size``."""
+    def cost(self, batch_size: Batch) -> OperatorCost:
+        """Aggregate FLOPs / DRAM traffic of one inference at ``batch_size``.
+
+        ``batch_size`` may be a float64 vector of batch sizes (see
+        :meth:`Operator.cost <repro.models.ops.Operator.cost>`).
+        """
         total = OperatorCost(flops=0.0, regular_bytes=0.0, irregular_bytes=0.0)
         for op in self._operators:
             total = total + op.cost(batch_size)
@@ -244,8 +249,8 @@ class RecommendationModel:
         """Nominal parameter storage (dominated by embedding tables)."""
         return sum(op.weight_bytes() for op in self._operators)
 
-    def input_bytes(self, batch_size: int) -> float:
-        """Input footprint of a batch, for accelerator transfer estimates."""
+    def input_bytes(self, batch_size: Batch):
+        """Input footprint of a batch (or a vector of sizes), for transfer estimates."""
         return query_input_bytes(self._config, batch_size)
 
     # -- runnable inference -------------------------------------------- #

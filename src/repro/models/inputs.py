@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.models.config import ModelConfig
 from repro.utils.rng import SeedLike, derive_rng
-from repro.utils.validation import check_positive
+from repro.utils.validation import Batch, check_batch, check_positive
 
 
 @dataclass
@@ -115,14 +115,15 @@ def generate_batch(
     return RecommendationBatch(dense=dense, sparse=sparse)
 
 
-def query_input_bytes(config: ModelConfig, query_size: int) -> float:
+def query_input_bytes(config: ModelConfig, query_size: Batch):
     """Analytic input footprint of a query of ``query_size`` candidate items.
 
     Used by the GPU engine for PCIe transfer-time estimation without having to
-    materialise an actual batch.
+    materialise an actual batch.  ``query_size`` may be a float64 vector of
+    sizes (the GPU latency table prices a whole column in one call).
     """
-    check_positive("query_size", query_size)
-    dense_bytes = query_size * config.dense_input_dim * 4
+    size = check_batch(query_size, "query_size")
+    dense_bytes = size * config.dense_input_dim * 4
     emb = config.embedding
-    sparse_bytes = query_size * emb.num_tables * emb.lookups_per_table * 8
-    return float(dense_bytes + sparse_bytes)
+    sparse_bytes = size * emb.num_tables * emb.lookups_per_table * 8
+    return dense_bytes + sparse_bytes

@@ -9,6 +9,9 @@ because the execution engines derate bandwidth for irregular access.
 
 These analytic costs drive the roofline placement (Fig. 1), the operator time
 breakdown (Fig. 3), and the latency model used by the serving simulator.
+Each cost is one formula over the batch, which may be a number or a float64
+vector of batch sizes: the latency tables price every batch size of a column
+in one call.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Sequence
 
-from repro.utils.validation import check_positive
+from repro.utils.validation import Batch, check_batch, check_positive
 
 BYTES_PER_ELEMENT = 4  # FP32 activations and weights throughout.
 
@@ -36,7 +39,11 @@ class OperatorCategory(str, Enum):
 
 @dataclass(frozen=True)
 class OperatorCost:
-    """FLOPs and DRAM traffic of one operator at one batch size."""
+    """FLOPs and DRAM traffic of one operator at one batch size.
+
+    Priced over a batch vector, each field is a float64 vector (or a float
+    that holds for every batch, such as an FC layer's zero gather traffic).
+    """
 
     flops: float
     regular_bytes: float
@@ -67,6 +74,17 @@ class Operator:
 
     Subclasses implement :meth:`cost` and expose a human-readable ``name`` and
     a breakdown ``category``.
+
+    ``cost`` is the operator's only pricing formula: the engines call it on a
+    float64 vector of batch sizes to build their latency tables, and on a
+    one-element vector for the per-operator breakdown.  A custom operator's
+    ``cost`` must therefore accept a float64 vector as well as a number:
+    plain arithmetic on the batch already does, and a ``max``/``min``/``if``
+    that touches the batch must be written as ``np.maximum``/``np.minimum``/
+    ``np.where``.  Validate the batch with
+    :func:`~repro.utils.validation.check_batch` first: it returns a float or a
+    float64 vector, and every FLOP and byte count stays far below 2**53, so
+    pricing in float64 is exact.
     """
 
     def __init__(self, name: str, category: OperatorCategory) -> None:
@@ -83,8 +101,8 @@ class Operator:
         """Breakdown bucket this operator contributes to."""
         return self._category
 
-    def cost(self, batch_size: int) -> OperatorCost:
-        """Return FLOPs and DRAM traffic at ``batch_size``."""
+    def cost(self, batch_size: Batch) -> OperatorCost:
+        """Return FLOPs and DRAM traffic at ``batch_size`` (a number or a vector)."""
         raise NotImplementedError
 
     def weight_bytes(self) -> float:
@@ -93,12 +111,6 @@ class Operator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"{type(self).__name__}(name={self._name!r})"
-
-
-def _check_batch(batch_size: int) -> int:
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    return batch_size
 
 
 class FullyConnected(Operator):
@@ -112,8 +124,8 @@ class FullyConnected(Operator):
     def weight_bytes(self) -> float:
         return (self.in_features * self.out_features + self.out_features) * BYTES_PER_ELEMENT
 
-    def cost(self, batch_size: int) -> OperatorCost:
-        batch = _check_batch(batch_size)
+    def cost(self, batch_size: Batch) -> OperatorCost:
+        batch = check_batch(batch_size)
         flops = 2.0 * batch * self.in_features * self.out_features
         activation_bytes = batch * (self.in_features + self.out_features) * BYTES_PER_ELEMENT
         return OperatorCost(
@@ -152,8 +164,8 @@ class EmbeddingGather(Operator):
             * BYTES_PER_ELEMENT
         )
 
-    def cost(self, batch_size: int) -> OperatorCost:
-        batch = _check_batch(batch_size)
+    def cost(self, batch_size: Batch) -> OperatorCost:
+        batch = check_batch(batch_size)
         rows_read = batch * self.num_tables * self.lookups_per_table
         gather_bytes = rows_read * self.embedding_dim * BYTES_PER_ELEMENT
         output_bytes = batch * self.num_tables * self.embedding_dim * BYTES_PER_ELEMENT
@@ -165,9 +177,9 @@ class EmbeddingGather(Operator):
             * self.embedding_dim
         )
         return OperatorCost(
-            flops=float(pooling_flops),
-            regular_bytes=float(output_bytes + index_bytes),
-            irregular_bytes=float(gather_bytes),
+            flops=pooling_flops,
+            regular_bytes=output_bytes + index_bytes,
+            irregular_bytes=gather_bytes,
         )
 
 
@@ -178,8 +190,8 @@ class Concat(Operator):
         super().__init__(name, OperatorCategory.CONCAT)
         self.elements_per_sample = int(check_positive("elements_per_sample", elements_per_sample))
 
-    def cost(self, batch_size: int) -> OperatorCost:
-        batch = _check_batch(batch_size)
+    def cost(self, batch_size: Batch) -> OperatorCost:
+        batch = check_batch(batch_size)
         moved = 2.0 * batch * self.elements_per_sample * BYTES_PER_ELEMENT
         return OperatorCost(flops=0.0, regular_bytes=moved)
 
@@ -192,11 +204,11 @@ class ElementwiseSum(Operator):
         self.elements_per_sample = int(check_positive("elements_per_sample", elements_per_sample))
         self.num_inputs = int(check_positive("num_inputs", num_inputs))
 
-    def cost(self, batch_size: int) -> OperatorCost:
-        batch = _check_batch(batch_size)
+    def cost(self, batch_size: Batch) -> OperatorCost:
+        batch = check_batch(batch_size)
         flops = batch * self.elements_per_sample * max(1, self.num_inputs - 1)
         moved = batch * self.elements_per_sample * (self.num_inputs + 1) * BYTES_PER_ELEMENT
-        return OperatorCost(flops=float(flops), regular_bytes=float(moved))
+        return OperatorCost(flops=flops, regular_bytes=moved)
 
 
 class AttentionUnit(Operator):
@@ -228,8 +240,8 @@ class AttentionUnit(Operator):
         weights = sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(dims) - 1))
         return weights * BYTES_PER_ELEMENT
 
-    def cost(self, batch_size: int) -> OperatorCost:
-        batch = _check_batch(batch_size)
+    def cost(self, batch_size: Batch) -> OperatorCost:
+        batch = check_batch(batch_size)
         dims = self._mlp_dims()
         mlp_flops_per_item = 2.0 * sum(dims[i] * dims[i + 1] for i in range(len(dims) - 1))
         flops = batch * self.sequence_length * mlp_flops_per_item
@@ -243,8 +255,8 @@ class AttentionUnit(Operator):
         )
         history_bytes = batch * self.sequence_length * self.embedding_dim * BYTES_PER_ELEMENT
         return OperatorCost(
-            flops=float(flops),
-            regular_bytes=float(self.weight_bytes() + activation_bytes + history_bytes),
+            flops=flops,
+            regular_bytes=self.weight_bytes() + activation_bytes + history_bytes,
         )
 
 
@@ -264,8 +276,8 @@ class GRULayer(Operator):
         biases = 3 * 2 * self.hidden_dim
         return (weights + biases) * BYTES_PER_ELEMENT
 
-    def cost(self, batch_size: int) -> OperatorCost:
-        batch = _check_batch(batch_size)
+    def cost(self, batch_size: Batch) -> OperatorCost:
+        batch = check_batch(batch_size)
         per_step_flops = 2.0 * 3 * (
             self.input_dim * self.hidden_dim + self.hidden_dim * self.hidden_dim
         ) + 7.0 * self.hidden_dim
@@ -280,9 +292,7 @@ class GRULayer(Operator):
         # resident across a large batch, which is what makes DIEN
         # recurrent-dominated on CPU.
         weight_traffic = self.weight_bytes() * self.sequence_length
-        return OperatorCost(
-            flops=float(flops), regular_bytes=float(activation_bytes + weight_traffic)
-        )
+        return OperatorCost(flops=flops, regular_bytes=activation_bytes + weight_traffic)
 
 
 def mlp_operators(name_prefix: str, layer_dims: Sequence[int]) -> List[FullyConnected]:

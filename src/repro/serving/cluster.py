@@ -1156,15 +1156,12 @@ def warm_latency_tables(
     """
     for server in servers:
         cores = resolve_num_cores(server.engines, server.config)
-        cpu_table = getattr(server.engines.cpu, "latency_table", None)
-        if cpu_table is not None:
-            for active_cores in range(1, cores + 1):
-                cpu_table.column(server.config.batch_size, active_cores)
+        cpu_table = server.engines.cpu.latency_table
+        for active_cores in range(1, cores + 1):
+            cpu_table.column(server.config.batch_size, active_cores)
         if (
             max_query_size
             and server.engines.gpu is not None
             and server.config.offload_threshold is not None
         ):
-            gpu_table = getattr(server.engines.gpu, "latency_table", None)
-            if gpu_table is not None:
-                gpu_table.totals(max_query_size)
+            server.engines.gpu.latency_table.totals(max_query_size)

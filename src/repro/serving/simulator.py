@@ -254,30 +254,6 @@ def pause_gc() -> Iterator[None]:
             gc.enable()
 
 
-class _LazyServiceRow:
-    """List-like service-time row backed by a scalar latency callable.
-
-    Fallback for duck-typed engines (e.g. ``ScaledCPUEngine``) that expose
-    ``request_latency_s`` but no precomputed latency table: entries are
-    computed through the scalar call on first access and memoised, so the
-    kernel's ``row[batch]`` lookup works identically either way.
-    """
-
-    __slots__ = ("_latency_s", "_active_cores", "_values")
-
-    def __init__(self, latency_s, active_cores: int, max_batch: int) -> None:
-        self._latency_s = latency_s
-        self._active_cores = active_cores
-        self._values: List[Optional[float]] = [None] * (max_batch + 1)
-
-    def __getitem__(self, batch_size: int) -> float:
-        value = self._values[batch_size]
-        if value is None:
-            value = self._latency_s(batch_size, self._active_cores)
-            self._values[batch_size] = value
-        return value
-
-
 class _QueryState:
     """Bookkeeping for a query split into several CPU requests (hot-path object).
 
@@ -364,26 +340,12 @@ class ServerKernel:
         )
 
         # Dense service-time lookups: _cpu_service[active_cores][batch].
-        # Engines without a latency table (duck-typed wrappers) fall back to
-        # lazily memoised scalar calls with the same row[batch] interface.
-        cpu_table = getattr(engines.cpu, "latency_table", None)
-        if cpu_table is not None:
-            self._cpu_service = [None] + [
-                cpu_table.column(config.batch_size, cores)
-                for cores in range(1, num_cores + 1)
-            ]
-        else:
-            self._cpu_service = [None] + [
-                _LazyServiceRow(engines.cpu.request_latency_s, cores, config.batch_size)
-                for cores in range(1, num_cores + 1)
-            ]
-        if engines.gpu is None:
-            self._gpu_service = None
-        else:
-            gpu_table = getattr(engines.gpu, "latency_table", None)
-            self._gpu_service = (
-                gpu_table.total_s if gpu_table is not None else engines.gpu.query_latency_s
-            )
+        cpu_table = engines.cpu.latency_table
+        self._cpu_service = [None] + [
+            cpu_table.column(config.batch_size, cores)
+            for cores in range(1, num_cores + 1)
+        ]
+        self._gpu_service = None if engines.gpu is None else engines.gpu.latency_table.total_s
 
         self._cpu_queue: deque = deque()  # FIFO of (ordinal, request_batch)
         self._gpu_queue: deque = deque()  # FIFO of ordinals
@@ -451,7 +413,7 @@ class ServerKernel:
                 if type(state) is _QueryState
                 else state
             )
-            for ordinal, state in self._states.items()
+            for ordinal, state in self._states.items()  # reprolint: disable=RL005 -- the copy keeps insertion (submission) order, which crash() returns
         }
         return clone
 
@@ -470,7 +432,7 @@ class ServerKernel:
         states = self._states
         lost = [
             (ordinal, state.row if type(state) is _QueryState else state)
-            for ordinal, state in states.items()  # insertion order: submission order
+            for ordinal, state in states.items()  # reprolint: disable=RL005 -- insertion order is submission order, the documented return order
         ]
         states.clear()
         self._cpu_queue.clear()

@@ -5,11 +5,14 @@ It models the same serving semantics as :func:`repro.serving.simulator.run_event
 optional accelerator FIFO for whole queries above the offload threshold,
 online balancing at each arrival, and straggler slowdowns — but with none
 of the production machinery: one sorted list of events, scalar
-``request_latency_s`` / ``query_latency_s`` calls instead of latency tables,
-no early-exit certificates, no warmup, no statistics.  The only things it
-shares with the production code are the engines (the latency model) and the
-balancer objects, which choose over the reference's own load vector (each
-server's outstanding items).
+``request_latency_s`` / ``query_latency_s`` calls instead of indexing
+latency-table columns, no early-exit certificates, no warmup, no
+statistics.  The only things it shares with the production code are the
+engines (the latency model) and the balancer objects, which choose over the
+reference's own load vector (each server's outstanding items).  The scalar
+calls read the same cached columns the production loop indexes, so the
+oracle checks event semantics, not pricing; ``tests/test_pricing_golden.py``
+pins the prices.
 
 Crash, retry and hedge semantics are not modelled here; straggler episodes
 are.  Event order at one instant: CPU completions, accelerator completions,

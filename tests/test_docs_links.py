@@ -1,8 +1,9 @@
 """Tier-1 docs integrity: every intra-repo markdown link must resolve.
 
 Runs the same checker CI's docs job runs (``tools/check_docs.py``) over the
-repo's actual docs, plus unit tests for the checker's slug/anchor rules so
-a checker bug cannot silently wave broken docs through.
+repo's actual docs and over the markdown names its code cites, plus unit
+tests for the checker's slug/anchor and citation rules so a checker bug
+cannot silently wave broken docs through.
 """
 
 import importlib.util
@@ -30,6 +31,13 @@ class TestRepoDocs:
         files = check_docs.doc_files(REPO_ROOT)
         assert len(files) >= 3  # README + the two docs pages
         seen, problems = check_docs.check_paths(files)
+        assert problems == []
+        assert seen > 0
+
+    def test_code_cites_only_existing_markdown(self):
+        seen, problems = check_docs.check_cited_names(
+            REPO_ROOT, check_docs.code_files(REPO_ROOT)
+        )
         assert problems == []
         assert seen > 0
 
@@ -111,3 +119,43 @@ class TestCheckerRules:
         _, problems = check_docs.check_paths([doc, doc2])
         assert len(problems) == 1
         assert "#fenced" in problems[0]
+
+
+class TestCitedMarkdownNames:
+    def _repo(self, tmp_path, source):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "claims.md").write_text("# Claims\n")
+        (tmp_path / "README.md").write_text("# Readme\n")
+        code = tmp_path / "benchmarks" / "test_x.py"
+        code.parent.mkdir()
+        code.write_text(source)
+        return check_docs.check_cited_names(tmp_path, [code])
+
+    def test_existing_names_resolve(self, tmp_path):
+        seen, problems = self._repo(
+            tmp_path,
+            '"""See docs/claims.md and README.md."""\n'
+            "# claims.md by its bare name resolves too\n",
+        )
+        assert seen == 3
+        assert problems == []
+
+    def test_dangling_name_in_comment_or_docstring_reported(self, tmp_path):
+        seen, problems = self._repo(
+            tmp_path,
+            '"""Module."""\n\n\ndef test_a():\n    """Deviation: see EXPERIMENTS.md."""\n'
+            "    # also DESIGN.md\n",
+        )
+        assert seen == 2
+        assert problems == [
+            "benchmarks/test_x.py:5: cites 'EXPERIMENTS.md', which is not in the checkout",
+            "benchmarks/test_x.py:6: cites 'DESIGN.md', which is not in the checkout",
+        ]
+
+    def test_string_literals_and_globs_are_not_citations(self, tmp_path):
+        seen, problems = self._repo(
+            tmp_path,
+            '"""Scans docs/*.md."""\n\nFIXTURE = "missing.md"\n',
+        )
+        assert seen == 0
+        assert problems == []

@@ -38,18 +38,18 @@ class TestRequestLatency:
         engine = build_cpu_engine("dlrm-rmc1", "skylake")
         assert engine.request_latency_s(64, 40) == engine.request_latency_s(64, 400)
 
-    def test_results_cached(self):
-        engine = build_cpu_engine("ncf", "skylake")
-        first = engine.request_latency(32, 4)
-        second = engine.request_latency(32, 4)
-        assert first is second
-
     def test_invalid_arguments(self):
         engine = build_cpu_engine("ncf", "skylake")
         with pytest.raises(ValueError):
             engine.request_latency(0)
         with pytest.raises(ValueError):
             engine.request_latency(8, 0)
+        # -1 would read a latency table's last entry if it reached the index.
+        for call in (engine.request_latency, engine.request_latency_s, engine.operator_breakdown):
+            with pytest.raises(ValueError):
+                call(-1)
+            with pytest.raises(ValueError):
+                call(8, -1)
 
     def test_negative_overheads_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the batch-size efficiency curves."""
 
+import numpy as np
 import pytest
 
 from repro.execution.efficiency import (
@@ -33,6 +34,19 @@ class TestSaturatingCurve:
     def test_invalid_batch_raises(self):
         with pytest.raises(ValueError):
             SaturatingCurve(0.8, 4.0)(0)
+        with pytest.raises(ValueError):
+            SaturatingCurve(0.8, 4.0)(-1)
+
+    def test_vector_with_zero_rejected(self):
+        with pytest.raises(ValueError):
+            SaturatingCurve(0.8, 4.0)(np.array([1.0, 0.0, 2.0]))
+
+    def test_vector_matches_scalar_calls(self):
+        curve = SaturatingCurve(max_efficiency=0.8, half_saturation=1000.0, floor=0.05)
+        batch = np.arange(1, 2049, dtype=np.float64)
+        values = curve(batch)
+        assert values.shape == batch.shape
+        assert all(values[b - 1] == curve(b) for b in (1, 2, 52, 53, 1000, 2048))
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):

@@ -19,13 +19,12 @@ class TestGPULatency:
         latencies = [engine.query_latency_s(b) for b in (1, 16, 128, 1024)]
         assert all(b > a for a, b in zip(latencies, latencies[1:]))
 
-    def test_results_cached(self):
-        engine = build_gpu_engine("ncf")
-        assert engine.query_latency(64) is engine.query_latency(64)
-
     def test_invalid_query_size(self):
-        with pytest.raises(ValueError):
-            build_gpu_engine("ncf").query_latency(0)
+        engine = build_gpu_engine("ncf")
+        for call in (engine.query_latency, engine.query_latency_s):
+            for size in (0, -1):
+                with pytest.raises(ValueError):
+                    call(size)
 
     def test_speedup_helper(self):
         engine = build_gpu_engine("dlrm-rmc1")

@@ -1,10 +1,11 @@
-"""Exactness tests for the dense latency tables (the execution fast path).
+"""Tests for the dense latency tables (the execution fast path).
 
-The serving simulators trust ``CPULatencyTable`` / ``GPULatencyTable`` to
-return *bit-identical* values to the scalar engine calls, so these tests
-assert equality with ``==`` — no tolerance — across the model zoo, both CPU
-platforms, and randomised batch sizes / core counts (hypothesis), plus the
-scalar fallback path for operator types without a vectorized cost.
+Each pricing formula is written once, over a batch vector; the tables cache
+its columns and the engines' scalar API reads them.  Equality of a table
+entry with a scalar call is therefore by construction; these tests check it
+with ``==`` (no tolerance) across the model zoo as a wiring check, and cover
+the tables' caching, the scaled view, and a user-defined operator pricing
+through the same path.  ``tests/test_pricing_golden.py`` pins the values.
 """
 
 import math
@@ -15,11 +16,12 @@ from hypothesis import strategies as st
 
 from repro.execution.cpu_engine import CPUEngine
 from repro.execution.engine import build_cpu_engine, build_gpu_engine
-from repro.execution.latency_table import ScaledLatencyTable, operator_cost_columns
+from repro.execution.latency_table import ScaledLatencyTable
 from repro.execution.scaled_engine import ScaledCPUEngine
 from repro.hardware.cpu import get_cpu
 from repro.models.ops import FullyConnected, Operator, OperatorCategory, OperatorCost
 from repro.models.zoo import available_models
+from repro.utils.validation import check_batch
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -130,7 +132,7 @@ class TestScaledTableExactness:
                     batch, cores
                 )
 
-    def test_view_shares_base_build_and_fallback_counters(self):
+    def test_view_shares_base_build(self):
         base = build_cpu_engine("dlrm-rmc1", "skylake")
         first = ScaledCPUEngine(base, speed_factor=1.05)
         second = ScaledCPUEngine(base, speed_factor=0.95)
@@ -140,8 +142,6 @@ class TestScaledTableExactness:
         # The second view reuses the base column: no extra base entries built.
         second.latency_table.total_s(64, 2)
         assert base.latency_table.entries_built == built
-        assert first.latency_table.scalar_fallbacks == 0
-        assert second.latency_table.scalar_fallbacks == 0
 
     def test_scaled_column_follows_base_growth(self):
         engine = build_cpu_engine("ncf", "broadwell")
@@ -162,15 +162,14 @@ class TestScaledTableExactness:
 
 
 class _OddOperator(Operator):
-    """An operator type the vectorized cost builder does not know."""
+    """A user-defined operator: plain arithmetic on the batch, so it accepts a vector."""
 
     def __init__(self) -> None:
         super().__init__("odd", OperatorCategory.OTHER)
 
-    def cost(self, batch_size: int) -> OperatorCost:
-        return OperatorCost(
-            flops=batch_size**1.5 * 1e6, regular_bytes=batch_size * 4096.0
-        )
+    def cost(self, batch_size) -> OperatorCost:
+        batch = check_batch(batch_size)
+        return OperatorCost(flops=batch**1.5 * 1e6, regular_bytes=batch * 4096.0)
 
 
 class _StubModel:
@@ -183,57 +182,25 @@ class _StubModel:
         return list(self._operators)
 
 
-class TestScalarFallback:
-    def test_unknown_operator_has_no_vector_form(self):
-        import numpy as np
-
-        assert operator_cost_columns(_OddOperator(), np.arange(1.0, 4.0)) is None
-
-    def test_fallback_column_is_still_exact(self):
+class TestCustomOperator:
+    def test_user_operator_prices_through_the_one_path(self):
         model = _StubModel([FullyConnected("fc", 64, 32), _OddOperator()])
         engine = CPUEngine(model, get_cpu("skylake"))
         table = engine.latency_table
         for cores in (1, 3):
             for batch in (1, 2, 7, 33, 100):
-                assert table.total_s(batch, cores) == engine.request_latency_s(
-                    batch, cores
+                parts = engine.request_latency(batch, cores)
+                assert table.total_s(batch, cores) == engine.request_latency_s(batch, cores)
+                assert table.total_s(batch, cores) == parts.total_s
+                breakdown = engine.operator_breakdown(batch, cores)
+                assert set(breakdown) == {OperatorCategory.FC, OperatorCategory.OTHER}
+                assert sum(breakdown.values()) == pytest.approx(
+                    parts.total_s - 120e-6, rel=1e-12
                 )
-        assert table.scalar_fallbacks > 0
 
-
-class TestCacheStats:
-    def test_cpu_engine_counts_hits_and_misses(self):
-        engine = build_cpu_engine("dlrm-rmc1", "skylake")
-        assert engine.cache_stats() == {
-            "hits": 0, "misses": 0, "size": 0, "table_entries": 0,
-        }
-        engine.request_latency_s(16, 2)
-        engine.request_latency_s(16, 2)
-        engine.request_latency_s(32, 2)
-        stats = engine.cache_stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 2
-        assert stats["size"] == 2
-
-    def test_gpu_engine_counts_hits_and_misses(self):
-        engine = build_gpu_engine("dlrm-rmc1")
-        engine.query_latency_s(100)
-        engine.query_latency_s(100)
-        stats = engine.cache_stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["size"] == 1
-
-    def test_table_entries_reported(self):
-        engine = build_cpu_engine("dlrm-rmc1", "skylake")
-        engine.latency_table.total_s(4, 1)
-        assert engine.cache_stats()["table_entries"] > 0
-
-
-@pytest.mark.parametrize("model", MODELS)
-def test_every_zoo_model_vectorizes_without_fallback(model):
-    """All shipped operator types have a vectorized cost (no silent slow path)."""
-    engine = cpu_engine(model, "skylake")
-    table = engine.latency_table
-    table.total_s(32, 2)
-    assert table.scalar_fallbacks == 0
+    def test_user_operator_adds_its_cost(self):
+        fc = FullyConnected("fc", 64, 32)
+        with_odd = CPUEngine(_StubModel([fc, _OddOperator()]), get_cpu("skylake"))
+        without = CPUEngine(_StubModel([fc]), get_cpu("skylake"))
+        for batch in (1, 64, 1000):
+            assert with_odd.request_latency_s(batch) > without.request_latency_s(batch)

@@ -187,5 +187,3 @@ class TestHeavyDriversReduced:
         assert result.metadata["p95_reduction"] == pytest.approx(
             by_policy["random"]["p95_reduction"]
         )
-        # The whole replay rode the dense latency-table fast path.
-        assert result.metadata["scalar_fallbacks"] == 0

@@ -218,13 +218,6 @@ class TestClusterSimulatorUnification:
         shares = cluster.run(queries, batch_size=128).query_shares()
         assert sum(shares.values()) == pytest.approx(1.0)
 
-    def test_diurnal_replay_stays_on_fast_path(self):
-        cluster = DatacenterCluster("dlrm-rmc1", num_nodes=3, seed=2)
-        result = cluster.run_diurnal(
-            batch_size=128, base_rate_qps=150.0, duration_s=20.0
-        )
-        assert result.scalar_fallbacks == 0
-
     def test_diurnal_seed_follows_cluster_seed(self):
         kwargs = dict(batch_size=128, base_rate_qps=150.0, duration_s=20.0)
         first = DatacenterCluster("ncf", num_nodes=2, seed=1)

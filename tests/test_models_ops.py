@@ -1,5 +1,6 @@
 """Tests for the analytic operator cost models."""
 
+import numpy as np
 import pytest
 
 from repro.models.ops import (
@@ -58,6 +59,26 @@ class TestFullyConnected:
     def test_invalid_batch(self):
         with pytest.raises(ValueError):
             FullyConnected("fc", 8, 8).cost(0)
+        with pytest.raises(ValueError):
+            FullyConnected("fc", 8, 8).cost(-1)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_vector_with_a_bad_batch_rejected(self, bad):
+        # A latency table's entry 0 is NaN and entry -1 its last one, so a
+        # bad batch must fail before it could index anything.
+        with pytest.raises(ValueError):
+            FullyConnected("fc", 8, 8).cost(np.array([1.0, bad, 3.0]))
+
+    def test_vector_cost_matches_scalar_costs(self):
+        op = EmbeddingGather("emb", num_tables=4, rows_per_table=1000,
+                             embedding_dim=32, lookups_per_table=10)
+        batch = np.arange(1, 9, dtype=np.float64)
+        vector = op.cost(batch)
+        for index, size in enumerate(range(1, 9)):
+            scalar = op.cost(size)
+            assert vector.flops[index] == scalar.flops
+            assert vector.regular_bytes[index] == scalar.regular_bytes
+            assert vector.irregular_bytes[index] == scalar.irregular_bytes
 
     def test_invalid_dims(self):
         with pytest.raises(ValueError):

@@ -134,6 +134,14 @@ class TestRL005UnorderedIteration:
         src = "for state in sorted(states.values()):\n    total += state\n"
         assert rules_fired(src, "src/repro/serving/x.py") == []
 
+    def test_dict_items_loop_flagged(self):
+        src = "for key, state in states.items():\n    total += state\n"
+        assert rules_fired(src, "src/repro/serving/x.py") == ["RL005"]
+        src = "out = {str(k): v for k, v in shares.items()}\n"
+        assert rules_fired(src, "src/repro/experiments/x.py") == ["RL005"]
+        src = "for key, state in sorted(states.items()):\n    total += state\n"
+        assert rules_fired(src, "src/repro/serving/x.py") == []
+
     def test_rule_scoped_to_result_layers(self):
         src = "for state in states.values():\n    total += state\n"
         assert rules_fired(src, "src/repro/runtime/pool.py") == []

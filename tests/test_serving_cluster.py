@@ -354,9 +354,6 @@ class TestHeterogeneousFleetConstructor:
         fleet = heterogeneous_fleet("dlrm-rmc1", config, 4, rng=7)
         result = ClusterSimulator(fleet, "least-outstanding").run(query_stream)
         assert result.num_queries == len(query_stream)
-        assert all(
-            s.engines.cpu.latency_table.scalar_fallbacks == 0 for s in fleet
-        )
 
     def test_invalid_parameters(self):
         config = ServingConfig(batch_size=128)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Validate intra-repo markdown links (paths and heading anchors).
+"""Validate intra-repo markdown links and the markdown names code cites.
 
 Scans ``README.md`` and everything under ``docs/`` for markdown links,
 resolves each relative target against the linking file, and fails on:
@@ -9,20 +9,30 @@ resolves each relative target against the linking file, and fails on:
   markdown file (GitHub slug rules: lowercase, punctuation stripped,
   spaces to dashes).
 
+It also scans the comments and docstrings of every Python file under
+``src/``, ``tests/``, ``benchmarks/``, ``examples/`` and ``tools/`` and fails
+on a cited ``*.md`` name (``docs/claims.md``, ``README.md``) that no
+markdown file in the checkout matches.  String literals in code are not
+citations: tests write markdown fixture files of their own.
+
 External links (``http(s)://``, ``mailto:``) are ignored — CI must not
 depend on the network.  Run from anywhere inside the repo::
 
     python tools/check_docs.py
 
-Exit status is the number of broken links (0 = docs are sound).
+Exit status is the number of problems found (0 = docs are sound).
 """
 
 from __future__ import annotations
 
+import ast
+import io
+import os
 import re
 import sys
+import tokenize
 from pathlib import Path
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Set, Tuple
 
 #: ``[text](target)`` — target captured up to the closing paren (markdown
 #: titles after a space are not used in this repo's docs).
@@ -32,6 +42,11 @@ HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 FENCE_RE = re.compile(r"^(```|~~~)")
 
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+
+#: Directories whose Python comments and docstrings may cite markdown files.
+CODE_DIRS = ("src", "tests", "benchmarks", "examples", "tools")
+#: A cited markdown name such as ``docs/claims.md`` (a glob like ``*.md`` is not).
+MD_NAME_RE = re.compile(r"(?<![\w./*-])(\w[\w./-]*\.md)\b")
 
 
 def repo_root() -> Path:
@@ -114,14 +129,76 @@ def check_paths(paths: Iterable[Path]) -> Tuple[int, List[str]]:
     return seen, problems
 
 
+def markdown_files(root: Path) -> Set[str]:
+    """Repo-relative posix paths of every markdown file outside hidden directories."""
+    found = set()
+    for directory, subdirs, files in os.walk(root):
+        subdirs[:] = sorted(name for name in subdirs if not name.startswith("."))
+        for name in files:
+            if name.endswith(".md"):
+                found.add((Path(directory) / name).relative_to(root).as_posix())
+    return found
+
+
+def code_files(root: Path) -> List[Path]:
+    """The Python files whose comments and docstrings are checked."""
+    return [path for name in CODE_DIRS for path in sorted((root / name).glob("**/*.py"))]
+
+
+def cited_markdown(path: Path) -> List[Tuple[int, str]]:
+    """``(line, name)`` of every ``*.md`` name in ``path``'s comments and docstrings."""
+    source = path.read_text(encoding="utf-8")
+    texts = [
+        (token.start[0], token.string)
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    ]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            docstring = ast.get_docstring(node, clean=False)
+            if docstring is not None:
+                texts.append((node.body[0].lineno, docstring))
+    return sorted(
+        (line + text.count("\n", 0, match.start()), match.group(1))
+        for line, text in texts
+        for match in MD_NAME_RE.finditer(text)
+    )
+
+
+def check_cited_names(root: Path, paths: Iterable[Path]) -> Tuple[int, List[str]]:
+    """Check every markdown name ``paths`` cite; return (names seen, problems).
+
+    A name resolves if it names a file relative to the repo root or to the
+    citing file, or if it is the trailing part of a markdown file's path
+    (``capacity-search.md`` for ``docs/capacity-search.md``).
+    """
+    known = markdown_files(root)
+    seen = 0
+    problems: List[str] = []
+    for path in paths:
+        for line, name in cited_markdown(path):
+            seen += 1
+            if (
+                (root / name).is_file()
+                or (path.parent / name).is_file()
+                or any(known_path.endswith("/" + name) for known_path in known)
+            ):
+                continue
+            relative = path.relative_to(root).as_posix()
+            problems.append(f"{relative}:{line}: cites {name!r}, which is not in the checkout")
+    return seen, problems
+
+
 def main() -> int:
     root = repo_root()
     files = doc_files(root)
     seen, problems = check_paths(files)
-    for problem in problems:
+    cited, name_problems = check_cited_names(root, code_files(root))
+    for problem in problems + name_problems:
         print(problem, file=sys.stderr)
     print(f"checked {seen} links across {len(files)} files: {len(problems)} broken")
-    return len(problems)
+    print(f"checked {cited} cited markdown names in code: {len(name_problems)} missing")
+    return len(problems) + len(name_problems)
 
 
 if __name__ == "__main__":

@@ -362,7 +362,7 @@ class PickleSafeSubmitRule(Rule):
 
 
 class UnorderedIterationRule(Rule):
-    """Iteration over ``set`` / ``.values()`` / ``.keys()`` must be sorted.
+    """Iteration over ``set`` / ``.values()`` / ``.keys()`` / ``.items()`` must be sorted.
 
     ``set`` iteration order depends on insertion history and (for strings)
     the per-process hash seed; dict-view iteration is insertion-ordered,
@@ -387,7 +387,7 @@ class UnorderedIterationRule(Rule):
         "src/repro/utils/sketch.py",
     )
 
-    _VIEW_METHODS = ("values", "keys")
+    _VIEW_METHODS = ("values", "keys", "items")
 
     def check(self, tree: ast.Module, relpath: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
