@@ -14,8 +14,10 @@ one inference request running on one core.  Each operator contributes
   bandwidth across active cores, and applies the cache-contention factor of
   the platform's LLC policy.  Dense-layer weights are served from the LLC
   (rather than DRAM) when the model's non-embedding weight footprint fits —
-  which it does on Skylake's larger LLC for DLRM-RMC3 but not on Broadwell's,
-  reproducing the Fig. 12(c) platform difference,
+  which it does on Skylake's larger LLC for DLRM-RMC3 but not on Broadwell's.
+  That makes Skylake the faster platform for DLRM-RMC3, so its optimal batch
+  comes out larger on Skylake, the reverse of the paper's Fig. 12(c)
+  ordering (``docs/claims.md``, Known deviations),
 * the dispatch overhead models framework/per-operator launch cost, which is
   what makes very small batches (and therefore very many requests per query)
   unattractive.

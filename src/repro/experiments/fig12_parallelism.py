@@ -112,9 +112,19 @@ def run(
         result.add_row("c", f"{panel_c_model}/{platform}", SLATier.HIGH.value, batch, round(qps, 1))
 
     result.metadata.update(metadata)
+    panel_a = metadata["panel_a"]
+    tier_names = " -> ".join(tier.value for tier in tiers)
+    by_tier = {
+        dist_name: " -> ".join(str(panel_a[f"{dist_name}-{tier.value}"]) for tier in tiers)
+        for dist_name in ("production", "lognormal")
+    }
+    by_model = ", ".join(f"{model} {metadata['panel_b'][model]}" for model in panel_b_models)
+    panel_c = metadata["panel_c"]
     result.notes = (
-        "Optimal batch sizes: grow with relaxed targets, are lower under the "
-        "lognormal distribution than the production one, larger for "
-        "embedding-dominated models, and larger on Broadwell than Skylake."
+        f"Optimal batch sizes by target tier ({tier_names}): production "
+        f"{by_tier['production']}, lognormal {by_tier['lognormal']}. At the high "
+        f"target: {by_model}; {panel_c_model} on Broadwell {panel_c['broadwell']}, "
+        f"on Skylake {panel_c['skylake']}. Where these orderings depart from the "
+        "paper's, see docs/claims.md (Known deviations)."
     )
     return result

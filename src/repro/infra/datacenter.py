@@ -327,4 +327,4 @@ class DatacenterCluster:
             sizes=sizes if sizes is not None else ProductionQuerySizes(),
             seed=seed,
         )
-        return self.run(trace.queries, batch_size, policy=policy)
+        return self.run(trace, batch_size, policy=policy)

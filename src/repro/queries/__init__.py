@@ -8,7 +8,7 @@ from repro.queries.arrival import (
     get_arrival_process,
 )
 from repro.queries.generator import LoadGenerator
-from repro.queries.query import Query, QueryStream
+from repro.queries.query import Query, QueryStream, QueryTrace
 from repro.queries.size_dist import (
     MAX_QUERY_SIZE,
     FixedQuerySizes,
@@ -22,7 +22,6 @@ from repro.queries.size_dist import (
 from repro.queries.trace import (
     TRACE_SCHEMA_VERSION,
     DiurnalPattern,
-    QueryTrace,
     count_diurnal_queries,
     diurnal_trace_chunks,
     generate_diurnal_trace,

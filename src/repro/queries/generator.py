@@ -4,17 +4,20 @@ Combines an arrival process with a query-size distribution to produce a
 stream of :class:`~repro.queries.query.Query` records, mirroring the load
 generator inside DeepRecInfra (Fig. 8): arrival rate and working-set size are
 configured independently, and both default to the production-representative
-choices (Poisson arrivals, heavy-tail sizes).
+choices (Poisson arrivals, heavy-tail sizes).  :meth:`LoadGenerator.generate`
+returns a :class:`~repro.queries.query.QueryTrace` holding the drawn
+``(query_id, arrival_time, size)`` rows, so a simulator run over it (a
+capacity evaluation, say) builds no ``Query`` at all.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.queries.arrival import ArrivalProcess, PoissonArrival
-from repro.queries.query import Query, QueryStream
+from repro.queries.query import QueryStream, QueryTrace
 from repro.queries.size_dist import ProductionQuerySizes, QuerySizeDistribution
 from repro.utils.rng import RngFactory
 from repro.utils.validation import check_positive
@@ -57,19 +60,18 @@ class LoadGenerator:
             seed=self._rng_factory.seed,
         )
 
-    def generate(self, num_queries: int, start_time: float = 0.0) -> List[Query]:
-        """Generate ``num_queries`` queries starting at ``start_time``."""
+    def generate(self, num_queries: int, start_time: float = 0.0) -> QueryTrace:
+        """Generate ``num_queries`` queries starting at ``start_time``.
+
+        Query ``i`` is the ``i``-th drawn arrival; the trace holds them in
+        arrival order, as rows, and builds a ``Query`` only when one is read.
+        """
         check_positive("num_queries", num_queries)
         arrival_rng = self._rng_factory.child("arrivals")
         size_rng = self._rng_factory.child("sizes")
         arrival_times = self._arrival.arrival_times(num_queries, arrival_rng, start_time)
         sizes = self._sizes.sample(num_queries, size_rng)
-        # tolist() yields native Python floats/ints in one C pass, which is
-        # much cheaper than casting numpy scalars one by one; map() then
-        # builds the records without a per-query bytecode loop.
-        return list(
-            map(Query, range(len(arrival_times)), arrival_times.tolist(), sizes.tolist())
-        )
+        return QueryTrace.from_columns(arrival_times, sizes)
 
     def iter_queries(
         self, num_queries: int, start_time: float = 0.0, chunk_queries: int = 65536
@@ -104,11 +106,9 @@ class LoadGenerator:
 
     def generate_for_duration(
         self, duration_s: float, start_time: float = 0.0, max_queries: int = 2_000_000
-    ) -> List[Query]:
+    ) -> QueryTrace:
         """Generate queries until ``duration_s`` of simulated time has elapsed."""
         check_positive("duration_s", duration_s)
         expected = int(np.ceil(self._arrival.rate_qps * duration_s * 1.25)) + 16
         expected = min(expected, max_queries)
-        queries = self.generate(expected, start_time)
-        cutoff = start_time + duration_s
-        return [q for q in queries if q.arrival_time <= cutoff]
+        return self.generate(expected, start_time).until(start_time + duration_s)

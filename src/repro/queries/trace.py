@@ -2,7 +2,8 @@
 
 The production study of Fig. 13 runs over 24 hours of live traffic whose
 arrival rate follows the usual diurnal pattern.  :class:`DiurnalPattern`
-modulates a base arrival rate over the day, and :class:`QueryTrace` is a
+modulates a base arrival rate over the day, and
+:class:`~repro.queries.query.QueryTrace` (re-exported here) is a
 serialisable container so traces can be recorded once and replayed across
 experiments (or shared between the datacenter-cluster simulation and
 single-node runs).
@@ -12,7 +13,8 @@ Two synthesis paths produce diurnal traces:
 * :func:`generate_diurnal_trace` — the original per-window homogeneous
   Poisson construction, materialised as a :class:`QueryTrace`.  Its seeded
   output is **bit-identical** to every earlier release (the per-window RNG
-  draw order is preserved; only the Query construction is batched).
+  draw order is preserved); the trace holds rows zipped from the drawn
+  arrays and builds a ``Query`` only when one is read.
 * :func:`iter_diurnal_trace` / :func:`count_diurnal_queries` — the chunked
   streaming path for ≥10⁶-query traces: arrivals are synthesised per time
   slice by *thinning* a homogeneous Poisson process at the diurnal peak
@@ -27,16 +29,14 @@ Two synthesis paths produce diurnal traces:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.queries.arrival import PoissonArrival
-from repro.queries.query import Query, QueryStream
+from repro.queries.query import QueryStream, QueryTrace
 from repro.queries.size_dist import ProductionQuerySizes, QuerySizeDistribution
 from repro.utils.rng import RngFactory
 from repro.utils.validation import check_non_negative, check_positive
@@ -80,77 +80,6 @@ class DiurnalPattern:
         return 1.0 + self.amplitude * math.sin(angle)
 
 
-class QueryTrace:
-    """An ordered list of queries with save/load helpers."""
-
-    def __init__(self, queries: Sequence[Query]) -> None:
-        self._queries = sorted(queries, key=lambda q: q.arrival_time)
-
-    def __len__(self) -> int:
-        return len(self._queries)
-
-    def __iter__(self):
-        return iter(self._queries)
-
-    def __getitem__(self, index: int) -> Query:
-        return self._queries[index]
-
-    @property
-    def queries(self) -> List[Query]:
-        """The queries in arrival order (a copy)."""
-        return list(self._queries)
-
-    @property
-    def duration_s(self) -> float:
-        """Time spanned by the trace."""
-        if not self._queries:
-            return 0.0
-        return self._queries[-1].arrival_time - self._queries[0].arrival_time
-
-    @property
-    def mean_rate_qps(self) -> float:
-        """Average arrival rate over the trace."""
-        if len(self._queries) < 2 or self.duration_s == 0:
-            return 0.0
-        return (len(self._queries) - 1) / self.duration_s
-
-    def total_items(self) -> int:
-        """Sum of query sizes (total inference work in candidate items)."""
-        return sum(q.size for q in self._queries)
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the trace as JSON lines (query_id, arrival_time, size)."""
-        path = Path(path)
-        with path.open("w") as handle:
-            for query in self._queries:
-                record = {
-                    "query_id": query.query_id,
-                    "arrival_time": query.arrival_time,
-                    "size": query.size,
-                }
-                handle.write(json.dumps(record) + "\n")
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "QueryTrace":
-        """Read a trace previously written by :meth:`save`."""
-        path = Path(path)
-        queries = []
-        with path.open() as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                queries.append(
-                    Query(
-                        query_id=int(record["query_id"]),
-                        arrival_time=float(record["arrival_time"]),
-                        size=int(record["size"]),
-                    )
-                )
-        return cls(queries)
-
-
 def generate_diurnal_trace(
     base_rate_qps: float,
     duration_s: float,
@@ -167,8 +96,9 @@ def generate_diurnal_trace(
 
     The seeded output is bit-identical to earlier releases: the per-window
     RNG draw order (poisson count, then sorted uniform offsets, then sizes)
-    is unchanged; only the ``Query`` construction is batched into a single
-    vectorised pass over the concatenated arrays.
+    is unchanged; the concatenated arrays become the trace's rows in one
+    vectorised pass (:meth:`QueryTrace.from_columns`), with no ``Query``
+    built until one is read.
     """
     check_positive("base_rate_qps", base_rate_qps)
     check_positive("duration_s", duration_s)
@@ -194,10 +124,8 @@ def generate_diurnal_trace(
         window_start += window
     if not arrival_blocks:
         return QueryTrace([])
-    arrival_times = np.concatenate(arrival_blocks).tolist()
-    query_sizes = np.concatenate(size_blocks).tolist()
-    return QueryTrace(
-        list(map(Query, range(len(arrival_times)), arrival_times, query_sizes))
+    return QueryTrace.from_columns(
+        np.concatenate(arrival_blocks), np.concatenate(size_blocks)
     )
 
 

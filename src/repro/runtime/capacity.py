@@ -633,11 +633,16 @@ def _evaluate_rate(search: "CapacitySearch", rate_qps: float, reject: bool = Tru
     number.  ``reject=False`` forces a run to completion — used when a
     search must *report* the measurement at a rejected rate (the
     unbracketed exit), where the early-exit stub has no statistics.
+
+    The offered stream is one ``generate`` call, whose trace carries rows
+    the simulator reads as they are, so an evaluation builds no ``Query``.
     """
     generator = search._load_generator.with_rate(rate_qps)
     sla = search._sla_latency_s
     count = measurement_queries(rate_qps, sla, search._num_queries, search._max_queries)
-    with pause_gc():  # query generation is allocation-heavy, cycle-free
+    # Row tuples and the loop's in-flight state are allocation-heavy and
+    # cycle-free, so the collector has nothing to find during a run.
+    with pause_gc():
         return search._simulator.run(
             generator.generate(count), reject_above_sla_s=sla if reject else None
         )

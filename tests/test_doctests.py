@@ -1,10 +1,10 @@
 """Tier-1 wiring for the documented runnable examples (doctests).
 
-The runtime and service modules carry ``>>>`` examples in their module
-docstrings — the documentation layer's executable half.  This file is the
-one list of documented modules: tier-1 runs it with the rest of the suite
-and CI's docs-check step runs it on its own, so the examples cannot rot —
-an API change that breaks a documented example fails both.
+The runtime, service and query-record modules carry ``>>>`` examples in
+their module docstrings — the documentation layer's executable half.  This
+file is the one list of documented modules: tier-1 runs it with the rest of
+the suite and CI's docs-check step runs it on its own, so the examples
+cannot rot — an API change that breaks a documented example fails both.
 """
 
 import doctest
@@ -12,6 +12,7 @@ import doctest
 import pytest
 
 import repro.faults.plan
+import repro.queries.query
 import repro.runtime.capacity
 import repro.runtime.pool
 import repro.service.checkpoint
@@ -26,6 +27,7 @@ DOCUMENTED_MODULES = [
     repro.runtime.pool,
     repro.runtime.capacity,
     repro.faults.plan,
+    repro.queries.query,
     repro.service.windows,
     repro.service.twin,
     repro.service.shadow,
