@@ -27,7 +27,8 @@ for Fig. 3 and Fig. 6.
 
 Each formula is written once, over a float64 vector of batch sizes: the
 engine's :class:`~repro.execution.latency_table.CPULatencyTable` prices a
-whole column in one call, and the scalar API reads that column.
+whole column in one call, and the scalar API reads that column (a batch past
+:data:`~repro.execution.latency_table.MAX_SCALAR_COLUMN_SIZE` is priced alone).
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class CPUEngine:
         self._regular_curve = regular_access_curve()
         self._irregular_curve = irregular_access_curve()
         self._weights_llc_resident = self._fits_in_llc(model, platform)
-        # Dense latency columns, filled lazily; every price is read from them.
+        # Dense latency columns, filled lazily; the scalar API reads them.
         from repro.execution.latency_table import CPULatencyTable
 
         self._table = CPULatencyTable(self)

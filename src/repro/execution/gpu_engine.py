@@ -16,7 +16,8 @@ at large batch sizes, plus per-model kernel-launch overhead.
 Both phases are written once, over a float64 vector of query sizes
 (:meth:`GPUEngine.query_components`): the engine's
 :class:`~repro.execution.latency_table.GPULatencyTable` prices a whole column
-in one call, and the scalar API reads that column.
+in one call, and the scalar API reads that column (a size past
+:data:`~repro.execution.latency_table.MAX_SCALAR_COLUMN_SIZE` is priced alone).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class GPUEngine:
         self._staging_overhead_s = staging_overhead_s
         self._occupancy = gpu_occupancy_curve()
         self._num_operators = len(model.operators())
-        # Dense latency column, filled lazily; every price is read from it.
+        # Dense latency column, filled lazily; the scalar API reads it.
         from repro.execution.latency_table import GPULatencyTable
 
         self._table = GPULatencyTable(self)

@@ -25,7 +25,10 @@ byte/FLOP count stays far below 2**53, so pricing in float64 is exact.
 Tables are created empty at engine construction and filled lazily, one
 active-core column (CPU) or one size range (GPU) at a time, on first use.
 Each column is sized to the next power of two (at least 64), so probes at
-growing sizes do not rebuild once per new size.
+growing sizes do not rebuild once per new size.  A scalar lookup past
+:data:`MAX_SCALAR_COLUMN_SIZE` prices that one size on a one-element vector
+instead of growing the column to it; the formula is elementwise, so the
+price is the value the column would hold.
 """
 
 from __future__ import annotations
@@ -37,6 +40,16 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.execution.cpu_engine import BatchTerms, CPUEngine
     from repro.execution.gpu_engine import GPUEngine
+
+
+#: Largest size a scalar lookup reads from (and so builds) the cached column;
+#: the pricing golden pins every size up to it.
+MAX_SCALAR_COLUMN_SIZE = 4096
+
+
+def _one_size(size: int) -> np.ndarray:
+    """A one-element float64 batch vector holding ``size``."""
+    return np.array([size], dtype=np.float64)
 
 
 def _column_size(max_size: int) -> int:
@@ -94,13 +107,25 @@ class CPULatencyTable:
         return column
 
     def total_s(self, batch_size: int, active_cores: int = 1) -> float:
-        """Request latency at ``batch_size`` on ``active_cores``, from its column."""
+        """Request latency at ``batch_size`` on ``active_cores`` (see :meth:`components`)."""
+        if batch_size > MAX_SCALAR_COLUMN_SIZE:
+            compute, memory, overhead = self.components(batch_size, active_cores)
+            return (compute + memory) + overhead
         return self.column(batch_size, active_cores)[batch_size]
 
     def components(self, batch_size: int, active_cores: int = 1) -> Tuple[float, float, float]:
-        """``(compute_s, memory_s, overhead_s)`` at ``batch_size``; they sum to the entry."""
+        """``(compute_s, memory_s, overhead_s)`` at ``batch_size``; they sum to the entry.
+
+        Read from the column up to :data:`MAX_SCALAR_COLUMN_SIZE`; a larger
+        batch is priced alone, leaving the column as it is.
+        """
+        engine = self._engine
+        cores = min(active_cores, engine.platform.num_cores)
+        if batch_size > MAX_SCALAR_COLUMN_SIZE:
+            terms = engine.batch_terms(_one_size(batch_size))
+            compute, memory, overhead = engine.request_components(terms, cores)
+            return float(compute[0]), float(memory[0]), overhead
         self.column(batch_size, active_cores)
-        cores = min(active_cores, self._engine.platform.num_cores)
         compute, memory, overhead = self._components[cores]
         return float(compute[batch_size - 1]), float(memory[batch_size - 1]), overhead
 
@@ -158,6 +183,8 @@ class ScaledLatencyTable:
 
     def total_s(self, batch_size: int, active_cores: int = 1) -> float:
         """Scalar lookup; exactly ``speed_factor *`` the base table's entry."""
+        if batch_size > MAX_SCALAR_COLUMN_SIZE:
+            return self._base.total_s(batch_size, active_cores) * self._speed_factor
         return self.column(batch_size, active_cores)[batch_size]
 
 
@@ -194,11 +221,21 @@ class GPULatencyTable:
         return self._totals
 
     def total_s(self, query_size: int) -> float:
-        """End-to-end latency of a ``query_size`` query, from the column."""
+        """End-to-end latency of a ``query_size`` query (see :meth:`components`)."""
+        if query_size > MAX_SCALAR_COLUMN_SIZE:
+            data_loading, kernel = self.components(query_size)
+            return data_loading + kernel
         return self.totals(query_size)[query_size]
 
     def components(self, query_size: int) -> Tuple[float, float]:
-        """``(data_loading_s, kernel_s)`` at ``query_size``; they sum to the entry."""
+        """``(data_loading_s, kernel_s)`` at ``query_size``; they sum to the entry.
+
+        Read from the column up to :data:`MAX_SCALAR_COLUMN_SIZE`; a larger
+        size is priced alone, leaving the column as it is.
+        """
+        if query_size > MAX_SCALAR_COLUMN_SIZE:
+            data_loading, kernel = self._engine.query_components(_one_size(query_size))
+            return float(data_loading[0]), float(kernel[0])
         self.totals(query_size)
         data_loading, kernel = self._components
         return float(data_loading[query_size - 1]), float(kernel[query_size - 1])

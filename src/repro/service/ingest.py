@@ -10,6 +10,13 @@ protocol any producer can speak over TCP, stdin, or an in-process replay:
 * or bare CSV per line: ``7,12.5,64``
 * blank lines and ``#`` comments are ignored.
 
+A JSON line is read by one C-level scan of the whole line (the decoder
+``json.loads`` itself uses, minus its Python wrapper); the line is an event
+only if that one value ends the line.  Malformed input of any kind — bad
+syntax, trailing data, wrong types, nesting too deep to decode — raises
+:class:`ValueError` from :func:`parse_event`, which the pipeline counts in
+``malformed_lines`` and skips; it never ends the service.
+
 Timestamps are **event time** (seconds on the trace's clock), exactly the
 ``arrival_time`` the batch drivers feed the simulators — so a recorded
 :class:`~repro.queries.trace.QueryTrace` replays through the service and
@@ -48,6 +55,9 @@ from repro.service.windows import Window, WindowManager
 #: the service; real event lines are well under 200 bytes).
 MAX_LINE_BYTES = 64 * 1024
 
+#: One C-level JSON scan: ``(value, end)`` of the value starting at an index.
+_scan_json = json.JSONDecoder().scan_once
+
 
 def parse_event(line: str) -> Optional[Query]:
     """Parse one protocol line into a :class:`~repro.queries.query.Query`.
@@ -61,7 +71,10 @@ def parse_event(line: str) -> Optional[Query]:
         return None
     try:
         if text.startswith("{"):
-            payload = json.loads(text)
+            # The line is stripped, so the object must end exactly at its end.
+            payload, end = _scan_json(text, 0)
+            if end != len(text):
+                raise ValueError("trailing data after the JSON object")
             query_id = payload["query_id"]
             arrival_time = payload["arrival_time"]
             size = payload["size"]
@@ -82,7 +95,9 @@ def parse_event(line: str) -> Optional[Query]:
                 arrival_time=float(fields[1]),
                 size=int(fields[2]),
             )
-    except (KeyError, TypeError, ValueError, OverflowError):  # JSONDecodeError included
+    # JSONDecodeError is a ValueError; the raw scan raises StopIteration where
+    # no value starts and RecursionError on nesting too deep to decode.
+    except (KeyError, TypeError, ValueError, OverflowError, StopIteration, RecursionError):
         pass
     raise ValueError(f"unparseable event line: {text!r}")
 
@@ -142,7 +157,8 @@ class IngestPipeline:
             return []
         if query is None:
             return []
-        return self.feed(query)
+        closed = self.windows.add(query)
+        return self._observe_closed(closed) if closed else []
 
     def feed_lines(self, lines: Iterable[str]) -> List[TwinWindowReport]:
         """Ingest many protocol lines; reports for every window they closed."""

@@ -159,7 +159,10 @@ class WindowManager:
         :attr:`late_events`; the return value is then empty, since a late
         event can never advance the watermark past a still-open window.
         """
-        index = self.window_index(query.arrival_time)
+        time_s = query.arrival_time
+        if time_s < self._start_s:
+            self.window_index(time_s)  # raises: the event precedes the stream
+        index = int((time_s - self._start_s) // self._window_s)
         if index <= self._closed_through:
             self._late += 1
             return []
@@ -172,9 +175,9 @@ class WindowManager:
         else:
             events.append(query)
         self._accepted += 1
-        if query.arrival_time > self._max_event_time:
-            self._max_event_time = query.arrival_time
-        if self._next_close_s > self.watermark_s:
+        if time_s > self._max_event_time:
+            self._max_event_time = time_s
+        if self._next_close_s > self._max_event_time - self._lateness_s:
             return []
         return self._close_ripe()
 

@@ -16,7 +16,11 @@ from hypothesis import strategies as st
 
 from repro.execution.cpu_engine import CPUEngine
 from repro.execution.engine import build_cpu_engine, build_gpu_engine
-from repro.execution.latency_table import ScaledLatencyTable
+from repro.execution.latency_table import (
+    MAX_SCALAR_COLUMN_SIZE,
+    ScaledLatencyTable,
+    _one_size,
+)
 from repro.execution.scaled_engine import ScaledCPUEngine
 from repro.hardware.cpu import get_cpu
 from repro.models.ops import FullyConnected, Operator, OperatorCategory, OperatorCost
@@ -99,6 +103,51 @@ class TestGPUTableExactness:
         large = table.total_s(5000)
         assert small == engine.query_latency_s(10)
         assert large == engine.query_latency_s(5000)
+
+
+class TestScalarPastColumnCap:
+    """Past ``MAX_SCALAR_COLUMN_SIZE`` a scalar lookup prices one size alone."""
+
+    def test_one_element_price_equals_gpu_column(self):
+        engine = build_gpu_engine("ncf")
+        totals = engine.latency_table.totals(MAX_SCALAR_COLUMN_SIZE)
+        for size in range(1, MAX_SCALAR_COLUMN_SIZE + 1):
+            data_loading, kernel = engine.query_components(_one_size(size))
+            assert float((data_loading + kernel)[0]) == totals[size], size
+
+    @pytest.mark.parametrize("cores", [1, 4, 40])
+    def test_one_element_price_equals_cpu_column(self, cores):
+        engine = build_cpu_engine("dlrm-rmc1", "skylake")
+        column = engine.latency_table.column(1024, cores)
+        for batch in range(1, 1025):
+            terms = engine.batch_terms(_one_size(batch))
+            compute, memory, overhead = engine.request_components(terms, cores)
+            assert float(((compute + memory) + overhead)[0]) == column[batch], batch
+
+    def test_lookups_past_the_cap_equal_a_built_column(self):
+        gpu = build_gpu_engine("din")
+        totals = gpu.latency_table.totals(8192)
+        cpu = build_cpu_engine("ncf", "broadwell")
+        column = cpu.latency_table.column(8192, 3)
+        scaled = ScaledLatencyTable(cpu.latency_table, 1.3)
+        scaled_column = scaled.column(8192, 3)
+        for size in (MAX_SCALAR_COLUMN_SIZE + 1, 5000, 8192):
+            assert gpu.query_latency_s(size) == totals[size]
+            assert gpu.query_latency(size).total_s == totals[size]
+            assert cpu.request_latency_s(size, 3) == column[size]
+            assert cpu.request_latency(size, 3).total_s == column[size]
+            assert scaled.total_s(size, 3) == scaled_column[size]
+
+    def test_huge_lookup_builds_no_column(self):
+        gpu = build_gpu_engine("ncf")
+        cpu = build_cpu_engine("ncf", "skylake")
+        size = 10**6
+        assert gpu.query_latency_s(size) == sum(gpu.latency_table.components(size))
+        assert cpu.request_latency_s(size, 2) > 0
+        cpu.request_latency(size, 2)
+        assert ScaledLatencyTable(cpu.latency_table, 1.5).total_s(size, 2) > 0
+        assert gpu.latency_table.entries_built == 0
+        assert cpu.latency_table.entries_built == 0
 
 
 class TestScaledTableExactness:

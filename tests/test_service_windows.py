@@ -270,3 +270,31 @@ class TestWindowDataclass:
         with pytest.raises(AttributeError):
             window.index = 1
         assert window.duration_s == 5.0
+
+
+class TestAddIndexesInline:
+    """``add`` computes the index itself; ``window_index`` is its reference."""
+
+    @SETTINGS
+    @given(
+        times=st.lists(st.floats(0.0, 1e4, allow_nan=False), min_size=1, max_size=40),
+        window_s=st.floats(1e-3, 60.0, allow_nan=False),
+        start_s=st.floats(-100.0, 100.0, allow_nan=False),
+    )
+    def test_add_assigns_the_window_index_of_each_event(self, times, window_s, start_s):
+        manager = WindowManager(window_s=window_s, allowed_lateness_s=1e9, start_s=start_s)
+        accepted = [query for query in make_queries(times) if query.arrival_time >= start_s]
+        closed = manager.extend(accepted) + manager.flush()
+        assert sum(len(window.queries) for window in closed) == len(accepted)
+        for window in closed:
+            for query in window.queries:
+                assert window.index == manager.window_index(query.arrival_time)
+
+    def test_event_before_the_stream_start_raises_and_changes_nothing(self):
+        manager = WindowManager(window_s=5.0, start_s=100.0)
+        manager.add(Query(0, 101.0, 8))
+        with pytest.raises(ValueError, match="precedes the stream start"):
+            manager.add(Query(1, 99.5, 8))
+        assert (manager.accepted_events, manager.late_events) == (1, 0)
+        assert manager.watermark_s == 101.0
+        assert [len(window.queries) for window in manager.flush()] == [1]
