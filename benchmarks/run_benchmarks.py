@@ -211,14 +211,13 @@ def bench_capacity_sweep(quick: bool, jobs: int) -> None:
 
 
 def bench_capacity_sweep_j4(quick: bool, jobs: int) -> None:
-    # The capacity-sweep-shared workload on the completion-driven runtime at
-    # a fixed jobs=4 (tracked separately so the jobs=1 trajectory stays
-    # clean): one shared CapacityCache *instance* across both passes, so
-    # its in-process memo replays pass 2 without re-verification.  On
-    # multi-core hosts the futures scheduler additionally overlaps each
-    # search's speculative evaluations; the in-flight budget is clamped by
-    # physical cores, so a one-core recording host measures the scheduling +
-    # warm-tier wins alone.
+    # The capacity-sweep-shared workload through the shared pool at a fixed
+    # jobs=4 (tracked separately so the jobs=1 trajectory stays clean): one
+    # shared CapacityCache *instance* across both passes, so its in-process
+    # memo replays pass 2 without re-verification.  Each search runs alone,
+    # and a lone search is one serial task (inline on a one-core host, where
+    # the budget is clamped to the physical cores), so this measures pool
+    # dispatch and the warm tiers, not a parallel speedup.
     import tempfile
 
     engines = build_engine_pair("dlrm-rmc1", "skylake", None)

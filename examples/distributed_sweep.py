@@ -26,6 +26,7 @@ Exits non-zero if any distributed result diverges from the serial run.
 
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -123,7 +124,12 @@ def run_demo(num_queries=60, iterations=3):
 
     def assassin():
         # Wait until the sweep is flowing and a worker holds a task lease
-        # right now, then SIGKILL it: a mid-task host failure.
+        # right now, then SIGKILL it: a mid-task host failure.  The victim
+        # is frozen (SIGSTOP) first, so it cannot finish the lease between
+        # the check and the kill; after a short settle, a lease its link
+        # still holds is one it can never complete.  If it holds none, thaw
+        # it and look again.
+        procs = {port: proc for proc, port in fleet}
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
             with pool._lock:
@@ -132,12 +138,17 @@ def run_demo(num_queries=60, iterations=3):
                     link for link in pool._links if link.alive and link.inflight
                 ]
             if started and busy:
-                victim_port = busy[0].address[1]
-                for proc, port in fleet:
-                    if port == victim_port:
-                        print(f"SIGKILL worker on port {port} (holds leases)")
-                        proc.kill()
-                        return
+                victim = busy[0]
+                port = victim.address[1]
+                os.kill(procs[port].pid, signal.SIGSTOP)
+                time.sleep(0.05)
+                with pool._lock:
+                    holds_lease = victim.alive and bool(victim.inflight)
+                if holds_lease:
+                    print(f"SIGKILL worker on port {port} (holds leases)")
+                    procs[port].kill()
+                    return
+                os.kill(procs[port].pid, signal.SIGCONT)
             time.sleep(0.005)
 
     killer = threading.Thread(target=assassin, daemon=True)

@@ -21,7 +21,7 @@ behaviour:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.execution.cpu_engine import CPUEngine
 from repro.execution.engine import EnginePair, build_engine_pair
@@ -32,7 +32,7 @@ from repro.hardware.cpu import get_cpu
 from repro.queries.arrival import get_arrival_process
 from repro.queries.generator import LoadGenerator
 from repro.queries.size_dist import LognormalQuerySizes, ProductionQuerySizes
-from repro.runtime.capacity import CapacitySearch
+from repro.runtime.capacity import CapacitySearch, run_capacity_searches
 from repro.serving.simulator import ServingConfig
 from repro.serving.sla import SLATier, sla_target
 
@@ -54,8 +54,9 @@ def run_arrival_ablation(
     Poisson arrivals produce burstier queueing than fixed/uniform gaps, so the
     capacity under the production (Poisson) assumption is the most
     conservative of the three — sizing a deployment with a smoother arrival
-    model overstates what the SLA can sustain.  ``jobs``/``capacity_cache_dir``
-    parallelise and replay the capacity searches (bit-identical results).
+    model overstates what the SLA can sustain.  The searches run as one
+    batch, so ``jobs``/``capacity_cache_dir`` run them concurrently and
+    replay them (bit-identical results).
     """
     engines = build_engine_pair(model, "skylake", None)
     target = sla_target(model, tier)
@@ -64,19 +65,22 @@ def run_arrival_ablation(
         title=f"Capacity vs arrival-process assumption ({model}, batch {batch_size})",
         headers=["arrival-process", "max-qps", "p95-ms-at-capacity"],
     )
-    capacities = {}
-    for name in arrival_processes:
-        generator = LoadGenerator(
-            arrival=get_arrival_process(name, rate_qps=100.0), seed=seed
-        )
-        outcome = CapacitySearch.for_server(
+    searches = [
+        CapacitySearch.for_server(
             engines,
             ServingConfig(batch_size=batch_size),
             target.latency_s,
-            generator,
+            LoadGenerator(arrival=get_arrival_process(name, rate_qps=100.0), seed=seed),
             num_queries=num_queries,
             iterations=capacity_iterations,
-        ).run(jobs=jobs, warm_start_cache=capacity_cache_dir)
+        )
+        for name in arrival_processes
+    ]
+    outcomes = run_capacity_searches(
+        searches, jobs=jobs, warm_start_cache=capacity_cache_dir
+    )
+    capacities = {}
+    for name, outcome in zip(arrival_processes, outcomes):
         capacities[name] = outcome.max_qps
         p95_ms = outcome.result.p95_latency_s * 1e3 if outcome.result else 0.0
         result.add_row(name, round(outcome.max_qps, 1), round(p95_ms, 2))
@@ -103,9 +107,11 @@ def run_size_distribution_ablation(
 
     Reproduces the Section VI-A observation that a lognormal-tuned operating
     point loses throughput when deployed against production-shaped traffic.
-    The cross-evaluation re-asks the tuning sweep's question at the optimum,
-    so with a ``capacity_cache_dir`` those repeat searches replay instantly;
-    ``jobs > 1`` parallelises each bisection (bit-identical results).
+    The tuning grid runs as one batch of searches and the cross-evaluation
+    as a second, so ``jobs > 1`` runs each batch's searches concurrently
+    (bit-identical results).  The cross-evaluation re-asks the tuning
+    sweep's question at the optimum, so with a ``capacity_cache_dir`` those
+    repeat searches replay instantly.
     """
     engines = build_engine_pair(model, "skylake", None)
     target = sla_target(model, tier)
@@ -114,23 +120,30 @@ def run_size_distribution_ablation(
         "lognormal": LognormalQuerySizes(),
     }
 
-    def capacity(batch: int, dist_name: str) -> float:
-        generator = LoadGenerator(sizes=distributions[dist_name], seed=seed)
-        outcome = CapacitySearch.for_server(
-            engines,
-            ServingConfig(batch_size=batch),
-            target.latency_s,
-            generator,
-            num_queries=num_queries,
-            iterations=capacity_iterations,
-        ).run(jobs=jobs, warm_start_cache=capacity_cache_dir)
-        return outcome.max_qps
+    def capacities(points: Sequence[Tuple[int, str]]) -> List[float]:
+        searches = [
+            CapacitySearch.for_server(
+                engines,
+                ServingConfig(batch_size=batch),
+                target.latency_s,
+                LoadGenerator(sizes=distributions[dist_name], seed=seed),
+                num_queries=num_queries,
+                iterations=capacity_iterations,
+            )
+            for batch, dist_name in points
+        ]
+        outcomes = run_capacity_searches(
+            searches, jobs=jobs, warm_start_cache=capacity_cache_dir
+        )
+        return [outcome.max_qps for outcome in outcomes]
 
+    grid = [(batch, dist_name) for dist_name in distributions for batch in batch_sizes]
+    tuned = dict(zip(grid, capacities(grid)))
     optima = {}
     for dist_name in distributions:
         best_batch, best_qps = batch_sizes[0], 0.0
         for batch in batch_sizes:
-            qps = capacity(batch, dist_name)
+            qps = tuned[batch, dist_name]
             # Prefer the smaller batch on near-ties (flat optimum region).
             if qps > best_qps * 1.02:
                 best_batch, best_qps = batch, qps
@@ -141,10 +154,17 @@ def run_size_distribution_ablation(
         title=f"Batch size tuned under one size distribution, evaluated on another ({model})",
         headers=["tuned-on", "optimal-batch", "qps-on-production", "qps-on-lognormal"],
     )
+    cross = [
+        (optima[tuned_on], evaluated_on)
+        for tuned_on in distributions
+        for evaluated_on in ("production", "lognormal")
+    ]
+    cross_qps = iter(capacities(cross))
     production_qps = {}
-    for dist_name, batch in optima.items():  # reprolint: disable=RL005 -- filled in the declared `distributions` order, which is the table's row order
-        on_production = capacity(batch, "production")
-        on_lognormal = capacity(batch, "lognormal")
+    for dist_name in distributions:
+        batch = optima[dist_name]
+        on_production = next(cross_qps)
+        on_lognormal = next(cross_qps)
         production_qps[dist_name] = on_production
         result.add_row(dist_name, batch, round(on_production, 1), round(on_lognormal, 1))
 
@@ -180,6 +200,8 @@ def run_cache_contention_ablation(
     penalty for keeping many cores active, so the gap between small- and
     large-batch capacity shrinks — quantifying how much of the batch-size
     preference comes from the cache model versus the efficiency curves.
+    All searches run as one batch, so ``jobs > 1`` runs them concurrently
+    (bit-identical results).
     """
     cpu = get_cpu(platform)
     no_contention_cache = CacheHierarchy(
@@ -194,22 +216,27 @@ def run_cache_contention_ablation(
         title=f"Capacity with and without LLC contention ({model}, {platform})",
         headers=["batch-size", "qps-with-contention", "qps-without-contention", "ratio"],
     )
+    platforms = (("with", cpu), ("without", cpu_no_contention))
+    searches = [
+        CapacitySearch.for_server(
+            EnginePair(cpu=CPUEngine(
+                build_engine_pair(model, platform, None).cpu.model, cpu_platform
+            )),
+            ServingConfig(batch_size=batch),
+            target.latency_s,
+            generator,
+            num_queries=num_queries,
+            iterations=capacity_iterations,
+        )
+        for batch in batch_sizes
+        for _label, cpu_platform in platforms
+    ]
+    outcomes = iter(run_capacity_searches(
+        searches, jobs=jobs, warm_start_cache=capacity_cache_dir
+    ))
     ratios = {}
     for batch in batch_sizes:
-        capacities = {}
-        for label, cpu_platform in (("with", cpu), ("without", cpu_no_contention)):
-            engines = EnginePair(cpu=CPUEngine(
-                build_engine_pair(model, platform, None).cpu.model, cpu_platform
-            ))
-            outcome = CapacitySearch.for_server(
-                engines,
-                ServingConfig(batch_size=batch),
-                target.latency_s,
-                generator,
-                num_queries=num_queries,
-                iterations=capacity_iterations,
-            ).run(jobs=jobs, warm_start_cache=capacity_cache_dir)
-            capacities[label] = outcome.max_qps
+        capacities = {label: next(outcomes).max_qps for label, _platform in platforms}
         ratio = (
             capacities["without"] / capacities["with"] if capacities["with"] else 0.0
         )

@@ -60,10 +60,9 @@ def run(
     offloading at ``offload_threshold``) to every other server.
 
     All of the sweep's capacity searches are submitted into the invocation's
-    shared worker pool *concurrently* (:func:`run_capacity_searches`), so
-    with ``jobs > 1`` the pool stays full even where one bisection's
-    speculative lookahead could not fill it — results stay identical to the
-    serial sweep.  ``capacity_cache_dir`` replays previously recorded
+    shared worker pool as one batch (:func:`run_capacity_searches`), so
+    with ``jobs > 1`` they run concurrently, one task per search — results
+    stay identical to the serial sweep.  ``capacity_cache_dir`` replays previously recorded
     identical searches (bit-identical warm starts).
     """
     sizes = sorted(set(int(n) for n in fleet_sizes))

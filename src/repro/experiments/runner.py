@@ -55,12 +55,12 @@ def _parallelism_overrides(
 
     When the driver runs inline (a single-experiment invocation, or a serial
     sweep), the requested ``processes`` are handed to it as ``jobs`` so its
-    internal parallel work (capacity bisections, replay fans) lands on the
+    internal parallel work (capacity searches, replay fans) lands on the
     invocation's shared pool.  When the driver itself runs *inside* the pool
     (``pooled=True``), no ``jobs`` are injected — sweep-level parallelism
     already owns the workers, and handing each pooled point a worker budget
     on top would oversubscribe the host (nested calls would run serially by
-    nesting detection, but only after paying the speculative batching
+    nesting detection, but only after paying the pool's dispatch
     overhead).  ``cache_dir`` doubles as the capacity warm-start / replay
     memo directory either way.  Explicit overrides always win.
     """

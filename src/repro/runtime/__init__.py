@@ -8,11 +8,10 @@ routes through:
   to a whole CLI invocation and :func:`pool_scope` is how library code picks
   it up.
 * :mod:`repro.runtime.capacity` — :class:`CapacitySearch`, the one
-  single-server / fleet capacity search, with completion-driven speculative
-  bisection (:class:`BisectionMachine`) and schema-versioned warm-start
-  replay (:class:`CapacityCache`), both decision-identical to the cold
-  serial search; :func:`run_capacity_searches` interleaves many searches'
-  evaluations over the one pool.
+  single-server / fleet capacity search: a serial bisection
+  (:class:`BisectionMachine`) with schema-versioned warm-start replay
+  (:class:`CapacityCache`) decision-identical to the cold search;
+  :func:`run_capacity_searches` runs many searches as one pool task each.
 * :mod:`repro.runtime.remote` — :class:`RemoteWorkerPool`, the same
   futures surface executed by a fleet of worker processes on other hosts
   (``python -m repro.runtime.remote worker``), with heartbeat liveness,
@@ -42,7 +41,6 @@ _CAPACITY_NAMES = (
     "CapacitySearch",
     "CAPACITY_SCHEMA_VERSION",
     "run_capacity_searches",
-    "speculative_rates",
 )
 
 __all__ = [
@@ -61,7 +59,6 @@ __all__ = [
     "CapacitySearch",
     "CAPACITY_SCHEMA_VERSION",
     "run_capacity_searches",
-    "speculative_rates",
     "RemoteWorkerPool",
 ]
 

@@ -5,22 +5,19 @@ offered load whose p95 latency stays inside the SLA — asked of either one
 server or a fleet.  :class:`CapacitySearch` answers both, and this module
 holds every piece of it: the bisection's decision tree
 (:class:`BisectionMachine`), the warm-start store (:class:`CapacityCache`,
-with its cross-host sync helpers), the search itself and its
-completion-driven executor.
+with its cross-host sync helpers) and the search itself.
 
 * ``CapacitySearch.for_server(...)`` and ``CapacitySearch.for_fleet(...)``
   describe the search; :meth:`CapacitySearch.run` executes it;
-* execution is **completion-driven**: the bisection's decision tree lives in
-  a :class:`BisectionMachine`, and with ``jobs > 1`` up to ``jobs``
-  candidate rates stay in flight on the invocation's shared
-  :class:`~repro.runtime.pool.WorkerPool` — each completion advances the
-  tree immediately, invalidated speculation is cancelled/ignored, and the
-  pipeline refills.  Evaluations are deterministic functions of the rate, so
-  the result is **identical** to the serial search; speculation only buys
-  wall-clock time (and is never wider than the host's cores);
-* :func:`run_capacity_searches` drives *many* searches over the one pool
-  concurrently — a sweep's searches interleave their evaluations, keeping
-  the pool full even when a single bisection's lookahead cannot;
+* execution is **serial per search**: the bisection's decision tree lives
+  in a :class:`BisectionMachine`, driven one rate at a time by the same
+  function wherever it runs;
+* :func:`run_capacity_searches` runs *many* searches: with ``jobs > 1``
+  each unfinished search is one task on the invocation's shared
+  :class:`~repro.runtime.pool.WorkerPool` (never more in flight than the
+  host has cores), and the parent keeps every cache decision.  A task runs
+  the exact serial search, so the results — evaluation counts included —
+  are those of ``jobs=1``;
 * ``warm_start_cache`` consults a :class:`CapacityCache` under a
   schema-versioned signature covering the engines, fleet shape, SLA,
   workload and trace seed, and search fidelity.  Because the signature
@@ -127,11 +124,13 @@ class CapacityResult:
     searches (both expose the ``acceptable`` criterion the search uses).
 
     ``evaluations`` counts the simulator evaluations performed on behalf of
-    this search: the rates the decision tree consumed plus any speculative
-    evaluations a parallel search dispatched (so it can exceed the serial
-    count), or 1 for a warm-start replay and 0 for an in-memory memo hit.
-    It is observability metadata — two results that differ only in
-    ``evaluations`` describe the same capacity.
+    this search: the rates the decision tree consumed (plus a rejected
+    replay's verification, and the full re-run of an unbracketed exit's
+    rejected rate), or 1 for a warm-start replay and 0 for an in-memory
+    memo hit.  Every search runs serially wherever it runs, so the count
+    does not depend on ``jobs``.  It is observability metadata — two
+    results that differ only in ``evaluations`` describe the same
+    capacity.
     """
 
     max_qps: float
@@ -171,19 +170,13 @@ class BisectionMachine:
     The serial search walks one path through a binary decision tree: every
     evaluation's accept/reject verdict picks the next rate.  This class
     factors that tree out of the execution loop — :meth:`next_rate` is the
-    rate the search needs now, :meth:`advance` consumes its verdict — so the
-    *same* decisions can be driven serially, speculatively (cloning the
-    machine down both branches enumerates every rate the next few verdicts
-    could require, see :func:`speculative_rates`), or completion-driven over
-    a pool of in-flight evaluations.
+    rate the search needs now, :meth:`advance` consumes its verdict.
 
     The tree: raise the initial ``upper_qps`` by ×1.6 (at most three times)
     until it misses the SLA, probe ``upper / 64`` (and a near-zero trickle
     rate if even that misses), then bisect ``iterations`` times, reporting
     the last accepted rate.  The machine consumes exactly the rate sequence
-    of a plain serial bisection loop (property tested against one), so
-    however the evaluations are scheduled, the final bracket and result are
-    those of the serial search.
+    of a plain serial bisection loop (property tested against one).
     """
 
     __slots__ = (
@@ -219,13 +212,6 @@ class BisectionMachine:
     def done(self) -> bool:
         """True once the search has concluded (``max_qps`` is set)."""
         return self.phase == "done"
-
-    def clone(self) -> "BisectionMachine":
-        """An independent copy (used to enumerate speculative branches)."""
-        copy = BisectionMachine.__new__(BisectionMachine)
-        for slot in BisectionMachine.__slots__:
-            setattr(copy, slot, getattr(self, slot))
-        return copy
 
     def next_rate(self) -> Optional[float]:
         """The offered load whose verdict the decision tree needs next."""
@@ -293,41 +279,6 @@ class BisectionMachine:
         self.max_qps = max_qps
         self.result_rate = result_rate
         self.phase = "done"
-
-
-def speculative_rates(machine: BisectionMachine, limit: int) -> List[float]:
-    """Up to ``limit`` rates the machine's next few verdicts could require.
-
-    Breadth-first over the decision tree's branches: the first entry is
-    always the rate the machine needs *now*; later entries are rates that
-    become the needed one under some combination of pending verdicts, so a
-    parallel search keeps them in flight speculatively.  Shallower rates —
-    needed sooner, under fewer assumptions — come first, which is the order
-    a bounded pipeline should fill in.
-    """
-    if limit <= 0:
-        return []
-    rates: List[float] = []
-    seen: set = set()
-    frontier = [machine]
-    while frontier and len(rates) < limit:
-        next_frontier: List[BisectionMachine] = []
-        for state in frontier:
-            rate = state.next_rate()
-            if rate is None:
-                continue
-            if rate not in seen:
-                seen.add(rate)
-                rates.append(rate)
-                if len(rates) >= limit:
-                    break
-            for outcome in (False, True):
-                branch = state.clone()
-                branch.advance(outcome)
-                if not branch.done:
-                    next_frontier.append(branch)
-        frontier = next_frontier
-    return rates
 
 
 def _stored_capacity(raw: Any) -> float:
@@ -399,8 +350,9 @@ class CapacityCache:
         lookups that are not a search's warm start (merging entries synced
         from another host checks for a local entry first).
 
-        A present-but-unreadable entry (truncated write, garbage JSON, a
-        foreign file shape, a capacity that is not a finite positive real)
+        A present-but-unreadable entry (truncated write, garbage JSON or
+        JSON nested too deeply to decode, a foreign file shape, a capacity
+        that is not a finite positive real)
         is a plain miss — the search falls back to the cold path — but is
         additionally tallied in ``stats["corrupt_entries"]`` so cache rot is
         visible rather than silently masquerading as cold misses.
@@ -414,7 +366,9 @@ class CapacityCache:
         else:
             try:
                 max_qps = _stored_capacity(json.loads(text)["max_qps"])
-            except (KeyError, TypeError, ValueError):  # JSONDecodeError included
+            # JSONDecodeError is a ValueError; RecursionError is JSON nested
+            # too deeply to decode.
+            except (KeyError, TypeError, ValueError, RecursionError):
                 self.stats["corrupt_entries"] += 1
         if count:
             self.stats["exact_misses" if max_qps is None else "exact_hits"] += 1
@@ -657,9 +611,9 @@ class CapacitySearch:
     """One latency-bounded capacity search over a server or a fleet.
 
     Build with :meth:`for_server` or :meth:`for_fleet`, then :meth:`run`.
-    The parallel path (``jobs > 1``) and the warm-start replay are both
-    decision-identical to a cold serial search — callers choose them purely
-    on wall-clock grounds.
+    The pooled path (``jobs > 1``) runs the same serial search in a worker,
+    and the warm-start replay is decision-identical to it — callers choose
+    them purely on wall-clock grounds.
     """
 
     def __init__(
@@ -903,9 +857,9 @@ class CapacitySearch:
     # ------------------------------------------------------------------ #
 
     def _context(self) -> TaskContext:
-        """Evaluator context: serial/replay paths evaluate through this
-        search and its validated simulator; pool workers unpickle the search
-        and build their own (deterministic) simulator."""
+        """Pool-task context: a worker unpickles the search and builds its
+        own (deterministic) simulator; a pool that runs the task locally
+        reuses this search and its validated simulator."""
         return TaskContext(_build_evaluator, self, value=self)
 
     def default_upper_qps(self) -> float:
@@ -920,13 +874,13 @@ class CapacitySearch:
     ) -> CapacityResult:
         """Execute the search and return the best sustainable rate.
 
-        ``jobs > 1`` keeps up to ``jobs`` speculative rate evaluations in
-        flight on a worker pool — an explicitly passed ``pool``, else the
+        The search always runs serially: inline, or with ``jobs > 1`` as one
+        task on a worker pool — an explicitly passed ``pool``, else the
         invocation's shared pool (:func:`~repro.runtime.pool.shared_pool`),
-        else a private pool closed before returning — reacting to each
-        completion as it lands (never more in-flight work than the host has
-        cores; inside a pool worker the search runs serially).  The returned
-        result is identical to the serial search's in all cases.
+        else a private pool closed before returning.  A lone search is
+        therefore no faster with more ``jobs``; a batch of searches is (see
+        :func:`run_capacity_searches`).  The returned result, evaluation
+        count included, is the same at any ``jobs``.
 
         ``warm_start_cache`` (a :class:`CapacityCache` or a directory path)
         replays a previously recorded identical search after one verifying
@@ -939,7 +893,7 @@ class CapacitySearch:
 
 
 # --------------------------------------------------------------------------- #
-# Completion-driven execution
+# Execution: one serial search per task
 # --------------------------------------------------------------------------- #
 
 
@@ -952,18 +906,17 @@ def _host_cores() -> int:
 
 
 def _parallel_budget(jobs: int, pool: WorkerPool) -> int:
-    """Concurrent evaluations worth keeping in flight.
+    """Searches worth running at once.
 
-    Speculative evaluations beyond the host's cores cannot run anywhere —
-    they only add fork/IPC overhead and wasted work — so the budget is
-    clamped by the physical core count as well as the pool width.  On a
-    one-core host every search therefore degrades to the exact serial
-    search, no matter how large a ``jobs`` budget the caller requested.
+    Tasks beyond the host's cores cannot run anywhere — they only add fork
+    and IPC overhead — so the budget is clamped by the physical core count
+    as well as the pool width.  On a one-core host every batch therefore
+    runs inline, no matter how large a ``jobs`` budget the caller requested.
 
     Pools that span hosts (``pool.spans_hosts``, e.g. the remote worker
     fleet) are exempt from the core clamp: their workers run on *other*
     machines, so the local core count says nothing about how many
-    evaluations can genuinely proceed at once.
+    searches can genuinely proceed at once.
     """
     width = min(jobs, pool.max_workers)
     if not getattr(pool, "spans_hosts", False):
@@ -971,166 +924,46 @@ def _parallel_budget(jobs: int, pool: WorkerPool) -> int:
     return max(1, width)
 
 
-class _SearchExecution:
-    """Live state of one capacity search inside the completion-driven driver.
+def _search(
+    search: CapacitySearch, replay_rate: Optional[float]
+) -> Tuple[CapacityResult, bool]:
+    """The exact serial search: inline in the parent, or one pool task.
 
-    Tracks the search's decision machine (or pending replay verification),
-    the results that have landed, and the futures still in flight.  The
-    same object drives the serial path (inline, zero speculation) and the
-    parallel path; only the scheduling around it differs.
-
-    A replay — of a warm-start entry, or of a batch leader's answer passed
-    in as ``replay_rate`` — is one verifying evaluation at the replayed
-    rate; a rejected verification falls back to the cold search.
+    Touches no cache.  A ``replay_rate`` (a warm-start entry's, or a batch
+    leader's answer) is verified with one evaluation; an answer the
+    simulator no longer sustains is stale (e.g. a foreign file dropped into
+    the cache directory), and the search then bisects cold, from nothing,
+    exactly as a solo cold search would.  Returns the result and whether a
+    bisection produced it — only a bisection's answer is new to the disk
+    tier.
     """
-
-    __slots__ = (
-        "search",
-        "sla",
-        "cache",
-        "signature",
-        "context",
-        "machine",
-        "replay_rate",
-        "results",
-        "pending",
-        "evaluations",
-        "cancelled",
-        "result",
-    )
-
-    def __init__(
-        self,
-        search: CapacitySearch,
-        cache: Optional[CapacityCache],
-        replay_rate: Optional[float] = None,
-    ) -> None:
-        self.search = search
-        self.sla = search.sla_latency_s
-        self.cache = cache
-        self.signature = search.signature() if cache is not None else None
-        self.context = search._context()
-        self.machine: Optional[BisectionMachine] = None
-        self.replay_rate = replay_rate
-        self.results: Dict[float, Any] = {}
-        self.pending: Dict[float, Future] = {}
-        self.evaluations = 0
-        self.cancelled = 0
-        self.result: Optional[CapacityResult] = None
-        if replay_rate is not None:
-            # A batch follower: its leader just computed the answer, so
-            # there is nothing to look up, and an infeasible leader needs no
-            # verification — the follower is infeasible too.
-            if replay_rate <= 0:
-                self._finish(0.0, None)
-            return
-        if cache is not None and self.signature is not None:
-            memo = cache.memo_load(cast(str, search._memo_digest))
-            if memo is not None:
-                # This process already ran the identical search against this
-                # cache instance: its full result replays without any
-                # re-verification (it *is* the earlier result).
-                self.result = dataclasses.replace(memo, evaluations=0)
-                return
-            cached = cache.load(self.signature)
-            if cached is not None:
-                # The signature pins every decision input, so the cached QPS
-                # is exactly what a cold serial search would return; one
-                # verifying evaluation rebuilds its deterministic result.
-                self.replay_rate = cached
-                return
-        self._build_machine()
-
-    def _build_machine(self) -> None:
-        search = self.search
-        self.machine = BisectionMachine(search.default_upper_qps(), search._iterations)
-
-    # ------------------------------------------------------------------ #
-
-    def needed_rates(self, limit: int) -> List[float]:
-        """Rates to keep in flight: the needed one first, speculation after."""
-        if self.result is not None:
-            return []
-        if self.replay_rate is not None:
-            return [self.replay_rate]
-        assert self.machine is not None  # built whenever no replay/result short-circuits
-        return speculative_rates(self.machine, limit)
-
-    def absorb(self) -> None:
-        """Advance the decision state as far as landed results allow."""
-        while self.result is None:
-            if self.replay_rate is not None:
-                replay = self.results.get(self.replay_rate)
-                if replay is None:
-                    return
-                if replay.acceptable(self.sla):
-                    self._finish(self.replay_rate, replay)
-                    return
-                # An answer the simulator no longer sustains is stale (e.g. a
-                # foreign file dropped into the directory): search cold, from
-                # nothing, exactly as a solo cold search would.
-                self.replay_rate = None
-                self.results.clear()
-                self._build_machine()
-                continue
-            assert self.machine is not None  # no replay pending, so it was built
-            rate = self.machine.next_rate()
-            outcome = self.results.get(rate)
-            if outcome is None:
-                return
-            self.machine.advance(outcome.acceptable(self.sla))
-            if self.machine.done:
-                if self.machine.result_rate is None:
-                    self._finish(0.0, None)
-                else:
-                    self._finish(
-                        self.machine.max_qps,
-                        self._full_result(self.machine.result_rate),
-                    )
-                return
-
-    def _full_result(self, rate: float) -> Any:
-        """The complete simulation result backing ``CapacityResult.result``.
-
-        Accepted evaluations always run to completion, so this is normally
-        the recorded outcome.  The exception is the unbracketed exit, which
-        may report a *rejected* rate whose recorded outcome is a
-        :class:`CertainRejection` stub; the serial contract attaches the
-        full measurement at that rate, so that one evaluation is re-run
-        without the early exit (a deterministic function of the rate, so
-        bit-identical to what the exit-free search returned).
-        """
-        outcome = self.results[rate]
-        if isinstance(outcome, CertainRejection):
-            outcome = _evaluate_rate(self.search, rate, reject=False)
-            self.results[rate] = outcome
-            self.evaluations += 1
-        return outcome
-
-    def _finish(self, max_qps: float, outcome: Any) -> None:
-        self.result = CapacityResult(
-            max_qps=max_qps,
-            sla_latency_s=self.sla,
-            result=outcome,
-            evaluations=self.evaluations,
-        )
-        if self.cache is not None and self.signature is not None:
-            # Only a bisection's answer is new to the disk tier: a replayed
-            # one is already there (or is a batch leader's, stored under the
-            # same signature), so a replay populates only the memo.
-            if self.machine is not None and max_qps > 0:
-                self.cache.store(self.signature, max_qps)
-            self.cache.memo_store(cast(str, self.search._memo_digest), self.result)
-
-    # ------------------------------------------------------------------ #
-
-    def run_serial(self) -> None:
-        """Drive this search to completion inline (the exact serial search)."""
-        while self.result is None:
-            rate = self.needed_rates(1)[0]
-            self.results[rate] = _evaluate_rate(self.search, rate)
-            self.evaluations += 1
-            self.absorb()
+    sla = search.sla_latency_s
+    evaluations = 0
+    if replay_rate is not None:
+        outcome = _evaluate_rate(search, replay_rate)
+        evaluations += 1
+        if outcome.acceptable(sla):
+            return CapacityResult(replay_rate, sla, outcome, evaluations), False
+    machine = BisectionMachine(search.default_upper_qps(), search._iterations)
+    outcomes: Dict[float, Any] = {}
+    while not machine.done:
+        rate = cast(float, machine.next_rate())
+        if rate not in outcomes:
+            outcomes[rate] = _evaluate_rate(search, rate)
+            evaluations += 1
+        machine.advance(outcomes[rate].acceptable(sla))
+    result_rate = machine.result_rate
+    if result_rate is None:
+        return CapacityResult(0.0, sla, None, evaluations), True
+    outcome = outcomes[result_rate]
+    if isinstance(outcome, CertainRejection):
+        # Accepted evaluations always run to completion; only the
+        # unbracketed exit reports a possibly *rejected* rate, whose
+        # early-exit stub has no statistics.  Re-run that one evaluation
+        # without the exit (a deterministic function of the rate).
+        outcome = _evaluate_rate(search, result_rate, reject=False)
+        evaluations += 1
+    return CapacityResult(cast(float, machine.max_qps), sla, outcome, evaluations), True
 
 
 def run_capacity_searches(
@@ -1139,17 +972,17 @@ def run_capacity_searches(
     warm_start_cache: Union[CapacityCache, str, Path, None] = None,
     pool: Optional[WorkerPool] = None,
 ) -> List[CapacityResult]:
-    """Run several capacity searches concurrently over one worker pool.
+    """Run independent capacity searches, over one worker pool if ``jobs > 1``.
 
-    The cross-search form of :meth:`CapacitySearch.run`: every search's
-    candidate evaluations are submitted into the same pool and each search's
-    decision tree advances the moment one of *its* results lands, so the
-    pool stays full even when a single bisection's lookahead is narrower
-    than the worker budget (small fleets, tight brackets).  The in-flight
-    budget is shared — needed rates of all searches first, deeper
-    speculation after — and each search's outcome is exactly what
-    :meth:`CapacitySearch.run` would return with the same options (searches
-    are independent).  Results are returned in input order.
+    The batch form of :meth:`CapacitySearch.run`.  The caller's process
+    makes every cache decision: before running, a memo hit returns the
+    stored result and a disk hit turns its search into a one-evaluation
+    replay; afterwards a bisection's answer is stored to disk and every
+    result to the memo.  Each unfinished search then runs serially
+    (:func:`_search`) — inline at ``jobs=1``, else as one pool task per
+    search with at most :func:`_parallel_budget` of them in flight — so
+    every result, evaluation count included, is the one ``jobs=1``
+    returns.  Results are returned in input order.
     """
     searches = list(searches)
     if jobs < 1:
@@ -1182,121 +1015,97 @@ def run_capacity_searches(
             else:
                 leaders[digest] = index
 
+    results: List[Optional[CapacityResult]] = [None] * len(searches)
+    unfinished: Dict[int, Optional[float]] = {}  # index -> replay rate
+    for index, search in enumerate(searches):
+        if index in followers:
+            continue
+        replay_rate = None
+        if cache is not None and search._digest is not None:
+            memo = cache.memo_load(cast(str, search._memo_digest))
+            if memo is not None:
+                # This process already ran the identical search against this
+                # cache instance: its full result replays without any
+                # re-verification (it *is* the earlier result).
+                results[index] = dataclasses.replace(memo, evaluations=0)
+                continue
+            # The signature pins every decision input, so the cached QPS is
+            # exactly what a cold serial search would return; one verifying
+            # evaluation rebuilds its deterministic result.
+            replay_rate = cache.load(cast(Dict[str, Any], search.signature()))
+        unfinished[index] = replay_rate
+
     with pool_scope(jobs, pool) as worker_pool:
         budget = _parallel_budget(jobs, worker_pool)
-        executions = {
-            index: _SearchExecution(search, cache)
-            for index, search in enumerate(searches)
-            if index not in followers
-        }
-        _execute(list(executions.values()), worker_pool, budget)
-        replays = {
-            index: _SearchExecution(
-                searches[index],
-                cache,
-                replay_rate=cast(CapacityResult, executions[leader].result).max_qps,
-            )
-            for index, leader in followers.items()
-        }
-        _execute(list(replays.values()), worker_pool, budget)
-    executions.update(replays)
-    return [cast(CapacityResult, executions[index].result) for index in range(len(searches))]
+        _run(searches, unfinished, results, cache, worker_pool, budget)
+        replays: Dict[int, Optional[float]] = {}
+        for index, leader in followers.items():
+            leader_qps = cast(CapacityResult, results[leader]).max_qps
+            if leader_qps > 0:
+                replays[index] = leader_qps
+            else:
+                # An infeasible leader needs no verification: the follower
+                # is infeasible too.
+                search = searches[index]
+                infeasible = CapacityResult(0.0, search.sla_latency_s, None, 0)
+                results[index] = infeasible
+                _record(cache, search, infeasible, searched=False)
+        _run(searches, replays, results, cache, worker_pool, budget)
+    return cast(List[CapacityResult], results)
 
 
-def _execute(executions: List[_SearchExecution], pool: WorkerPool, budget: int) -> None:
-    """Drive every unfinished execution to completion: over the pool when
-    the budget allows more than one evaluation in flight, else inline."""
-    pending = [execution for execution in executions if execution.result is None]
-    if budget > 1 and pool.parallelism > 1 and pending:
-        # Pre-fill the engines' latency tables so freshly forked workers
-        # inherit warm tables instead of each rebuilding them lazily.
-        for execution in pending:
-            warm_latency_tables(
-                execution.search._fleet(),
-                getattr(execution.search._load_generator.sizes, "max_size", None),
-            )
-        _drive_completion(pending, pool, budget)
-    else:
-        for execution in pending:
-            execution.run_serial()
-
-
-def _drive_completion(
-    executions: List[_SearchExecution], pool: WorkerPool, budget: int
+def _run(
+    searches: List[CapacitySearch],
+    unfinished: Dict[int, Optional[float]],
+    results: List[Optional[CapacityResult]],
+    cache: Optional[CapacityCache],
+    pool: WorkerPool,
+    budget: int,
 ) -> None:
-    """React to evaluation completions until every search concludes.
-
-    Each cycle: absorb landed results into every machine, refill the shared
-    in-flight budget breadth-first across searches (every active search's
-    *needed* rate before anyone's deeper speculation), mark speculation a
-    tighter bracket has invalidated as cancelled, then block until at least
-    one in-flight evaluation lands.
-    """
-    while True:
-        for execution in executions:
-            execution.absorb()
-        active = [e for e in executions if e.result is None]
-        if not active:
-            return
-
-        # Budget accounting spans *all* executions: a search that concluded
-        # with speculation still running leaves orphaned tasks occupying
-        # workers, and submitting past them would oversubscribe the
-        # core-clamped budget.  (Completed futures stop counting.)
-        total_pending = sum(
-            1
-            for execution in executions
-            for future in execution.pending.values()
-            if not future.done()
+    """Run every ``unfinished`` search (index -> replay rate) and record it:
+    one pool task per search when the budget allows more than one at once,
+    else inline."""
+    if budget > 1 and pool.parallelism > 1 and unfinished:
+        futures: Dict[int, Future] = {}
+        for index in unfinished:
+            # Pre-fill the engines' latency tables so freshly forked workers
+            # inherit warm tables instead of each rebuilding them lazily.
+            search = searches[index]
+            warm_latency_tables(
+                search._fleet(), getattr(search._load_generator.sizes, "max_size", None)
+            )
+        for index, replay_rate in unfinished.items():
+            in_flight = [future for future in futures.values() if not future.done()]
+            if len(in_flight) >= budget:
+                next(as_completed(in_flight))
+            futures[index] = pool.submit(
+                _search, replay_rate, context=searches[index]._context()
+            )
+        outcomes: Iterable[Tuple[int, Tuple[CapacityResult, bool]]] = (
+            (index, future.result()) for index, future in futures.items()
         )
-        plans = {id(e): e.needed_rates(budget) for e in active}
-        for depth in range(budget):
-            if total_pending >= budget:
-                break
-            for execution in active:
-                if total_pending >= budget:
-                    break
-                plan = plans[id(execution)]
-                if depth >= len(plan):
-                    continue
-                rate = plan[depth]
-                if rate in execution.results or rate in execution.pending:
-                    continue
-                execution.pending[rate] = pool.submit(
-                    _evaluate_rate, rate, context=execution.context
-                )
-                execution.evaluations += 1
-                total_pending += 1
+    else:
+        outcomes = (
+            (index, _search(searches[index], replay_rate))
+            for index, replay_rate in unfinished.items()
+        )
+    for index, (result, searched) in outcomes:
+        results[index] = result
+        _record(cache, searches[index], result, searched)
 
-        # Speculation outside the machine's still-reachable decision tree
-        # can never be consumed: mark it cancelled (the process task itself
-        # cannot be revoked; the result is simply ignored when it lands).
-        for execution in active:
-            if execution.replay_rate is not None:
-                continue
-            reachable = set(speculative_rates(execution.machine, 4 * budget))
-            for rate, future in execution.pending.items():
-                if rate not in reachable and future.cancel():
-                    execution.cancelled += 1
 
-        # Wait on every in-flight future, orphans of finished searches
-        # included: when orphans hold the whole budget, active searches have
-        # nothing pending, and waiting only on theirs would busy-spin.
-        in_flight = [
-            future
-            for execution in executions
-            for future in execution.pending.values()
-        ]
-        for _ in as_completed(in_flight):
-            break  # wake on the first completion, then harvest everything done
-        for execution in executions:  # finished searches' orphans drain too
-            landed = [
-                rate for rate, future in execution.pending.items() if future.done()
-            ]
-            for rate in landed:
-                future = execution.pending.pop(rate)
-                if execution.result is not None:
-                    # The search already concluded; the orphan's outcome —
-                    # including a worker error — is irrelevant.
-                    continue
-                execution.results[rate] = future.result()
+def _record(
+    cache: Optional[CapacityCache],
+    search: CapacitySearch,
+    result: CapacityResult,
+    searched: bool,
+) -> None:
+    """Store a finished search's result in the caller's cache."""
+    if cache is None or search._digest is None:
+        return
+    # Only a bisection's answer is new to the disk tier: a replayed one is
+    # already there (or is a batch leader's, stored under the same
+    # signature), so a replay populates only the memo.
+    if searched and result.max_qps > 0:
+        cache.store(cast(Dict[str, Any], search.signature()), result.max_qps)
+    cache.memo_store(cast(str, search._memo_digest), result)

@@ -33,9 +33,9 @@ primitive:
 Work is dispatched either as a blocking batch (:meth:`WorkerPool.map`) or
 completion-driven: :meth:`WorkerPool.submit` returns a :class:`Future` and
 :func:`as_completed` yields futures in the order their results land, so a
-consumer can react to each result immediately — refill a speculation
-pipeline, tighten a search bracket — instead of synchronising on batch
-boundaries.  ``map`` is submit-and-gather over the same machinery.
+consumer can react to each result immediately — refill a bounded set of
+in-flight tasks — instead of synchronising on batch boundaries.  ``map``
+is submit-and-gather over the same machinery.
 
 Per-task shared state (a simulator, a cluster) is expressed as a
 :class:`TaskContext`: a builder plus its picklable payload, serialised once
@@ -86,13 +86,11 @@ _IN_WORKER = False
 #: one-pool-per-invocation guarantee read this through :func:`pool_forks`.
 _FORK_COUNT = 0
 
-#: Worker-side LRU of built task contexts, keyed by token.  Completion-driven
-#: consumers (several concurrent capacity searches submitting into one pool)
-#: interleave tasks from *all* live contexts round-robin — the worst access
-#: pattern for an undersized LRU — so the bound is sized to hold a full
-#: figure-grid's worth of concurrent searches (fig15's default grid is 12);
-#: it exists only to keep long-lived workers from accumulating simulators
-#: when thousands of distinct contexts stream through over a process's life.
+#: Worker-side LRU of built task contexts, keyed by token.  A context backs
+#: every task of a batch (a tuner's knob assignments, a replay fan), so a
+#: worker builds it once; the bound keeps long-lived workers from
+#: accumulating simulators when thousands of distinct contexts (one per
+#: capacity-search task) stream through over a process's life.
 _WORKER_CONTEXT_SLOTS = 16
 _WORKER_CONTEXTS: "OrderedDict[Tuple[int, int], Any]" = OrderedDict()
 
@@ -132,16 +130,16 @@ class TaskContext:
     payload; its return value is handed to the task function as the first
     argument.  The same :class:`TaskContext` instance can back many ``map``
     calls — workers cache the built value by the context's token, and the
-    serial path caches it locally — so e.g. a capacity search builds its
-    simulator once per worker no matter how many bisection rounds it runs.
+    serial path caches it locally — so e.g. a fleet tuner builds its state
+    once per worker no matter how many knob assignments it evaluates.
 
     Because a ``multiprocessing.Pool`` cannot address individual workers,
     every task tuple carries the frozen payload bytes; serialisation cost is
     paid once (the bytes are reused) but pipe bandwidth is per item.  That
     is the price of sharing one long-lived pool across arbitrary consumers
     instead of re-forking with per-search initargs — and it is small: a
-    warmed fleet search's payload measures ~40–190 KiB, a few MB per search
-    against simulations that run orders of magnitude longer.
+    warmed fleet search's payload measures ~40–190 KiB, shipped once with
+    its search task against a whole bisection of simulations.
 
     ``value`` optionally seeds the *local* cache with an already-built
     object (e.g. the cluster the caller constructed anyway), which the
@@ -219,35 +217,21 @@ class Future:
 
     Futures resolve either inline at submit time (serial pools, nested
     submits inside a worker) or from the pool's result-handler thread when
-    the worker finishes.  ``cancel`` only *marks* the future: an in-flight
-    process task cannot be revoked, so a cancelled future still resolves —
-    callers use the mark to ignore speculation a tighter search bracket has
-    invalidated, and the mark is bookkeeping for wasted-work accounting.
+    the worker finishes.  A submitted process task cannot be revoked, so
+    every future resolves.
     """
 
-    __slots__ = ("item", "_done", "_value", "_error", "_cancelled")
+    __slots__ = ("item", "_done", "_value", "_error")
 
     def __init__(self, item: Any = None) -> None:
         self.item = item
         self._done = False
         self._value: Any = None
         self._error: Optional[BaseException] = None
-        self._cancelled = False
 
     def done(self) -> bool:
         """True once a result (or error) has landed."""
         return self._done
-
-    def cancelled(self) -> bool:
-        """True when the caller has marked this future's result as unwanted."""
-        return self._cancelled
-
-    def cancel(self) -> bool:
-        """Mark the result as unwanted; returns False if it already landed."""
-        if self._done:
-            return False
-        self._cancelled = True
-        return True
 
     def _resolve(self, value: Any) -> None:
         with _COMPLETION:
@@ -274,8 +258,6 @@ class Future:
 
     def __repr__(self) -> str:
         state = "done" if self._done else "pending"
-        if self._cancelled:
-            state += ", cancelled"
         return f"Future(item={self.item!r}, {state})"
 
 
@@ -283,10 +265,9 @@ def as_completed(futures: Iterable[Future]) -> Iterator[Future]:
     """Yield ``futures`` in completion order (already-done ones first).
 
     The completion-driven analogue of gathering a ``map``: consumers react
-    to each result the moment it lands — advancing a bisection, refilling a
-    speculation pipeline — while the remaining tasks keep running.
-    Cancelled futures are still yielded when they resolve (a process task
-    cannot be revoked); callers skip them by the mark.
+    to each result the moment it lands — caching a sweep point, or
+    submitting the next capacity search into the freed slot — while the
+    remaining tasks keep running.
     """
     pending = list(futures)
     while pending:

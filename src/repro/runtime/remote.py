@@ -498,7 +498,7 @@ class RemoteWorkerPool(WorkerPool):
     refuse or time out are tolerated and counted
     (``stats["connect_failures"]``).  ``max_workers`` becomes the fleet's
     total advertised slots, and because :attr:`spans_hosts` is set, budget
-    planners skip the local-core clamp when sizing speculation against it.
+    planners skip the local-core clamp when sizing work against it.
 
     Failure semantics mirror the local pool's crash handling, lifted to
     host granularity: a silent link is *suspected* after

@@ -116,6 +116,8 @@ class WindowJournal:
                     IndexError,
                     TypeError,
                     ValueError,
+                    OverflowError,  # a float field past the float range
+                    RecursionError,  # JSON nested too deeply to decode
                 ):
                     # This line plus anything after it (unreachable once
                     # the journal's tail integrity is gone).

@@ -1,8 +1,8 @@
 """Serial reference bisection: the oracle for :class:`BisectionMachine`.
 
 The capacity search runs its bisection as an explicit decision machine
-(:class:`repro.runtime.capacity.BisectionMachine`) so the same decisions
-can be driven serially, speculatively, or completion-driven.  This module
+(:class:`repro.runtime.capacity.BisectionMachine`), driven one rate at a
+time wherever the search runs.  This module
 keeps the plain loop that machine was factored out of — deliberately
 simple, no state machine and no scheduling — so tests can check that the
 machine consumes exactly its rate sequence and reaches its answer.

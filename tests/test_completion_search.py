@@ -1,17 +1,15 @@
-"""Completion-driven capacity search: decision identity, warm tiers, early exits.
+"""Capacity search execution: decision identity, warm tiers, early exits.
 
 Three layers of coverage:
 
 * **Decision machine** (property-based): :class:`BisectionMachine` consumes
   exactly the rate/verdict sequence of the serial reference
   :func:`reference_bisect.bisect_max_qps` for every randomized
-  capacity/bracket/iteration combination, and :func:`speculative_rates`
-  always leads with the needed rate.
-* **Completion-driven driver** (randomized, threaded): the real
-  :func:`_drive_completion` loop fed by a fake pool whose futures resolve
-  in random order from a background thread still reproduces the serial
-  search's decisions, for any in-flight budget and number of concurrent
-  searches.
+  capacity/bracket/iteration combination.
+* **One pool task per search** (real pool): a batch run at ``jobs > 1``
+  submits exactly one task per unfinished search, and its results,
+  evaluation counts and cache statistics are those of ``jobs=1`` — cold,
+  warm from disk and from the memo.
 * **Warm-start tiers, batch followers and early exits** (real
   simulators): the in-process memo replays without evaluations;
   single-server fleets share cache entries across balancing policies; a
@@ -20,7 +18,6 @@ Three layers of coverage:
 """
 
 import random
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -34,12 +31,9 @@ from repro.runtime.capacity import (
     BisectionMachine,
     CapacityCache,
     CapacitySearch,
-    _drive_completion,
-    _SearchExecution,
     run_capacity_searches,
-    speculative_rates,
 )
-from repro.runtime.pool import Future, WorkerPool
+from repro.runtime.pool import WorkerPool
 from repro.serving.cluster import ClusterSimulator, homogeneous_fleet
 from repro.serving.simulator import (
     CertainRejection,
@@ -101,126 +95,6 @@ class TestBisectionMachineProperty:
         else:
             assert result_rate == serial.max_qps or result_rate == rates[-1]
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        capacity=st.floats(min_value=1e-3, max_value=6000),
-        upper=st.floats(min_value=1e-2, max_value=9000),
-        iterations=st.integers(min_value=1, max_value=7),
-        limit=st.integers(min_value=1, max_value=12),
-    )
-    def test_speculative_rates_lead_with_needed_rate(
-        self, capacity, upper, iterations, limit
-    ):
-        machine = BisectionMachine(upper, iterations)
-        while not machine.done:
-            speculated = speculative_rates(machine, limit)
-            assert speculated[0] == machine.next_rate()
-            assert len(speculated) == len(set(speculated))  # deduplicated
-            assert len(speculated) <= limit
-            rate = machine.next_rate()
-            machine.advance(FakeOutcome(rate, capacity).acceptable(1.0))
-        assert speculative_rates(machine, limit) == []
-
-
-class FakeCompletionPool:
-    """Pool stub for the completion driver: futures resolve out of order.
-
-    ``submit`` registers an unresolved future; a background thread resolves
-    a *random* pending future every tick with the fake capacity verdict, so
-    the driver sees arbitrary completion interleavings while the decisions
-    must stay those of the serial search.
-    """
-
-    def __init__(self, capacity_by_context, seed):
-        self._capacity_by_context = capacity_by_context
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-        self._pending = []
-        self._stop = False
-        self._thread = threading.Thread(target=self._resolver, daemon=True)
-        self._thread.start()
-
-    def submit(self, fn, rate, context=None):
-        future = Future(rate)
-        with self._lock:
-            self._pending.append((future, self._capacity_by_context[id(context)]))
-        return future
-
-    def _resolver(self):
-        while not self._stop:
-            with self._lock:
-                if self._pending:
-                    index = self._rng.randrange(len(self._pending))
-                    future, capacity = self._pending.pop(index)
-                    future._resolve(FakeOutcome(future.item, capacity))
-                    continue
-            threading.Event().wait(0.0005)
-
-    def close(self):
-        self._stop = True
-        self._thread.join()
-
-
-def build_fake_execution(upper, iterations, sla, capacity, pool_contexts):
-    """A bare _SearchExecution around a machine (no cache, no real search)."""
-    execution = _SearchExecution.__new__(_SearchExecution)
-    execution.search = None
-    execution.sla = sla
-    execution.cache = None
-    execution.signature = None
-    execution.context = object()
-    execution.machine = BisectionMachine(upper, iterations)
-    execution.replay_rate = None
-    execution.results = {}
-    execution.pending = {}
-    execution.evaluations = 0
-    execution.cancelled = 0
-    execution.result = None
-    pool_contexts[id(execution.context)] = capacity
-    return execution
-
-
-class TestCompletionDriverRandomOrder:
-    def test_driver_matches_serial_for_random_orders_and_budgets(self):
-        rng = random.Random(20260730)
-        for trial in range(30):
-            num_searches = rng.randint(1, 4)
-            budget = rng.randint(2, 6)
-            scenarios = [
-                (
-                    rng.uniform(1e-3, 6000),  # capacity
-                    rng.uniform(1e-2, 9000),  # upper
-                    rng.randint(1, 7),  # iterations
-                )
-                for _ in range(num_searches)
-            ]
-            contexts = {}
-            executions = [
-                build_fake_execution(upper, iterations, 1.0, capacity, contexts)
-                for capacity, upper, iterations in scenarios
-            ]
-            pool = FakeCompletionPool(contexts, seed=trial)
-            try:
-                _drive_completion(executions, pool, budget)
-            finally:
-                pool.close()
-            for execution, (capacity, upper, iterations) in zip(
-                executions, scenarios
-            ):
-                serial = bisect_max_qps(
-                    lambda rate: FakeOutcome(rate, capacity), upper, 1.0, iterations
-                )
-                assert execution.result is not None
-                assert execution.result.max_qps == serial.max_qps, (
-                    trial,
-                    capacity,
-                    upper,
-                    iterations,
-                )
-                # Speculation may evaluate extra rates, never fewer than the
-                # serial decision path consumed.
-                assert execution.evaluations >= serial.evaluations
-
 
 @pytest.fixture(scope="module")
 def engines():
@@ -255,6 +129,72 @@ class TestRealPoolCrossSearch:
             assert many.max_qps == one.max_qps
             assert many.result.p95_latency_s == one.result.p95_latency_s
             assert many.result.latencies_s == one.result.latencies_s
+
+
+class CountingPool(WorkerPool):
+    """A real worker pool that counts the tasks submitted to it."""
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.submits = 0
+
+    def submit(self, fn, item, context=None):
+        self.submits += 1
+        return super().submit(fn, item, context=context)
+
+
+class TestOneTaskPerSearch:
+    def test_pooled_batch_matches_serial_cold_warm_and_memo(
+        self, engines, config, tmp_path, monkeypatch
+    ):
+        # A cold leader, its single-server duplicate under another policy (a
+        # batch follower) and a search no rate satisfies, run cold, then
+        # warm from disk (a new cache instance), then again on that instance
+        # (memo) — at jobs=1 and at jobs=2, each against its own directory.
+        monkeypatch.setattr(runtime_capacity, "_host_cores", lambda: 2)
+        generator = LoadGenerator(seed=7)
+        fleet = homogeneous_fleet(engines, config, 1)
+        searches = [
+            CapacitySearch.for_fleet(
+                fleet, "least-outstanding", 0.1, generator, **SEARCH_KWARGS
+            ),
+            CapacitySearch.for_fleet(fleet, "power-of-two", 0.1, generator, **SEARCH_KWARGS),
+            CapacitySearch.for_server(engines, config, 1e-6, generator, **SEARCH_KWARGS),
+        ]
+
+        def three_passes(jobs, cache_dir, pool):
+            warm_cache = CapacityCache(cache_dir)
+            outcomes, stats, submits = [], [], []
+            for cache in (CapacityCache(cache_dir), warm_cache, warm_cache):
+                before = getattr(pool, "submits", 0)
+                outcomes.append(
+                    run_capacity_searches(searches, jobs=jobs, warm_start_cache=cache, pool=pool)
+                )
+                stats.append(dict(cache.stats))
+                submits.append(getattr(pool, "submits", 0) - before)
+            return outcomes, stats, submits
+
+        serial, serial_stats, _ = three_passes(1, tmp_path / "serial", None)
+        with CountingPool(2) as pool:
+            pooled, pooled_stats, submits = three_passes(2, tmp_path / "pooled", pool)
+
+        cold = serial[0]
+        assert cold[0].evaluations > 1 and cold[1].evaluations == 1
+        assert cold[2].max_qps == 0.0
+        assert pooled_stats == serial_stats
+        # One task per unfinished search.  Cold: the leader, the infeasible
+        # search and the follower's replay.  Warm: the leader's verification,
+        # the infeasible search again (a zero capacity is never stored) and
+        # the follower's replay.  Memo: the follower's replay only.
+        assert submits == [3, 3, 1]
+        for serial_pass, pooled_pass in zip(serial, pooled):
+            for one, many in zip(serial_pass, pooled_pass):
+                assert many.max_qps == one.max_qps
+                assert many.evaluations == one.evaluations
+                if one.result is None:
+                    assert many.result is None
+                else:
+                    assert many.result.latencies_s == one.result.latencies_s
 
 
 class TestWarmTiers:
@@ -386,7 +326,7 @@ class TestBatchDedupe:
 
 class TestUnbracketedExitResult:
     def test_rejected_unbracketed_measurement_reports_full_result(
-        self, engines, config
+        self, engines, config, monkeypatch
     ):
         # The unbracketed exit reports the final raised rate even when its
         # measurement is rejected; with the early-rejection exit armed that
@@ -397,18 +337,31 @@ class TestUnbracketedExitResult:
         search = CapacitySearch.for_server(
             engines, config, 0.1, LoadGenerator(seed=7), **SEARCH_KWARGS
         )
-        execution = _SearchExecution(search, None)
-        rate = 2000.0
-        execution.machine.phase = "unbracketed"
-        execution.machine.upper = rate
-        execution.results[rate] = CertainRejection(
-            sla_latency_s=0.1, measured_queries=10, over_sla_queries=10
-        )
-        execution.absorb()
-        assert execution.result is not None
-        assert execution.result.max_qps == rate
-        assert not isinstance(execution.result.result, CertainRejection)
-        assert execution.result.result.p95_latency_s > 0.0
+        evaluate = runtime_capacity._evaluate_rate
+        calls = []
+
+        def accept_below_2000(target, rate, reject=True):
+            # Bracket raises 500 -> 800 -> 1280 are accepted; the unbracketed
+            # measurement at 2048 exits early as a rejection stub.
+            calls.append((rate, reject))
+            if not reject:
+                return evaluate(target, rate, reject)
+            if rate < 2000.0:
+                return FakeOutcome(rate, capacity=2000.0)
+            return CertainRejection(
+                sla_latency_s=0.1, measured_queries=10, over_sla_queries=10
+            )
+
+        monkeypatch.setattr(runtime_capacity, "_evaluate_rate", accept_below_2000)
+        monkeypatch.setattr(search, "default_upper_qps", lambda: 500.0)
+        outcome = search.run()
+        rate = 500.0 * 1.6 * 1.6 * 1.6  # the machine's ×1.6 raises, in order
+        assert calls[-2:] == [(rate, True), (rate, False)]
+        assert outcome.max_qps == rate
+        assert outcome.evaluations == 5
+        assert not isinstance(outcome.result, CertainRejection)
+        assert outcome.result.p95_latency_s > 0.0
+        assert outcome.result.latencies_s == evaluate(search, rate, False).latencies_s
 
 
 class TestCertainRejection:

@@ -2,7 +2,10 @@
 
 import pytest
 
+import repro.experiments.ablations as ablations
+import repro.runtime.capacity as runtime_capacity
 from repro.experiments import available_experiments, run_experiment
+from repro.runtime.pool import shared_pool
 from repro.serving.sla import SLATier
 
 FAST = dict(num_queries=150, capacity_iterations=3)
@@ -86,3 +89,36 @@ class TestCacheContentionAblation:
             **FAST,
         )
         assert len(result.rows) == 1
+
+
+class TestAblationBatches:
+    @pytest.mark.parametrize(
+        "experiment_id, params, batches",
+        [
+            ("ablation-arrival", dict(arrival_processes=("poisson", "fixed")), 1),
+            # The tuning grid, then the cross-evaluations.
+            ("ablation-size-dist", dict(batch_sizes=(256, 512)), 2),
+            ("ablation-cache-contention", dict(batch_sizes=(64, 512)), 1),
+        ],
+    )
+    def test_searches_batched_and_rows_identical_across_jobs(
+        self, experiment_id, params, batches, monkeypatch
+    ):
+        # Each ablation submits its independent searches as whole batches,
+        # so jobs > 1 runs them concurrently; the rows do not change.
+        monkeypatch.setattr(runtime_capacity, "_host_cores", lambda: 2)
+        batch_calls = []
+        run_batch = ablations.run_capacity_searches
+
+        def counting(searches, **kwargs):
+            batch_calls.append(len(searches))
+            return run_batch(searches, **kwargs)
+
+        monkeypatch.setattr(ablations, "run_capacity_searches", counting)
+        serial = run_experiment(experiment_id, jobs=1, **params, **FAST)
+        assert len(batch_calls) == batches
+        with shared_pool(2):
+            pooled = run_experiment(experiment_id, jobs=2, **params, **FAST)
+        assert batch_calls[batches:] == batch_calls[:batches]
+        assert pooled.rows == serial.rows
+        assert pooled.metadata == serial.metadata

@@ -182,6 +182,19 @@ class TestCorruptCacheEntries:
                 "corrupt_entries": 1,
             }, max_qps
 
+    def test_deeply_nested_entry_counts_as_corrupt(self, tmp_path):
+        # json.loads raises RecursionError on this; it is a counted miss.
+        signature = {"kind": "server", "num_queries": 100}
+        path = tmp_path / f"capacity-{CapacityCache.digest(signature)}.json"
+        path.write_text('{"max_qps": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        cache = CapacityCache(tmp_path)
+        assert cache.load(signature) is None
+        assert cache.stats == {
+            **{key: 0 for key in cache.stats},
+            "exact_misses": 1,
+            "corrupt_entries": 1,
+        }
+
     def test_missing_entry_is_a_plain_miss_not_corruption(self, tmp_path):
         cache = CapacityCache(tmp_path)
         assert cache.load({"kind": "server"}) is None

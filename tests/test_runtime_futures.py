@@ -70,20 +70,6 @@ class TestSubmitInline:
         assert (first.result(), second.result()) == (21, 22)
         assert calls == [2]
 
-    def test_cancel_before_done_marks_only(self):
-        future = Future(item="x")
-        assert future.cancel() is True
-        assert future.cancelled()
-        assert not future.done()
-        future._resolve(5)  # a process task cannot be revoked; it still lands
-        assert future.result() == 5
-        assert future.cancelled()
-
-    def test_cancel_after_done_fails(self):
-        future = WorkerPool(1).submit(_square, 2)
-        assert future.cancel() is False
-        assert not future.cancelled()
-
 
 class TestSubmitParallel:
     def test_parallel_results_and_completion_order(self):

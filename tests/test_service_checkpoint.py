@@ -84,6 +84,26 @@ class TestWindowJournal:
         assert journal.corrupt_records == 2
 
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            # queries nested 100,000 deep: json.loads raises RecursionError
+            '{"index": 1, "start_s": 2.0, "end_s": 4.0, "queries": '
+            + "[" * 100_000 + "]" * 100_000 + "}",
+            # a 401-digit start_s: float() raises OverflowError
+            '{"index": 1, "start_s": ' + "9" * 401 + ', "end_s": 4.0, "queries": []}',
+        ],
+        ids=["deeply-nested-queries", "huge-integer-start"],
+    )
+    def test_undecodable_record_is_counted_not_raised(self, tmp_path, record):
+        journal = WindowJournal(tmp_path)
+        intact = Window(0, 0.0, 2.0, (Query(0, 0.5, 16),))
+        journal.append(intact)
+        with open(journal.path, "a", encoding="utf-8") as handle:
+            handle.write(record + "\n")
+        assert journal.load() == [intact]
+        assert journal.corrupt_records == 1
+
 class TestFastForward:
     def test_sealed_windows_read_as_late(self):
         manager = WindowManager(window_s=2.0)
