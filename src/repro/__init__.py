@@ -21,33 +21,44 @@ Quickstart::
     print(tuned.qps / baseline.qps)
 """
 
-from repro.core.scheduler import DeepRecSched, OperatingPoint
-from repro.execution.engine import build_cpu_engine, build_engine_pair, build_gpu_engine
-from repro.infra.deeprecinfra import DeepRecInfra, InfraConfig
-from repro.models.zoo import available_models, get_config, get_model
-from repro.queries.generator import LoadGenerator
-from repro.serving.simulator import ServingConfig, ServingSimulator, SimulationResult
-from repro.serving.sla import SLATier, sla_target, sla_targets
+from importlib import import_module
+from typing import Any, List
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
-__all__ = [
-    "DeepRecSched",
-    "OperatingPoint",
-    "build_cpu_engine",
-    "build_engine_pair",
-    "build_gpu_engine",
-    "DeepRecInfra",
-    "InfraConfig",
-    "available_models",
-    "get_config",
-    "get_model",
-    "LoadGenerator",
-    "ServingConfig",
-    "ServingSimulator",
-    "SimulationResult",
-    "SLATier",
-    "sla_target",
-    "sla_targets",
-    "__version__",
-]
+#: Public name -> defining module.  Each module loads on the first access of
+#: one of its names (PEP 562), so ``import repro.serving.cluster`` does not pay
+#: for the scheduler, the tuners, ``infra`` or the model zoo.
+_EXPORTS = {
+    "DeepRecSched": "repro.core.scheduler",
+    "OperatingPoint": "repro.core.scheduler",
+    "build_cpu_engine": "repro.execution.engine",
+    "build_engine_pair": "repro.execution.engine",
+    "build_gpu_engine": "repro.execution.engine",
+    "DeepRecInfra": "repro.infra.deeprecinfra",
+    "InfraConfig": "repro.infra.deeprecinfra",
+    "available_models": "repro.models.zoo",
+    "get_config": "repro.models.zoo",
+    "get_model": "repro.models.zoo",
+    "LoadGenerator": "repro.queries.generator",
+    "ServingConfig": "repro.serving.simulator",
+    "ServingSimulator": "repro.serving.simulator",
+    "SimulationResult": "repro.serving.simulator",
+    "SLATier": "repro.serving.sla",
+    "sla_target": "repro.serving.sla",
+    "sla_targets": "repro.serving.sla",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *__all__})

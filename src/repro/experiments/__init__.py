@@ -1,49 +1,37 @@
-"""Per-table / per-figure experiment drivers reproducing the paper's evaluation."""
+"""Per-table / per-figure experiment drivers reproducing the paper's evaluation.
 
-# Importing the driver modules registers them with the experiment registry.
-from repro.experiments import (  # noqa: F401
-    ablations,
-    degraded_fleet,
-    fig1_roofline,
-    fig3_operators,
-    fig4_gpu_speedup,
-    fig5_query_sizes,
-    fig6_query_breakdown,
-    fig7_subsampling,
-    fig9_batch_sweep,
-    fig10_threshold_sweep,
-    fig11_throughput,
-    fig12_parallelism,
-    fig13_production,
-    fig14_gpu_tradeoff,
-    fig15_cluster_scaling,
-    table1_models,
-    table2_sla,
-)
-from repro.experiments.registry import (
-    available_experiments,
-    get_experiment,
-    register_experiment,
-)
-from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import (
-    SweepOutcome,
-    SweepRunner,
-    config_hash,
-    render_report,
-    run_experiment,
-    run_experiments,
-)
+The re-exports below load on first access (PEP 562), and the registry imports
+the driver modules on its first lookup, so importing
+:mod:`repro.experiments.result` alone stays cheap.
+"""
 
-__all__ = [
-    "available_experiments",
-    "get_experiment",
-    "register_experiment",
-    "ExperimentResult",
-    "SweepOutcome",
-    "SweepRunner",
-    "config_hash",
-    "render_report",
-    "run_experiment",
-    "run_experiments",
-]
+from importlib import import_module
+from typing import Any, List
+
+#: Public name -> defining module.
+_EXPORTS = {
+    "available_experiments": "repro.experiments.registry",
+    "get_experiment": "repro.experiments.registry",
+    "register_experiment": "repro.experiments.registry",
+    "ExperimentResult": "repro.experiments.result",
+    "SweepOutcome": "repro.experiments.runner",
+    "SweepRunner": "repro.experiments.runner",
+    "config_hash": "repro.experiments.runner",
+    "render_report": "repro.experiments.runner",
+    "run_experiment": "repro.experiments.runner",
+    "run_experiments": "repro.experiments.runner",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *__all__})

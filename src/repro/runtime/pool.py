@@ -221,29 +221,46 @@ class Future:
     every future resolves.
     """
 
-    __slots__ = ("item", "_done", "_value", "_error")
+    __slots__ = ("item", "_done", "_value", "_error", "_callbacks")
 
     def __init__(self, item: Any = None) -> None:
         self.item = item
         self._done = False
         self._value: Any = None
         self._error: Optional[BaseException] = None
+        self._callbacks: List[Callable[[Future], None]] = []
 
     def done(self) -> bool:
         """True once a result (or error) has landed."""
         return self._done
 
-    def _resolve(self, value: Any) -> None:
+    def add_done_callback(self, fn: Callable[[Future], None]) -> None:
+        """Call ``fn(future)`` once this future is done (at once if it is).
+
+        ``fn`` runs on the thread that settles the future (often the pool's
+        result handler), so it must be quick and must not block.
+        """
+        with _COMPLETION:
+            if not self._done:
+                self._callbacks.append(fn)
+                return
+        fn(self)
+
+    def _settle(self, value: Any, error: Optional[BaseException]) -> None:
         with _COMPLETION:
             self._value = value
-            self._done = True
-            _COMPLETION.notify_all()
-
-    def _reject(self, error: BaseException) -> None:
-        with _COMPLETION:
             self._error = error
             self._done = True
+            callbacks, self._callbacks = self._callbacks, []
             _COMPLETION.notify_all()
+        for callback in callbacks:
+            callback(self)
+
+    def _resolve(self, value: Any) -> None:
+        self._settle(value, None)
+
+    def _reject(self, error: BaseException) -> None:
+        self._settle(None, error)
 
     def result(self, timeout: Optional[float] = None) -> Any:
         """Block until the task finishes; return its value or raise its error."""

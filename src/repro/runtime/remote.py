@@ -48,6 +48,7 @@ exactly like ``multiprocessing``'s own socket transports.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import pickle
 import queue
@@ -97,8 +98,10 @@ DEFAULT_CONNECT_TIMEOUT_S = 5.0
 #: Detect delay: how long a link may stay silent before its leases move.
 DEFAULT_LIVENESS_TIMEOUT_S = 5.0
 
-#: How long receive loops block before re-checking liveness and shutdown
-#: flags; bounds both failure-detection latency jitter and close() latency.
+#: How long the coordinator's receive loops block before re-checking liveness
+#: and shutdown flags; bounds both failure-detection latency jitter and
+#: close() latency.  The worker's loop wakes on frames, finished tasks and
+#: its heartbeat deadline instead.
 _POLL_INTERVAL_S = 0.1
 
 _RECV_CHUNK = 1 << 16
@@ -166,9 +169,16 @@ class _FrameReader:
             )
         return message
 
-    def poll(self, timeout_s: float) -> Optional[Dict[str, Any]]:
+    def poll(
+        self, timeout_s: float, wake: Optional[socket.socket] = None
+    ) -> Optional[Dict[str, Any]]:
         """One message, or None on timeout; raises :class:`ConnectionClosed`
-        on EOF and :class:`ProtocolError` on garbage."""
+        on EOF and :class:`ProtocolError` on garbage.
+
+        A readable ``wake`` socket also ends the wait with None; the caller
+        drains it.
+        """
+        watched = [self._sock] if wake is None else [self._sock, wake]
         deadline = time.monotonic() + timeout_s
         while True:
             frame = self._take_frame()
@@ -182,10 +192,10 @@ class _FrameReader:
             # ``send_frame`` (heartbeats, task dispatch) rewriting it must
             # not stretch this recv past the poll deadline.
             try:
-                readable, _, _ = select.select([self._sock], [], [], remaining)
+                readable, _, _ = select.select(watched, [], [], remaining)
             except (OSError, ValueError) as error:
                 raise ConnectionClosed(f"socket unusable: {error}") from None
-            if not readable:
+            if self._sock not in readable:
                 return None
             self._sock.settimeout(max(remaining, 0.001))
             try:
@@ -282,7 +292,8 @@ def _serve_session(conn: socket.socket, pool: WorkerPool, io_timeout_s: float) -
     """Serve one coordinator for the lifetime of its connection.
 
     The session thread owns all socket IO (so heartbeats keep flowing while
-    tasks run); a helper thread feeds tasks into a per-session local
+    tasks run) and sends each result as soon as its task finishes; a helper
+    thread feeds tasks into a per-session local
     :class:`WorkerPool`, which supplies self-healing for crashes of the
     task processes on *this* host — the coordinator's lease machinery only
     has to cover the loss of the whole worker.  The pool arrives *already
@@ -314,8 +325,19 @@ def _serve_session(conn: socket.socket, pool: WorkerPool, io_timeout_s: float) -
         io_timeout_s,
     )
     inbox: "queue.Queue[Optional[Tuple[int, bytes]]]" = queue.Queue()
-    pending: Dict[int, Future] = {}
-    pending_lock = threading.Lock()
+    finished: "queue.SimpleQueue[Tuple[int, Future]]" = queue.SimpleQueue()
+    # A finished task queues itself and writes one byte here, so the loop
+    # below sends its result at once, not at the next frame or heartbeat.
+    wake_recv, wake_send = socket.socketpair()
+    wake_recv.setblocking(False)
+    wake_send.setblocking(False)
+
+    def _finished(task_id: int, future: Future) -> None:
+        finished.put((task_id, future))
+        try:
+            wake_send.send(b"\0")
+        except OSError:
+            pass  # a full pair already holds a wake-up; a closed one, no session
 
     def _submitter() -> None:
         while True:
@@ -324,18 +346,19 @@ def _serve_session(conn: socket.socket, pool: WorkerPool, io_timeout_s: float) -
                 return
             task_id, spec = job
             future = pool.submit(_run_remote_task, spec)
-            with pending_lock:
-                pending[task_id] = future
+            future.add_done_callback(functools.partial(_finished, task_id))
 
     submitter = threading.Thread(
         target=_submitter, daemon=True, name="remote-worker-submit"
     )
     submitter.start()
-    last_beat = time.monotonic()
+    next_beat = time.monotonic() + heartbeat_interval_s
     try:
         while True:
             try:
-                message = reader.poll(_POLL_INTERVAL_S)
+                message = reader.poll(
+                    max(0.0, next_beat - time.monotonic()), wake=wake_recv
+                )
             except ConnectionClosed:
                 return  # the coordinator went away: this session is over
             if message is not None:
@@ -345,23 +368,22 @@ def _serve_session(conn: socket.socket, pool: WorkerPool, io_timeout_s: float) -
                 elif kind == "shutdown":
                     return
                 # unknown frame types are ignored for forward compatibility
-            with pending_lock:
-                done = [
-                    (task_id, future)
-                    for task_id, future in pending.items()
-                    if future.done()
-                ]
-                for task_id, _ in done:
-                    del pending[task_id]
-            for task_id, future in done:
+            try:
+                wake_recv.recv(_RECV_CHUNK)  # drain before taking results
+            except BlockingIOError:
+                pass
+            while not finished.empty():
+                task_id, future = finished.get_nowait()
                 _send_result(conn, task_id, future, io_timeout_s)
             now = time.monotonic()
-            if now - last_beat >= heartbeat_interval_s:
+            if now >= next_beat:
                 send_frame(conn, {"type": "heartbeat"}, io_timeout_s)
-                last_beat = now
+                next_beat = now + heartbeat_interval_s
     finally:
         inbox.put(None)
         submitter.join(timeout=1.0)
+        wake_recv.close()
+        wake_send.close()
 
 
 def serve_worker(
