@@ -8,12 +8,14 @@
    fleet (real, and the shadow what-if when present).  Each stream is one
    resumable event loop that lives as long as the twin, so a window costs
    only its own events, not a replay of the history;
-2. reports each fleet from a fork of its stream, finished: the
+2. reports each fleet's SLA verdict from a fork of its stream, drained
+   (:meth:`~repro.serving.simulator.EventLoop.finish_sla`): the
    measurement of the *whole stream so far* (window 0 through the window
-   just closed — the OpenDT ``sim-worker`` discipline).  Window indices
-   follow event time, so the windows' sorted events concatenate to the
-   sorted history, and every report is **bit-identical** to a one-shot
-   batch run over the same events — asserted window by window in
+   just closed — the OpenDT ``sim-worker`` discipline), with no sample
+   list and no result object.  Window indices follow event time, so the
+   windows' sorted events concatenate to the sorted history, and every
+   verdict is **bit-identical** to one from a one-shot batch run over the
+   same events — asserted window by window in
    ``tests/test_service_twin.py::TestCumulativeBitIdentity``;
 3. predicts each fleet's capacity with the unified
    :class:`~repro.runtime.capacity.CapacitySearch` against a shared
@@ -63,7 +65,7 @@ from typing import Any, List, Optional, Union
 from repro.execution.engine import EnginePair, build_cpu_engine
 from repro.experiments.result import ExperimentResult
 from repro.queries.generator import LoadGenerator
-from repro.queries.query import Row, arrival_rows
+from repro.queries.query import arrival_rows
 from repro.runtime.capacity import CapacityCache, CapacitySearch, run_capacity_searches
 from repro.runtime.pool import WorkerPool
 from repro.serving.cluster import ClusterSimulationResult, ClusterSimulator
@@ -168,20 +170,8 @@ class _FleetState:
         )
         self.servers = spec.build_servers(self.engines)
         # One open-ended event loop for the service's lifetime: every
-        # window's events are fed once, and reports finish a fork of it.
+        # window's events are fed once, and reports drain a fork of it.
         self.stream = ClusterSimulator(self.servers, balancer=spec.policy).stream()
-        #: The latest finished fork, or None once more events were fed.
-        self.result: Optional[ClusterSimulationResult] = None
-
-    def feed(self, rows: List[Row]) -> None:
-        self.stream.feed(rows)
-        self.result = None
-
-    def measure(self) -> ClusterSimulationResult:
-        """The cumulative result of everything fed so far (memoised)."""
-        if self.result is None:
-            self.result = self.stream.fork().finish()
-        return self.result
 
 
 class DigitalTwin:
@@ -303,14 +293,14 @@ class DigitalTwin:
         capacities = self._predict_capacities()
         verdicts: List[ConfigVerdict] = []
         for state, capacity in zip(self._fleets, capacities):
-            measured = state.measure()
+            reading = state.stream.fork().finish_sla()
             verdicts.append(
                 ConfigVerdict(
                     config=state.spec.name,
-                    p95_latency_s=measured.p95_latency_s,
+                    p95_latency_s=reading.p95_latency_s,
                     sla_latency_s=self._sla_latency_s,
-                    meets_sla=measured.meets_sla(self._sla_latency_s),
-                    stable=measured.is_stable(self._sla_latency_s),
+                    meets_sla=reading.meets_sla(self._sla_latency_s),
+                    stable=reading.is_stable(self._sla_latency_s),
                     capacity_qps=capacity.max_qps,
                     offered_qps=window.mean_rate_qps,
                     evaluations=capacity.evaluations,
@@ -351,15 +341,14 @@ class DigitalTwin:
     def last_cumulative_result(self, config: Optional[str] = None) -> ClusterSimulationResult:
         """The cumulative result for one config (default: real).
 
-        What the most recent :meth:`observe` measured, or, after later
-        :meth:`absorb` calls, the same measurement over everything fed so
-        far — the bit-identity tests compare it against a one-shot batch
-        run over the same events.
+        The full measurement over everything fed so far, finished on a
+        fresh fork at each call; the bit-identity tests compare it against
+        a one-shot batch run over the same events.
         """
         state = self._state(config)
         if not self._cumulative_queries:
             raise ValueError("no windows observed yet")
-        return state.measure()
+        return state.stream.fork().finish()
 
     def close(self) -> None:
         """Release twin-owned resources (the private cache directory)."""
@@ -397,7 +386,7 @@ class DigitalTwin:
             )
         rows = arrival_rows(window.queries)
         for state in self._fleets:
-            state.feed(rows)
+            state.stream.feed(rows)
         self._last_window_index = window.index
         self._cumulative_queries += len(rows)
         self._windows_observed += 1

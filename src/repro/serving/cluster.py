@@ -969,8 +969,9 @@ class ClusterSimulator:
         time and no earlier than the last, e.g. from
         :func:`~repro.queries.query.arrival_rows`), ``fork().finish()`` for the
         :class:`ClusterSimulationResult` of everything fed so far — equal
-        field for field to :meth:`run` over those queries — and keep
-        feeding the original.  The stream owns a copy of the balancer,
+        field for field to :meth:`run` over those queries — or
+        ``fork().finish_sla()`` for only its SLA fields, and keep feeding
+        the original.  The stream owns a copy of the balancer,
         prepared and reset once, so :meth:`run` calls in between do not
         disturb it.  Fault plans, per-server latency lists and sketch mode
         are not supported: the loop retains every measured latency with its

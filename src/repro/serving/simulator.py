@@ -108,11 +108,14 @@ def resolve_num_cores(engines: EnginePair, config: ServingConfig) -> int:
 class SLACriteriaMixin:
     """SLA and stability checks shared by single-server and fleet results.
 
-    Both result types expose ``p95_latency_s``, ``p95_late_window_s``,
-    ``drain_s``, and ``arrival_span_s``; keeping the acceptance criterion in
-    one place guarantees the single-server and cluster capacity searches
-    judge runs by exactly the same rule.
+    Both result types and :class:`SLAReading` expose ``p95_latency_s``,
+    ``p95_late_window_s``, ``drain_s``, and ``arrival_span_s``; keeping the
+    acceptance criterion in one place guarantees the single-server and
+    cluster capacity searches, and the digital twin's verdicts, judge runs
+    by exactly the same rule.
     """
+
+    __slots__ = ()
 
     p95_latency_s: float
     p95_late_window_s: float
@@ -139,6 +142,24 @@ class SLACriteriaMixin:
     def acceptable(self, sla_latency_s: float) -> bool:
         """SLA met *and* the system is stable — the capacity-search criterion."""
         return self.meets_sla(sla_latency_s) and self.is_stable(sla_latency_s)
+
+
+class SLAReading(SLACriteriaMixin):
+    """Only what the SLA checks read, from :meth:`EventLoop.finish_sla`."""
+
+    __slots__ = ("p95_latency_s", "p95_late_window_s", "drain_s", "arrival_span_s")
+
+    def __init__(
+        self,
+        p95_latency_s: float,
+        p95_late_window_s: float,
+        drain_s: float,
+        arrival_span_s: float,
+    ) -> None:
+        self.p95_latency_s = p95_latency_s
+        self.p95_late_window_s = p95_late_window_s
+        self.drain_s = drain_s
+        self.arrival_span_s = arrival_span_s
 
 
 @dataclass
@@ -680,8 +701,10 @@ class EventLoop:
     with its ordinal (16 bytes per query in typed arrays) and the cut is
     applied at :meth:`finish`, which yields exactly what a
     one-shot run over the arrivals fed so far would.  Only an open-ended
-    loop can :meth:`fork`.  ``summarize(kernels, outcome)``, when given,
-    turns :meth:`finish`'s measurements into the caller's result type.
+    loop can :meth:`fork`, and only it has :meth:`finish_sla`, the same
+    drain that reads just the SLA fields.  ``summarize(kernels, outcome)``,
+    when given, turns :meth:`finish`'s measurements into the caller's
+    result type.
     """
 
     def __init__(
@@ -798,6 +821,77 @@ class EventLoop:
         (or ``summarize``'s result); an early exit returns its certificate.
         The loop is spent afterwards: :meth:`fork` first to keep feeding.
         """
+        drained = self._drain()
+        if isinstance(drained, CertainRejection):
+            return drained
+        num_queries, arrival_span, drain, measured = drained
+        if measured is None:
+            tracker = self._tracker
+            late_tracker = self._late_tracker
+            count = tracker.count
+            p50, p95, p99 = tracker.p50(), tracker.p95(), tracker.p99()
+            mean = tracker.mean()
+            p95_late = late_tracker.percentile(95) if late_tracker.count else 0.0
+            samples: List[float] = []
+        else:
+            ordered = np.sort(measured)
+            count = ordered.shape[0]
+            p50, p95, p99 = (percentile_of_sorted(ordered, pct) for pct in (50, 95, 99))
+            mean = float(np.mean(measured))
+            p95_late = late_window_p95(measured)
+            samples = measured.tolist()
+        duration = max(self._last_completion - self._first_arrival, 1e-9)
+        outcome = dict(
+            num_queries=num_queries,
+            measured_queries=count,
+            duration_s=duration,
+            p50_latency_s=p50,
+            p95_latency_s=p95,
+            p99_latency_s=p99,
+            mean_latency_s=mean,
+            achieved_qps=num_queries / duration,
+            offered_qps=num_queries / arrival_span,
+            p95_late_window_s=p95_late,
+            drain_s=drain,
+            arrival_span_s=arrival_span,
+            latencies_s=samples,
+        )
+        if self._summarize is not None:
+            return self._summarize(self.kernels, outcome)
+        return outcome
+
+    def finish_sla(self) -> SLAReading:
+        """Drain an open-ended loop as :meth:`finish` does; read only the SLA.
+
+        The :class:`SLAReading` equals the fields :meth:`finish` would
+        report, bit for bit, and so do its ``meets_sla`` and ``is_stable``.
+        It costs one sort of the measured samples and one of their late
+        half, and builds no sample list and no result.  The loop is spent
+        afterwards, like after :meth:`finish`.
+        """
+        if self._ordinals is None:
+            raise ValueError("only an open-ended event loop can finish_sla")
+        drained = self._drain()
+        assert not isinstance(drained, CertainRejection)  # nothing arms an exit here
+        _, arrival_span, drain, measured = drained
+        return SLAReading(
+            percentile_of_sorted(np.sort(measured), 95),
+            late_window_p95(measured),
+            drain,
+            arrival_span,
+        )
+
+    def _drain(
+        self,
+    ) -> Union[Tuple[int, float, float, Optional[np.ndarray]], CertainRejection]:
+        """Drain the heap and cut the warmup, for :meth:`finish` and
+        :meth:`finish_sla`.
+
+        Returns ``(num_queries, arrival_span_s, drain_s, measured)``, where
+        ``measured`` holds the exact samples past the warmup cut in
+        completion order (``None`` in sketch mode, whose trackers are
+        flushed), or the certificate of an early exit.
+        """
         if self._first_arrival is None:
             raise ValueError("cannot simulate an empty query stream")
         early = self._advance(None, iter(()))
@@ -809,17 +903,10 @@ class EventLoop:
             num_queries = consumed
         elif consumed != num_queries:
             raise ValueError(f"num_queries={num_queries} but the stream yielded {consumed}")
-        first_arrival = self._first_arrival
-        last_arrival = self._last_arrival
-        last_completion = self._last_completion
-        arrival_span = max(last_arrival - first_arrival, 1e-9)
-        drain = max(0.0, last_completion - last_arrival)
-
-        sketch_mode = self._sketch_mode
-        if sketch_mode:
+        measured: Optional[np.ndarray] = None
+        if self._sketch_mode:
             self._flush()
-            tracker = self._tracker
-            late_tracker = self._late_tracker
+            count = self._tracker.count
         else:
             if self._ordinals is not None:
                 # Open-ended: cut the warmup for the final count, keeping the
@@ -831,9 +918,8 @@ class EventLoop:
                 ]
             else:
                 measured = np.array(self._latencies, dtype=np.float64)
-            tracker = PercentileTracker()
-            tracker.extend(measured)
-        if tracker.count == 0:
+            count = measured.shape[0]
+        if count == 0:
             if self._reject_above_sla_s is not None:
                 # Every measured query was lost to faults: 100% of the offered
                 # population missed the SLA, so the verdict is certain.
@@ -847,31 +933,9 @@ class EventLoop:
                 "no queries completed outside the warmup window; lower "
                 "warmup_fraction (or the fault rates), or send more queries"
             )
-        samples: List[float] = []
-        if sketch_mode:
-            p95_late = late_tracker.percentile(95) if late_tracker.count else 0.0
-        else:
-            samples = measured.tolist()
-            p95_late = late_window_p95(measured)
-        duration = max(last_completion - first_arrival, 1e-9)
-        outcome = dict(
-            num_queries=num_queries,
-            measured_queries=tracker.count,
-            duration_s=duration,
-            p50_latency_s=tracker.p50(),
-            p95_latency_s=tracker.p95(),
-            p99_latency_s=tracker.p99(),
-            mean_latency_s=tracker.mean(),
-            achieved_qps=num_queries / duration,
-            offered_qps=num_queries / arrival_span,
-            p95_late_window_s=p95_late,
-            drain_s=drain,
-            arrival_span_s=arrival_span,
-            latencies_s=samples,
-        )
-        if self._summarize is not None:
-            return self._summarize(self.kernels, outcome)
-        return outcome
+        arrival_span = max(self._last_arrival - self._first_arrival, 1e-9)
+        drain = max(0.0, self._last_completion - self._last_arrival)
+        return num_queries, arrival_span, drain, measured
 
     def _advance(
         self, pending: Optional[Row], iterator: Iterator[Row]

@@ -42,19 +42,12 @@ class TestRepoDocs:
         assert seen > 0
 
     def test_docs_cite_only_existing_test_names(self):
-        """Every ``tests/...py::test_name`` citation in the docs is real."""
-        cited = set()
-        for doc in (REPO_ROOT / "docs").glob("*.md"):
-            for match in re.finditer(
-                r"(tests/\w+\.py)::(?:\w+::)?(test_\w+)", doc.read_text()
-            ):
-                cited.add(match.groups())
-        assert cited, "the contract docs lost their test citations"
-        for test_file, test_name in sorted(cited):
-            source = (REPO_ROOT / test_file).read_text()
-            assert f"def {test_name}(" in source, (
-                f"docs cite {test_file}::{test_name}, which does not exist"
-            )
+        """Every ``tests/...py::Name[::test]`` citation in the docs is real."""
+        seen, problems = check_docs.check_node_ids(
+            REPO_ROOT, check_docs.doc_files(REPO_ROOT)
+        )
+        assert seen, "the contract docs lost their test citations"
+        assert problems == []
 
 
 class TestCheckerRules:
@@ -159,3 +152,59 @@ class TestCitedMarkdownNames:
         )
         assert seen == 0
         assert problems == []
+
+
+class TestCitedNodeIds:
+    SOURCE = (
+        "import pytest\n\n\n"
+        "def test_top():\n    pass\n\n\n"
+        "class TestGroup:\n"
+        "    @pytest.mark.parametrize('x', [1])\n"
+        "    def test_member(self, x):\n        pass\n\n"
+        "    async def test_async(self):\n        pass\n"
+    )
+
+    def _check(self, tmp_path, text):
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_x.py").write_text(self.SOURCE)
+        doc = tmp_path / "a.md"
+        doc.write_text(text)
+        return check_docs.check_node_ids(tmp_path, [doc])
+
+    def test_existing_ids_resolve(self, tmp_path):
+        seen, problems = self._check(
+            tmp_path,
+            "`tests/test_x.py::test_top`, `tests/test_x.py::TestGroup`,\n"
+            "`tests/test_x.py::TestGroup::test_member[1]` and\n"
+            "`tests/test_x.py::TestGroup::test_async`.\n",
+        )
+        assert seen == 4
+        assert problems == []
+
+    def test_missing_class_member_and_file_reported(self, tmp_path):
+        seen, problems = self._check(
+            tmp_path,
+            "`tests/test_x.py::TestGone`\n"
+            "`tests/test_x.py::TestGroup::test_gone` `tests/test_x.py::test_member`\n"
+            "`tests/test_missing.py::TestGroup`\n",
+        )
+        assert seen == 4
+        assert problems == [
+            "a.md:1: cites 'tests/test_x.py::TestGone', which tests/test_x.py "
+            "does not define",
+            "a.md:2: cites 'tests/test_x.py::TestGroup::test_gone', which "
+            "tests/test_x.py does not define",
+            "a.md:2: cites 'tests/test_x.py::test_member', which tests/test_x.py "
+            "does not define",
+            "a.md:3: cites 'tests/test_missing.py::TestGroup', which "
+            "tests/test_missing.py does not define",
+        ]
+
+    def test_file_is_not_imported(self, tmp_path):
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_boom.py").write_text(
+            "raise SystemExit('imported')\n\n\nclass TestQuiet:\n    pass\n"
+        )
+        doc = tmp_path / "a.md"
+        doc.write_text("tests/test_boom.py::TestQuiet")
+        assert check_docs.check_node_ids(tmp_path, [doc]) == (1, [])

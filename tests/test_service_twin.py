@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.queries.generator import LoadGenerator
+from repro.queries.query import arrival_rows
 from repro.queries.trace import DiurnalPattern, generate_diurnal_trace
 from repro.runtime.capacity import CapacitySearch
 from repro.service.shadow import (
@@ -17,7 +18,8 @@ from repro.service.shadow import (
 )
 from repro.service.twin import DigitalTwin, render_window_reports
 from repro.service.windows import Window, WindowManager
-from repro.serving.cluster import ClusterSimulator
+from repro.serving.cluster import ClusterSimulationResult, ClusterSimulator
+from repro.serving.simulator import EventLoop
 
 #: Low-fidelity search knobs: the capacity answer only needs to be
 #: deterministic for these tests, not paper-accurate.
@@ -170,6 +172,117 @@ class TestCumulativeBitIdentity:
             queries
         )
         assert windowed.latencies_s == batch.latencies_s
+
+
+class TestLeanVerdictRead:
+    """Verdicts drain a fork with ``finish_sla``, never a full ``finish``."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        num_servers=st.integers(1, 3),
+        rate_qps=st.sampled_from([40.0, 600.0, 2000.0]),
+        num_queries=st.integers(30, 200),
+        window_s=st.sampled_from([0.25, 1.0]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_lean_read_equals_full_finish_at_every_window(
+        self, num_servers, rate_qps, num_queries, window_s, seed, data
+    ):
+        spec = FleetSpec(
+            name="real", model="ncf", platform="broadwell",
+            num_servers=num_servers, batch_size=128, num_cores=2,
+        )
+        _, windows = windowed_stream(
+            num_queries=num_queries, rate_qps=rate_qps, window_s=window_s, seed=seed
+        )
+        absorbing = data.draw(st.lists(st.booleans(), min_size=len(windows),
+                                       max_size=len(windows)))
+        fields = ("p95_latency_s", "p95_late_window_s", "drain_s", "arrival_span_s")
+        with make_twin(real=spec, what_if=UNDER_PROVISIONED) as twin:
+            # Loops fed the same rows but never read: the reads must not
+            # leak into any later window's results.
+            unread = [
+                ClusterSimulator(s.build_servers(), balancer=s.policy).stream()
+                for s in twin.specs()
+            ]
+            for window, absorb in zip(windows, absorbing):
+                if absorb:
+                    twin.absorb(window)
+                    report = None
+                else:
+                    report = twin.observe(window)
+                rows = arrival_rows(window.queries)
+                for loop in unread:
+                    loop.feed(rows)
+                verdicts = (report.real, report.what_if) if report else (None, None)
+                for state, loop, verdict in zip(twin._fleets, unread, verdicts):
+                    full = loop.fork().finish()
+                    lean = state.stream.fork().finish_sla()
+                    assert [getattr(lean, f) for f in fields] == [
+                        getattr(full, f) for f in fields
+                    ]
+                    for sla in (twin.sla_latency_s, full.p95_latency_s,
+                                full.p95_late_window_s, full.drain_s / 2):
+                        assert lean.meets_sla(sla) == full.meets_sla(sla)
+                        assert lean.is_stable(sla) == full.is_stable(sla)
+                    assert twin.last_cumulative_result(state.spec.name) == full
+                    if verdict is not None:
+                        sla = twin.sla_latency_s
+                        assert verdict.p95_latency_s == full.p95_latency_s
+                        assert verdict.meets_sla == full.meets_sla(sla)
+                        assert verdict.stable == full.is_stable(sla)
+
+    def test_lean_read_needs_an_open_ended_loop(self):
+        servers = REAL.build_servers()
+        loop = EventLoop(
+            ClusterSimulator(servers)._build_kernels(), 0.1, num_queries=10
+        )
+        with pytest.raises(ValueError, match="open-ended"):
+            loop.finish_sla()
+
+
+class TestVerdictCost:
+    """What a window's verdict may cost, counted, not timed."""
+
+    def test_observe_never_finishes_a_full_result(self, monkeypatch):
+        finishes = []
+        results = []
+        finish = EventLoop.finish
+
+        def counting_finish(self):
+            finishes.append(self)
+            return finish(self)
+
+        result_init = ClusterSimulationResult.__init__
+
+        def counting_init(self, *args, **kwargs):
+            results.append(self)
+            result_init(self, *args, **kwargs)
+
+        _, windows = windowed_stream(num_queries=400, window_s=1.0)
+        assert len(windows) > 3
+        with make_twin(what_if=UNDER_PROVISIONED) as twin:
+            # Window 0 runs the cold capacity searches, which do finish
+            # one-shot runs; every later window replays them from the memo.
+            twin.observe(windows[0])
+            monkeypatch.setattr(EventLoop, "finish", counting_finish)
+            monkeypatch.setattr(ClusterSimulationResult, "__init__", counting_init)
+            for window in windows[1:]:
+                report = twin.observe(window)
+                assert report.real.evaluations == report.what_if.evaluations == 0
+                for state in twin._fleets:
+                    for value in vars(state).values():
+                        assert not hasattr(value, "latencies_s")
+                        assert not (
+                            isinstance(value, list)
+                            and any(isinstance(item, float) for item in value)
+                        )
+            assert finishes == []
+            assert results == []
+            for calls, config in enumerate(("real", "what-if", "real"), start=1):
+                twin.last_cumulative_result(config)
+                assert len(finishes) == calls
 
 
 class TestCapacityMemoEconomics:

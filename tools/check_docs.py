@@ -15,6 +15,11 @@ on a cited ``*.md`` name (``docs/claims.md``, ``README.md``) that no
 markdown file in the checkout matches.  String literals in code are not
 citations: tests write markdown fixture files of their own.
 
+Finally it fails on a pytest node id cited in those markdown files,
+``tests/<file>.py::<Name>`` or ``tests/<file>.py::<Class>::<test>``, whose
+file does not define that name.  The file is read through its syntax tree,
+never imported; a parametrize suffix (``[case]``) is not checked.
+
 External links (``http(s)://``, ``mailto:``) are ignored — CI must not
 depend on the network.  Run from anywhere inside the repo::
 
@@ -32,7 +37,7 @@ import re
 import sys
 import tokenize
 from pathlib import Path
-from typing import Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 #: ``[text](target)`` — target captured up to the closing paren (markdown
 #: titles after a space are not used in this repo's docs).
@@ -47,6 +52,8 @@ EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
 CODE_DIRS = ("src", "tests", "benchmarks", "examples", "tools")
 #: A cited markdown name such as ``docs/claims.md`` (a glob like ``*.md`` is not).
 MD_NAME_RE = re.compile(r"(?<![\w./*-])(\w[\w./-]*\.md)\b")
+#: A cited node id: ``tests/<file>.py::<Name>``, optionally ``::<Name>`` more.
+NODE_ID_RE = re.compile(r"(?<![\w/.])(tests/[\w/]+\.py)::(\w+)(?:::(\w+))?")
 
 
 def repo_root() -> Path:
@@ -189,16 +196,55 @@ def check_cited_names(root: Path, paths: Iterable[Path]) -> Tuple[int, List[str]
     return seen, problems
 
 
+def defined_tests(path: Path) -> Dict[str, Set[str]]:
+    """Each top-level function or class of ``path`` -> the names its body defines."""
+    defined: Dict[str, Set[str]] = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = {
+                child.name
+                for child in node.body
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            }
+    return defined
+
+
+def check_node_ids(root: Path, paths: Iterable[Path]) -> Tuple[int, List[str]]:
+    """Check every test node id ``paths`` cite; return (ids seen, problems)."""
+    parsed: Dict[str, Dict[str, Set[str]]] = {}
+    seen = 0
+    problems: List[str] = []
+    for path in paths:
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            for match in NODE_ID_RE.finditer(line):
+                seen += 1
+                test_file, name, member = match.groups()
+                if test_file not in parsed:
+                    source = root / test_file
+                    parsed[test_file] = defined_tests(source) if source.is_file() else {}
+                defined = parsed[test_file]
+                if name in defined and (member is None or member in defined[name]):
+                    continue
+                relative = path.relative_to(root).as_posix()
+                problems.append(
+                    f"{relative}:{number}: cites {match.group(0)!r}, which "
+                    f"{test_file} does not define"
+                )
+    return seen, problems
+
+
 def main() -> int:
     root = repo_root()
     files = doc_files(root)
     seen, problems = check_paths(files)
     cited, name_problems = check_cited_names(root, code_files(root))
-    for problem in problems + name_problems:
+    node_ids, node_problems = check_node_ids(root, files)
+    for problem in problems + name_problems + node_problems:
         print(problem, file=sys.stderr)
     print(f"checked {seen} links across {len(files)} files: {len(problems)} broken")
     print(f"checked {cited} cited markdown names in code: {len(name_problems)} missing")
-    return len(problems) + len(name_problems)
+    print(f"checked {node_ids} cited test node ids: {len(node_problems)} missing")
+    return len(problems) + len(name_problems) + len(node_problems)
 
 
 if __name__ == "__main__":
