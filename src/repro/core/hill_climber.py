@@ -4,24 +4,14 @@ Section IV-C observes that the QPS-vs-batch-size and QPS-vs-offload-threshold
 surfaces are smooth enough that a simple hill climber finds the optimum: start
 from the smallest candidate, keep moving to the next larger candidate while
 the objective improves, and stop after the objective degrades ``patience``
-times in a row.
+times in a row.  The climb is sequential: each candidate is evaluated only
+once the climb has decided to visit it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Generic,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Any, Callable, Dict, Generic, List, Mapping, Sequence, Tuple, TypeVar
 
 from repro.utils.validation import check_positive
 
@@ -61,7 +51,6 @@ def hill_climb(
     objective: Callable[[CandidateT], float],
     patience: int = 2,
     relative_tolerance: float = 0.0,
-    prefetch: Optional[Callable[[Sequence[CandidateT]], None]] = None,
 ) -> ClimbResult:
     """Walk ``candidates`` in order while ``objective`` keeps improving.
 
@@ -79,13 +68,6 @@ def hill_climb(
     relative_tolerance:
         A candidate counts as improving if it exceeds the best value by more
         than this relative margin.
-    prefetch:
-        Called with the not-yet-evaluated tail of the ladder before each
-        objective call.  The climb walks candidates in a fixed order — only
-        *where it stops* depends on the values — so a caller can start
-        evaluating upcoming candidates concurrently (e.g. as capacity
-        searches on a worker pool) without changing a single decision;
-        speculation past a patience stop is the only waste.
     """
     if not candidates:
         raise ValueError("candidates must not be empty")
@@ -95,15 +77,11 @@ def hill_climb(
 
     evaluations: List[tuple] = []
     best_candidate = candidates[0]
-    if prefetch is not None:
-        prefetch(candidates[1:])
     best_value = objective(best_candidate)
     evaluations.append((best_candidate, best_value))
     misses = 0
 
-    for index, candidate in enumerate(candidates[1:], start=2):
-        if prefetch is not None:
-            prefetch(candidates[index:])
+    for candidate in candidates[1:]:
         value = objective(candidate)
         evaluations.append((candidate, value))
         if value > best_value * (1.0 + relative_tolerance):
@@ -153,7 +131,6 @@ def coordinate_descent(
     sweeps: int = 2,
     patience: int = 2,
     relative_tolerance: float = 0.0,
-    prefetch: Optional[Callable[[Sequence[Dict[str, Any]]], None]] = None,
 ) -> DescentResult:
     """Maximise ``objective`` over several knobs, one knob at a time.
 
@@ -163,11 +140,6 @@ def coordinate_descent(
     generalisation of the DeepRecSched tuning loop and is what the fleet
     tuner uses to co-tune the per-server batch size with the balancing
     policy.  Assignments are memoised, so re-visiting a point costs nothing.
-
-    ``prefetch`` receives the not-yet-memoised knob assignments the current
-    ladder will walk next (see :func:`hill_climb`), letting the fleet tuner
-    keep several assignments' capacity searches in flight on the shared
-    worker pool while the descent consumes their values in ladder order.
 
     Knob candidate values must be hashable (ints, strings, enums, ...).
     """
@@ -195,27 +167,11 @@ def coordinate_descent(
     for _ in range(sweeps):
         improved = False
         for knob, candidates in candidates_by_knob.items():
-
-            def ladder_prefetch(
-                upcoming: Sequence[Any], knob: str = knob
-            ) -> None:
-                if prefetch is None:
-                    return
-                fresh = [
-                    {**best_knobs, knob: candidate}
-                    for candidate in upcoming
-                    if tuple(sorted({**best_knobs, knob: candidate}.items()))
-                    not in cache
-                ]
-                if fresh:
-                    prefetch(fresh)
-
             climb = hill_climb(
                 candidates,
                 lambda candidate: evaluate({**best_knobs, knob: candidate}),
                 patience=patience,
                 relative_tolerance=relative_tolerance,
-                prefetch=ladder_prefetch if prefetch is not None else None,
             )
             if climb.best_value > best_value * (1.0 + relative_tolerance):
                 best_value = climb.best_value

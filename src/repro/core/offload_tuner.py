@@ -28,70 +28,10 @@ from repro.core.hill_climber import (
 from repro.execution.engine import EnginePair
 from repro.queries.generator import LoadGenerator
 from repro.queries.size_dist import MAX_QUERY_SIZE
-from repro.runtime.capacity import CapacityCache, CapacitySearch, _parallel_budget
-from repro.runtime.pool import Future, TaskContext, WorkerPool, pool_scope
-from repro.serving.cluster import ClusterServer, available_balancers
+from repro.runtime.capacity import CapacityCache, CapacitySearch
+from repro.serving.cluster import ClusterServer, available_balancers, get_balancer
 from repro.serving.simulator import ServingConfig, SimulationResult
 from repro.utils.validation import check_positive
-
-
-def _tuner_fleet(
-    engines_per_server: Sequence[EnginePair],
-    num_cores: int,
-    batch_size: int,
-    threshold: Optional[int],
-) -> List[ClusterServer]:
-    """The fleet one knob assignment describes (shared by parent and workers)."""
-    servers = []
-    for index, engines in enumerate(engines_per_server):
-        config = ServingConfig(
-            batch_size=batch_size,
-            num_cores=num_cores,
-            offload_threshold=threshold if engines.has_accelerator else None,
-        )
-        servers.append(
-            ClusterServer(engines=engines, config=config, name=f"server-{index}")
-        )
-    return servers
-
-
-def _build_tuner_state(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Per-worker tuner evaluator state (the parent builds the same shape).
-
-    The warm-start cache is materialised here so each worker (and the
-    parent) holds one :class:`~repro.runtime.capacity.CapacityCache`
-    instance across all of its evaluations — the in-process memo needs
-    instance continuity to pay off.
-    """
-    state = dict(payload)
-    state["cache"] = (
-        CapacityCache(payload["warm_start_cache"])
-        if payload["warm_start_cache"] is not None
-        else None
-    )
-    return state
-
-
-def _evaluate_tuner_point(state: Dict[str, Any], knobs: Dict[str, Any]) -> float:
-    """Objective of one knob assignment: the fleet's capacity at the SLA.
-
-    Runs the capacity search serially (``jobs=1``) — parallelism lives at
-    the cross-point layer, where several assignments' searches share the
-    pool — so a pool worker and the parent compute identical values.
-    """
-    servers = _tuner_fleet(
-        state["engines"], state["num_cores"], knobs["batch_size"],
-        knobs.get("offload_threshold"),
-    )
-    outcome = CapacitySearch.for_fleet(
-        servers,
-        knobs["policy"],
-        state["sla_latency_s"],
-        state["load_generator"],
-        num_queries=state["num_queries"],
-        iterations=state["capacity_iterations"],
-    ).run(warm_start_cache=state["cache"])
-    return outcome.max_qps
 
 
 def offload_threshold_candidates(max_threshold: int = MAX_QUERY_SIZE) -> List[int]:
@@ -226,18 +166,15 @@ class FleetKnobTuner:
     (and the offload threshold, when any server has an accelerator) to
     maximise the fleet's latency-bounded throughput.  The objective of every
     knob assignment is one fleet
-    :class:`~repro.runtime.capacity.CapacitySearch`, so tuned knobs account for balancing losses, not just per-server
-    throughput.
+    :class:`~repro.runtime.capacity.CapacitySearch`, so tuned knobs account
+    for balancing losses, not just per-server throughput.
 
-    With ``jobs > 1`` the tuner keeps several upcoming knob assignments'
-    capacity searches in flight on the invocation's shared worker pool (the
-    hill climb walks its candidate ladder in a fixed order, so upcoming
-    assignments are known before their values are needed); each search runs
-    serially inside its worker.  The tuned knobs and every recorded
-    evaluation are identical to the serial tuner's — speculation past a
-    patience stop is the only wasted work.  ``warm_start_cache`` replays
-    identical searches bit-identically across tuner runs sharing the
-    directory.
+    The descent is sequential: each assignment's search runs in the caller's
+    process once the descent visits it.  With ``warm_start_cache``, each
+    :meth:`tune` call opens one
+    :class:`~repro.runtime.capacity.CapacityCache` on that directory for all
+    of its searches, so a later run sharing the directory replays identical
+    searches bit-identically.
     """
 
     def __init__(
@@ -252,14 +189,14 @@ class FleetKnobTuner:
         threshold_candidates: Optional[Sequence[int]] = None,
         sweeps: int = 2,
         patience: int = 2,
-        jobs: int = 1,
-        pool: Optional[WorkerPool] = None,
         warm_start_cache: Union[str, Path, None] = None,
     ) -> None:
         if not engines_per_server:
             raise ValueError("fleet tuning requires at least one server")
         check_positive("num_queries", num_queries)
         check_positive("capacity_iterations", capacity_iterations)
+        check_positive("sweeps", sweeps)
+        check_positive("patience", patience)
         self._engines = list(engines_per_server)
         self._load_generator = load_generator
         self._num_cores = num_cores
@@ -271,6 +208,14 @@ class FleetKnobTuner:
             else power_of_two_candidates(64, 1024)
         )
         self._policies = list(policies) if policies is not None else available_balancers()
+        for name, values in (
+            ("batch_candidates", self._batch_candidates),
+            ("policies", self._policies),
+        ):
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+        for policy in self._policies:
+            get_balancer(policy)  # an unknown name raises KeyError here
         self._has_accelerator = any(pair.has_accelerator for pair in self._engines)
         if threshold_candidates is not None and not self._has_accelerator:
             raise ValueError(
@@ -284,27 +229,39 @@ class FleetKnobTuner:
             self._threshold_candidates = None
         self._sweeps = sweeps
         self._patience = patience
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self._jobs = jobs
-        self._pool = pool
-        self._warm_start_cache = (
-            str(warm_start_cache) if warm_start_cache is not None else None
-        )
+        self._warm_start_cache = warm_start_cache
 
-    def _fleet(self, batch_size: int, threshold: Optional[int]) -> List[ClusterServer]:
-        return _tuner_fleet(self._engines, self._num_cores, batch_size, threshold)
+    def _fleet(self, knobs: Dict[str, Any]) -> List[ClusterServer]:
+        """The fleet one knob assignment describes."""
+        threshold = knobs.get("offload_threshold")
+        servers = []
+        for index, engines in enumerate(self._engines):
+            config = ServingConfig(
+                batch_size=knobs["batch_size"],
+                num_cores=self._num_cores,
+                offload_threshold=threshold if engines.has_accelerator else None,
+            )
+            servers.append(
+                ClusterServer(engines=engines, config=config, name=f"server-{index}")
+            )
+        return servers
 
-    def _evaluator_payload(self, sla_latency_s: float) -> Dict[str, Any]:
-        return {
-            "engines": self._engines,
-            "num_cores": self._num_cores,
-            "num_queries": self._num_queries,
-            "capacity_iterations": self._capacity_iterations,
-            "sla_latency_s": sla_latency_s,
-            "load_generator": self._load_generator,
-            "warm_start_cache": self._warm_start_cache,
-        }
+    def _capacity(
+        self,
+        knobs: Dict[str, Any],
+        sla_latency_s: float,
+        cache: Optional[CapacityCache],
+    ) -> float:
+        """Objective of one knob assignment: the fleet's capacity at the SLA."""
+        outcome = CapacitySearch.for_fleet(
+            self._fleet(knobs),
+            knobs["policy"],
+            sla_latency_s,
+            self._load_generator,
+            num_queries=self._num_queries,
+            iterations=self._capacity_iterations,
+        ).run(warm_start_cache=cache)
+        return outcome.max_qps
 
     def tune(self, sla_latency_s: float) -> FleetTuningResult:
         """Co-tune the fleet knobs and return the best assignment found."""
@@ -315,52 +272,19 @@ class FleetKnobTuner:
         }
         if self._threshold_candidates is not None:
             candidates["offload_threshold"] = self._threshold_candidates
-
-        context = TaskContext(_build_tuner_state, self._evaluator_payload(sla_latency_s))
-        with pool_scope(self._jobs, self._pool) as worker_pool:
-            budget = _parallel_budget(self._jobs, worker_pool)
-            pending: Dict[tuple, Future] = {}
-
-            def knob_key(knobs: Dict[str, Any]) -> tuple:
-                return tuple(sorted(knobs.items()))
-
-            def prefetch(assignments: Sequence[Dict[str, Any]]) -> None:
-                # Upcoming ladder assignments become whole capacity searches
-                # submitted into the shared pool (each runs serially in its
-                # worker).  Only futures still *running* count against the
-                # in-flight budget: a patience stop abandons its unconsumed
-                # futures, and once those complete they must not keep
-                # throttling later ladders' prefetches (their results stay
-                # available in ``pending`` in case the descent revisits the
-                # assignment).
-                if budget <= 1 or worker_pool.parallelism <= 1:
-                    return
-                in_flight = sum(
-                    1 for future in pending.values() if not future.done()
-                )
-                for knobs in assignments:
-                    if in_flight >= budget:
-                        break
-                    key = knob_key(knobs)
-                    if key not in pending:
-                        pending[key] = worker_pool.submit(
-                            _evaluate_tuner_point, dict(knobs), context=context
-                        )
-                        in_flight += 1
-
-            def objective(knobs: Dict[str, Any]) -> float:
-                future = pending.pop(knob_key(knobs), None)
-                if future is not None:
-                    return future.result()
-                return _evaluate_tuner_point(context.build(), knobs)
-
-            descent: DescentResult = coordinate_descent(
-                candidates,
-                objective,
-                sweeps=self._sweeps,
-                patience=self._patience,
-                prefetch=prefetch,
-            )
+        # One instance for every search of this run: its in-process memo
+        # only pays off across searches that share the instance.
+        cache = (
+            CapacityCache(self._warm_start_cache)
+            if self._warm_start_cache is not None
+            else None
+        )
+        descent: DescentResult = coordinate_descent(
+            candidates,
+            lambda knobs: self._capacity(knobs, sla_latency_s, cache),
+            sweeps=self._sweeps,
+            patience=self._patience,
+        )
         return FleetTuningResult(
             best_batch_size=descent.best_knobs["batch_size"],
             best_policy=descent.best_knobs["policy"],

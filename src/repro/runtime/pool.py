@@ -87,10 +87,10 @@ _IN_WORKER = False
 _FORK_COUNT = 0
 
 #: Worker-side LRU of built task contexts, keyed by token.  A context backs
-#: every task of a batch (a tuner's knob assignments, a replay fan), so a
-#: worker builds it once; the bound keeps long-lived workers from
-#: accumulating simulators when thousands of distinct contexts (one per
-#: capacity-search task) stream through over a process's life.
+#: every task of a batch (a replay fan's points), so a worker builds it
+#: once; the bound keeps long-lived workers from accumulating simulators
+#: when thousands of distinct contexts (one per capacity-search task)
+#: stream through over a process's life.
 _WORKER_CONTEXT_SLOTS = 16
 _WORKER_CONTEXTS: "OrderedDict[Tuple[int, int], Any]" = OrderedDict()
 
@@ -130,8 +130,9 @@ class TaskContext:
     payload; its return value is handed to the task function as the first
     argument.  The same :class:`TaskContext` instance can back many ``map``
     calls — workers cache the built value by the context's token, and the
-    serial path caches it locally — so e.g. a fleet tuner builds its state
-    once per worker no matter how many knob assignments it evaluates.
+    serial path caches it locally — so e.g. a figure-13 replay fan builds
+    its cluster once per worker no matter how many (batch, policy) points
+    it replays.
 
     Because a ``multiprocessing.Pool`` cannot address individual workers,
     every task tuple carries the frozen payload bytes; serialisation cost is

@@ -142,12 +142,24 @@ class WindowManager:
                 f"event time {event_time_s} precedes the stream start "
                 f"{self._start_s}"
             )
-        return int((event_time_s - self._start_s) // self._window_s)
+        return self._index(event_time_s)
 
     def window_bounds(self, index: int) -> Tuple[float, float]:
-        """``(start_s, end_s)`` of window ``index``."""
+        """``(start_s, end_s)`` of window ``index``; it ends where the next starts."""
         start = self._start_s + index * self._window_s
-        return start, start + self._window_s
+        return start, self._start_s + (index + 1) * self._window_s
+
+    def _index(self, time_s: float) -> int:
+        # Floor division and the rounded bounds can disagree next to a
+        # boundary (77.0 // 1.1 is 69, yet 70 * 1.1 is 77.0).  The bounds
+        # decide, so an event always lies in [start, end) of its window and
+        # never in one the watermark at its own time has already closed.
+        index = int((time_s - self._start_s) // self._window_s)
+        if time_s >= self._start_s + (index + 1) * self._window_s:
+            return index + 1
+        if time_s < self._start_s + index * self._window_s:
+            return index - 1
+        return index
 
     # ------------------------------------------------------------------ #
 
@@ -162,7 +174,7 @@ class WindowManager:
         time_s = query.arrival_time
         if time_s < self._start_s:
             self.window_index(time_s)  # raises: the event precedes the stream
-        index = int((time_s - self._start_s) // self._window_s)
+        index = self._index(time_s)
         if index <= self._closed_through:
             self._late += 1
             return []

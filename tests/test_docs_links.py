@@ -200,6 +200,22 @@ class TestCitedNodeIds:
             "tests/test_missing.py does not define",
         ]
 
+    def test_benchmark_ids_checked(self, tmp_path):
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "test_bench_x.py").write_text(self.SOURCE)
+        doc = tmp_path / "a.md"
+        doc.write_text(
+            "`benchmarks/test_bench_x.py::test_top` and\n"
+            "`benchmarks/test_bench_x.py::test_bench_gone`\n"
+        )
+        assert check_docs.check_node_ids(tmp_path, [doc]) == (
+            2,
+            [
+                "a.md:2: cites 'benchmarks/test_bench_x.py::test_bench_gone', which "
+                "benchmarks/test_bench_x.py does not define"
+            ],
+        )
+
     def test_file_is_not_imported(self, tmp_path):
         (tmp_path / "tests").mkdir()
         (tmp_path / "tests" / "test_boom.py").write_text(

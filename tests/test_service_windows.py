@@ -31,6 +31,17 @@ class TestWindowAssignment:
         with pytest.raises(ValueError):
             manager.window_index(99.0)
 
+    def test_rounded_boundary_event_joins_the_window_it_opens(self):
+        # 77.0 // 1.1 is 69, but 70 * 1.1 rounds to 77.0: the event belongs
+        # to window 70, so a repeat of it is not late.
+        manager = WindowManager(window_s=1.1)
+        assert manager.window_index(77.0) == 70
+        closed = manager.extend([Query(0, 77.0, 16), Query(1, 77.0, 16)])
+        closed += manager.flush()
+        assert manager.late_events == 0
+        assert [(w.index, len(w.queries)) for w in closed] == [(70, 2)]
+        assert closed[0].start_s <= 77.0 < closed[0].end_s
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             WindowManager(window_s=0.0)
@@ -104,16 +115,13 @@ class TestWindowingProperties:
         manager = WindowManager(window_s=window_s, allowed_lateness_s=1e9)
         queries = make_queries(sorted(times))
         closed = manager.extend(queries) + manager.flush()
-        slack = 4 * math.ulp(max(max(times), window_s) + window_s)
         for window in closed:
             assert (window.start_s, window.end_s) == manager.window_bounds(
                 window.index
             )
             for query in window.queries:
                 assert window.index == manager.window_index(query.arrival_time)
-                # Bounds hold up to float rounding in index * window_s.
-                assert window.start_s - slack <= query.arrival_time
-                assert query.arrival_time < window.end_s + slack
+                assert window.start_s <= query.arrival_time < window.end_s
 
     @SETTINGS
     @given(
@@ -182,8 +190,8 @@ class ScanEveryEvent:
     windows for ones the watermark has passed."""
 
     def __init__(self, window_s, allowed_lateness_s):
+        self.index = WindowManager(window_s).window_index
         self.bounds = WindowManager(window_s).window_bounds
-        self.window_s = window_s
         self.lateness_s = allowed_lateness_s
         self.open = {}
         self.max_event_time = -math.inf
@@ -191,7 +199,7 @@ class ScanEveryEvent:
         self.late = 0
 
     def add(self, query):
-        index = int(query.arrival_time // self.window_s)
+        index = self.index(query.arrival_time)
         if index <= self.closed_through:
             self.late += 1
             return []

@@ -596,6 +596,114 @@ class TestFleetKnobTuner:
         assert outcome.best_qps > 0
         assert any("offload_threshold" in knobs for knobs, _ in outcome.evaluations)
 
+    # Golden pins: exact tuned knobs and every evaluation, floats compared by
+    # ``==``.  The CPU fleet's patience-1 batch ladder stops early and its
+    # second sweep revisits the ladder under a new policy; the accelerator
+    # fleet co-tunes three knobs over two sweeps.
+    def _cpu_golden_tuner(self, engines, **overrides):
+        options = dict(
+            num_cores=4,
+            num_queries=120,
+            capacity_iterations=4,
+            batch_candidates=[32, 128, 512, 1024, 2048, 4096],
+            policies=["round-robin", "least-outstanding", "power-of-two"],
+            sweeps=2,
+            patience=1,
+        )
+        options.update(overrides)
+        return FleetKnobTuner([engines, engines], LoadGenerator(seed=7), **options)
+
+    def test_golden_cpu_fleet(self, engines):
+        outcome = self._cpu_golden_tuner(engines).tune(
+            sla_target("dlrm-rmc1", SLATier.LOW).latency_s
+        )
+        assert (outcome.best_batch_size, outcome.best_policy) == (512, "least-outstanding")
+        assert outcome.best_threshold is None
+        assert outcome.best_qps == 2845.610183121018
+        assert outcome.evaluations == (
+            ({"batch_size": 32, "policy": "round-robin"}, 1091.9968412777193),
+            ({"batch_size": 128, "policy": "round-robin"}, 2086.7607086764147),
+            ({"batch_size": 512, "policy": "round-robin"}, 2613.3906992652874),
+            ({"batch_size": 1024, "policy": "round-robin"}, 2534.7935660669755),
+            ({"batch_size": 512, "policy": "least-outstanding"}, 2845.610183121018),
+            ({"batch_size": 512, "policy": "power-of-two"}, 2845.610183121018),
+            ({"batch_size": 32, "policy": "least-outstanding"}, 1174.3870221166371),
+            ({"batch_size": 128, "policy": "least-outstanding"}, 2086.7607086764147),
+            ({"batch_size": 1024, "policy": "least-outstanding"}, 2781.9947961942503),
+        )
+
+    def test_golden_accelerator_fleet(self, rmc1_engines):
+        tuner = FleetKnobTuner(
+            [rmc1_engines, rmc1_engines],
+            LoadGenerator(seed=7),
+            num_cores=8,
+            num_queries=80,
+            capacity_iterations=2,
+            batch_candidates=[128, 256, 512],
+            policies=["round-robin", "least-outstanding"],
+            threshold_candidates=[1, 64, 256],
+            sweeps=2,
+        )
+        outcome = tuner.tune(sla_target("dlrm-rmc1", SLATier.MEDIUM).latency_s)
+        assert (outcome.best_batch_size, outcome.best_policy) == (512, "round-robin")
+        assert outcome.best_threshold == 256
+        assert outcome.best_qps == 5550.503838482212
+        rr, lo = "round-robin", "least-outstanding"
+        assert outcome.evaluations == (
+            ({"batch_size": 128, "policy": rr, "offload_threshold": 1}, 107.8955738278743),
+            ({"batch_size": 256, "policy": rr, "offload_threshold": 1}, 124.47070228731158),
+            ({"batch_size": 512, "policy": rr, "offload_threshold": 1}, 135.69865204133194),
+            ({"batch_size": 512, "policy": lo, "offload_threshold": 1}, 135.69865204133194),
+            ({"batch_size": 512, "policy": rr, "offload_threshold": 64}, 141.12943850961045),
+            ({"batch_size": 512, "policy": rr, "offload_threshold": 256}, 5550.503838482212),
+            ({"batch_size": 128, "policy": rr, "offload_threshold": 256}, 4646.903796544838),
+            ({"batch_size": 256, "policy": rr, "offload_threshold": 256}, 5185.595471476551),
+            ({"batch_size": 512, "policy": lo, "offload_threshold": 256}, 5550.503838482212),
+        )
+
+    def test_warm_start_cache_replays_a_second_run(self, engines, tmp_path, monkeypatch):
+        from repro.core import offload_tuner
+        from repro.runtime import capacity
+
+        built = []
+
+        class CountingCache(capacity.CapacityCache):
+            def __init__(self, cache_dir):
+                super().__init__(cache_dir)
+                built.append(self)
+
+        monkeypatch.setattr(capacity, "CapacityCache", CountingCache)
+        monkeypatch.setattr(offload_tuner, "CapacityCache", CountingCache)
+        tuner = self._cpu_golden_tuner(engines, warm_start_cache=tmp_path)
+        sla = sla_target("dlrm-rmc1", SLATier.LOW).latency_s
+        cold = tuner.tune(sla)
+        assert len(built) == 1  # one cache instance serves every search
+        warm = tuner.tune(sla)
+        assert len(built) == 2
+        assert warm == cold
+        searches = cold.num_evaluations
+        assert built[0].stats["stores"] == searches
+        # Every search of the second run is a disk hit: no bisection, no store.
+        assert built[1].stats["exact_hits"] == searches
+        assert built[1].stats["exact_misses"] == built[1].stats["stores"] == 0
+
+    @pytest.mark.parametrize(
+        "overrides, error, match",
+        [
+            ({"policies": ["nope"]}, KeyError, "unknown balancing policy"),
+            ({"policies": []}, ValueError, "policies"),
+            ({"batch_candidates": []}, ValueError, "batch_candidates"),
+            ({"sweeps": 0}, ValueError, "sweeps"),
+            ({"patience": 0}, ValueError, "patience"),
+        ],
+        ids=[
+            "unknown-policy", "no-policies", "no-batch-candidates", "zero-sweeps", "zero-patience"
+        ],
+    )
+    def test_rejects_bad_input_at_construction(self, engines, overrides, error, match):
+        with pytest.raises(error, match=match):
+            FleetKnobTuner([engines], LoadGenerator(seed=7), **overrides)
+
 
 class TestSweepRunnerCache:
     POINTS = [{"models": ("dlrm-rmc1",)}, {"models": ("ncf",)}]

@@ -16,9 +16,10 @@ markdown file in the checkout matches.  String literals in code are not
 citations: tests write markdown fixture files of their own.
 
 Finally it fails on a pytest node id cited in those markdown files,
-``tests/<file>.py::<Name>`` or ``tests/<file>.py::<Class>::<test>``, whose
-file does not define that name.  The file is read through its syntax tree,
-never imported; a parametrize suffix (``[case]``) is not checked.
+``tests/<file>.py::<Name>`` or ``tests/<file>.py::<Class>::<test>`` (or the
+same under ``benchmarks/``), whose file does not define that name.  The
+file is read through its syntax tree, never imported; a parametrize suffix
+(``[case]``) is not checked.
 
 External links (``http(s)://``, ``mailto:``) are ignored — CI must not
 depend on the network.  Run from anywhere inside the repo::
@@ -52,8 +53,11 @@ EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
 CODE_DIRS = ("src", "tests", "benchmarks", "examples", "tools")
 #: A cited markdown name such as ``docs/claims.md`` (a glob like ``*.md`` is not).
 MD_NAME_RE = re.compile(r"(?<![\w./*-])(\w[\w./-]*\.md)\b")
-#: A cited node id: ``tests/<file>.py::<Name>``, optionally ``::<Name>`` more.
-NODE_ID_RE = re.compile(r"(?<![\w/.])(tests/[\w/]+\.py)::(\w+)(?:::(\w+))?")
+#: A cited node id: ``tests/<file>.py::<Name>`` or ``benchmarks/<file>.py::<Name>``,
+#: optionally ``::<Name>`` more.
+NODE_ID_RE = re.compile(
+    r"(?<![\w/.])((?:tests|benchmarks)/[\w/]+\.py)::(\w+)(?:::(\w+))?"
+)
 
 
 def repo_root() -> Path:
