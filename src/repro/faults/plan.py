@@ -398,7 +398,7 @@ class NodeHealth:
     Mutable on purpose: the simulator updates the shared list in place on
     every fault transition and calls
     :meth:`LoadBalancer.observe_health <repro.serving.cluster.LoadBalancer.observe_health>`,
-    so failure-aware balancers always read the current view.
+    so failure-aware balancers always route on the current view.
     """
 
     up: bool = True

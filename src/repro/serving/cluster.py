@@ -43,7 +43,7 @@ import itertools
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -122,9 +122,11 @@ class LoadBalancer(ABC):
         Called by :meth:`ClusterSimulator.run` once before the first arrival
         and again after every fault transition, with a per-node list of
         :class:`~repro.faults.NodeHealth` the simulator mutates in place —
-        the production analogue of a balancer's health-check feed.  Runs
-        without a :class:`~repro.faults.FaultPlan` never call this, so
-        health-blind policies stay bit-identical.  The default is a no-op.
+        the production analogue of a balancer's health-check feed.  Every
+        change is followed by a call, so a policy may read the view once
+        per call rather than once per ``choose``.  Runs without a
+        :class:`~repro.faults.FaultPlan` never call this, so health-blind
+        policies stay bit-identical.  The default is a no-op.
         """
 
     @abstractmethod
@@ -307,39 +309,48 @@ class FailureAwareBalancer(LeastOutstandingBalancer):
     (asserted in ``tests/test_faults.py``).  If the whole fleet is down the
     policy degrades to plain least-outstanding over all nodes: the dispatch
     is lost either way, and the retry layer decides what happens next.
+
+    The view is read once per :meth:`observe_health` call, which the fault
+    source makes after every transition: while every node is up at
+    slowdown 1.0, ``choose`` is least-outstanding's; otherwise it scans a
+    list of the up nodes' ``(index, slowdown)`` pairs.
     """
 
     name = "failure-aware"
 
     def __init__(self) -> None:
-        self._health: Optional[Sequence[NodeHealth]] = None
+        # The up nodes as (index, slowdown), or None while every node is up
+        # at nominal speed (or no health view was observed).
+        self._up: Optional[List[Tuple[int, float]]] = None
 
     def reset(self, num_servers: int) -> None:
         # A health view is valid for exactly one run; the simulator pushes a
         # fresh one (via observe_health) after reset when faults are active.
-        self._health = None
+        self._up = None
 
     def observe_health(self, health: Sequence[NodeHealth]) -> None:
-        self._health = health
+        up = [(index, node.slowdown) for index, node in enumerate(health) if node.up]
+        nominal = len(up) == len(health) and all(
+            slowdown == 1.0  # reprolint: disable=RL007 -- exact sentinel: NodeHealth's default and KIND_SLOW_OFF's reset, under which load * slowdown == load exactly
+            for _, slowdown in up
+        )
+        self._up = None if nominal else up
 
     def choose(self, loads: List[int]) -> int:
-        health = self._health
-        if health is None:
-            return super().choose(loads)
+        up = self._up
+        if up is None:
+            return loads.index(min(loads))
         best_index = -1
-        best_load = float("inf")
-        for index in range(len(loads)):
-            node = health[index]
-            if not node.up:
-                continue
-            load = loads[index] * node.slowdown
+        best_load = _INFINITY
+        for index, slowdown in up:
+            load = loads[index] * slowdown
             if load < best_load:
                 best_index = index
                 best_load = load
         if best_index >= 0:
             return best_index
         # Whole fleet down: any choice is lost; stay deterministic.
-        return super().choose(loads)
+        return loads.index(min(loads))
 
 
 _BALANCER_REGISTRY = {
@@ -550,7 +561,8 @@ class _FaultTrack:
     Queries never touched by a fault (the overwhelming majority) have no
     track at all.  ``live`` counts dispatched attempts currently running on
     an up node; ``done`` flips when the query completes (first attempt wins)
-    or permanently fails.
+    or permanently fails.  A track is dropped once it is done with no
+    attempt live, so a hedge twin still running keeps its track.
     """
 
     __slots__ = ("ordinal", "row", "attempts_left", "live", "done")
@@ -625,7 +637,8 @@ class FaultInjector:
         self._cursor = 0
         self._retries: List[tuple] = []  # heap of (due_time, seq, ordinal)
         self._retry_seq = itertools.count()
-        #: Fault state by arrival ordinal, only for queries a fault touched.
+        #: Fault state by arrival ordinal, only for queries a fault touched
+        #: and not yet resolved with every attempt ended.
         self.tracked: Dict[int, _FaultTrack] = {}
         self.health = [NodeHealth() for _ in kernels]
         #: True while every node is up (dispatch is then a plain submit).
@@ -677,11 +690,12 @@ class FaultInjector:
         track = self.tracked.get(ordinal)
         if track is None:
             return False
-        if track.done:
-            return True
+        twin_finished = track.done
         track.done = True
         track.live -= 1
-        return False
+        if not track.live:
+            del self.tracked[ordinal]
+        return twin_finished
 
     # ------------------------------------------------------------------ #
 
@@ -724,8 +738,11 @@ class FaultInjector:
             self.tracked[ordinal] = track
         elif track.live > 0:
             track.live -= 1
-        if not track.done and track.live == 0:
-            self._retry_or_fail(track, now)
+        if track.live == 0:
+            if track.done:
+                del self.tracked[ordinal]  # a finished query's hedge twin
+            else:
+                self._retry_or_fail(track, now)
 
     def _retry(self, track: _FaultTrack, now: float) -> None:
         """Consume one retry: re-dispatch (optionally hedged)."""
@@ -759,6 +776,7 @@ class FaultInjector:
         else:
             track.done = True
             self.stats.failed_queries += 1
+            del self.tracked[track.ordinal]
 
 
 # --------------------------------------------------------------------------- #

@@ -322,6 +322,7 @@ class ServerKernel:
         "_server_index",
         "_batch_size",
         "_threshold",
+        "_direct_limit",
         "_cpu_service",
         "_gpu_service",
         "_cpu_queue",
@@ -358,6 +359,13 @@ class ServerKernel:
         self._batch_size = config.batch_size
         self._threshold = (
             config.offload_threshold if engines.gpu is not None else None
+        )
+        # The largest query :meth:`submit` serves as one CPU request, never
+        # offloaded: the event loop starts such arrivals itself.
+        self._direct_limit = (
+            config.batch_size
+            if self._threshold is None
+            else min(config.batch_size, self._threshold)
         )
 
         # Dense service-time lookups: _cpu_service[active_cores][batch].
@@ -467,9 +475,14 @@ class ServerKernel:
         return lost
 
     def submit(self, ordinal: int, row: Row, now: float) -> None:
-        """Accept arrival ``ordinal``: offload it whole or split it for the CPU.
+        """Accept query ``ordinal``: offload it whole or split it for the CPU.
 
-        The one submission path, for arrivals, retries and hedges alike.
+        The general submission path: splits, offloads, and every dispatch
+        of the fault path (retries, hedges, arrivals while a node is down).
+        While every node is up, an arrival that fits one unoffloaded CPU
+        request (at most ``_direct_limit`` items) is started, or queued, by
+        :meth:`EventLoop._advance` itself, exactly as the single-request
+        branch below does it.
         """
         size = row[2]
         self.num_submitted += 1
@@ -954,6 +967,7 @@ class EventLoop:
         loads = self._loads
         heappop = heapq.heappop
         heappush = heapq.heappush
+        heapreplace = heapq.heapreplace
         num_kernels = len(kernels)
         choose = self._choose
         record = self._record
@@ -979,13 +993,18 @@ class EventLoop:
         next_external = next_arrival if next_arrival < next_fault else next_fault
         with pause_gc():
             while True:
-                while events and events[0][0] <= next_external:
-                    now, kind, _, server_index, ordinal = heappop(events)
+                while events:
+                    now, kind, _, server_index, ordinal = events[0]
+                    if now > next_external:
+                        break
                     kernel = kernels[server_index]
                     states = kernel._states
                     if kind == EVT_CPU_DONE:
                         # One core freed, so at most one queued request
                         # starts, on the busy-core count before the freeing.
+                        # Its completion replaces this one on the heap: one
+                        # sift instead of a pop and a push, and the same pop
+                        # order, because (time, kind, seq) is a total order.
                         queue = kernel._cpu_queue
                         if queue:
                             next_ordinal, request_batch = queue.popleft()
@@ -994,7 +1013,7 @@ class EventLoop:
                                 * kernel._service_scale
                             )
                             kernel.cpu_busy_time += service
-                            heappush(
+                            heapreplace(
                                 events,
                                 (
                                     now + service,
@@ -1005,6 +1024,7 @@ class EventLoop:
                                 ),
                             )
                         else:
+                            heappop(events)
                             kernel._busy_cores -= 1
                         state = states[ordinal]
                         if type(state) is _QueryState:
@@ -1018,6 +1038,7 @@ class EventLoop:
                         del states[ordinal]
                         loads[server_index] -= row[2]
                     else:  # EVT_GPU_DONE: always finishes the query
+                        heappop(events)
                         row = states.pop(ordinal)
                         loads[server_index] -= row[2]
                         kernel._gpu_busy = False
@@ -1068,7 +1089,31 @@ class EventLoop:
                 if not 0 <= chosen < num_kernels:
                     raise misrouted(self._policy, chosen, num_kernels)
                 if healthy:
-                    kernels[chosen].submit(ordinal, row, arrival)
+                    kernel = kernels[chosen]
+                    size = row[2]
+                    if size <= kernel._direct_limit:
+                        # One unoffloaded CPU request: ServerKernel.submit's
+                        # single-request branch, without the call.  A free
+                        # core starts it now (a free core implies an empty
+                        # queue), else it queues.
+                        kernel.num_submitted += 1
+                        kernel.total_items += size
+                        loads[chosen] += size
+                        kernel._states[ordinal] = row
+                        busy = kernel._busy_cores
+                        if busy < kernel._num_cores:
+                            busy += 1
+                            service = kernel._cpu_service[busy][size] * kernel._service_scale
+                            kernel.cpu_busy_time += service
+                            kernel._busy_cores = busy
+                            heappush(
+                                events,
+                                (arrival + service, EVT_CPU_DONE, next(counter), chosen, ordinal),
+                            )
+                        else:
+                            kernel._cpu_queue.append((ordinal, size))
+                    else:  # offloaded or split
+                        kernel.submit(ordinal, row, arrival)
                 else:
                     faults.dispatch(ordinal, row, chosen, arrival)
                     next_fault = faults.next_time

@@ -85,18 +85,26 @@ def straggler_plans(draw, num_servers: int, horizon: float):
 def completions(monkeypatch):
     """Record production completion instants as ``{arrival ordinal: time}``.
 
-    Every event popped off the kernels' shared heap is a completion; the
-    last one popped for an ordinal is when that query finished, because
-    straggler-only plans lose no work.  :func:`by_query_id` re-keys the
-    record.  The kernels are captured as the cluster simulator builds them.
+    Every event popped off the kernels' shared heap is a completion, by
+    ``heappop`` or by the ``heapreplace`` that starts a queued request in
+    its place; the last one popped for an ordinal is when that query
+    finished, because straggler-only plans lose no work.  :func:`by_query_id`
+    re-keys the record.  The kernels are captured as the cluster simulator
+    builds them.
     """
     times = {}
     kernels = []
     heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
     build_kernels = cluster.build_kernels
 
     def recording_pop(events):
         event = heappop(events)
+        times[event[4]] = event[0]
+        return event
+
+    def recording_replace(events, item):
+        event = heapreplace(events, item)
         times[event[4]] = event[0]
         return event
 
@@ -109,7 +117,10 @@ def completions(monkeypatch):
         simulator,
         "heapq",
         SimpleNamespace(
-            heappop=recording_pop, heappush=heapq.heappush, heapify=heapq.heapify
+            heappop=recording_pop,
+            heapreplace=recording_replace,
+            heappush=heapq.heappush,
+            heapify=heapq.heapify,
         ),
     )
     monkeypatch.setattr(cluster, "build_kernels", recording_build)
